@@ -110,7 +110,9 @@ def summarize(spans):
         op_kind = next((k for k in OP_KINDS if k in kinds), None)
         if op_kind is None:
             # Ids with no op-lifecycle span: wire hops (own net-layer ids),
-            # engine sleeps, bare posts of sampled-out ops.
+            # engine sleeps, and bare posts — accepted posts that open no op
+            # span (RMA put/get, a post parked on the backlog). A post
+            # attempt that returned retry records no post span at all.
             unclassified += 1
             continue
         bucket = by_kind[op_kind]

@@ -45,11 +45,11 @@ device_impl_t::device_impl_t(runtime_impl_t* runtime,
   agg_flush_us_ = attr.aggregation_flush_us;
   // Shards are created in order, so with symmetric configs shard s of the
   // k-th device on every rank gets the same net index — the fabric's
-  // index-mod routing then pairs shard s with the peers' shard s, keeping
+  // index pairing then connects shard s with the peers' shard s, keeping
   // one shard's traffic on one wire mailbox end to end.
   const std::size_t nshards = std::max<std::size_t>(1, attr.device_shards);
   const auto nranks = static_cast<std::size_t>(runtime_->nranks());
-  shards_.resize(nshards);
+  shards_ = std::vector<shard_t>(nshards);  // shard_t is immovable
   for (auto& shard : shards_) {
     shard.net_device = runtime_->net_context().create_device();
     shard.agg_slots = std::make_unique<agg_slot_t[]>(nranks);
@@ -57,7 +57,7 @@ device_impl_t::device_impl_t(runtime_impl_t* runtime,
     // device-level concern, and progress() services all shards anyway.
     shard.net_device->set_doorbell(&doorbell_);
     // Sharded receive path: each shard's CQ has at most one consumer at a
-    // time (progress() walks the shards one at a time per thread, and the
+    // time (progress() polls a shard only under its dispatch claim, and the
     // backend claims the consumer role per poll), so backends that support
     // it may drop their lock-model CQ lock for a lock-free MPSC queue with
     // an RMW-free idle fast path. Left off at shards=1 so the unsharded

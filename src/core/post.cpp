@@ -300,13 +300,19 @@ status_t post_rendezvous_out(const resolved_t& r, const post_args_t& args,
 // ---------------------------------------------------------------------------
 status_t post_receive(const resolved_t& r, const post_args_t& args,
                       const trace::span_t& post_span) {
-  // A receive that names its peer (rank not wildcarded by the policy) fails
-  // immediately when that peer is already dead: no message from it can ever
-  // arrive, and a queued entry would only be purged right back out.
+  // A receive fails immediately when no message can ever complete it: this
+  // rank itself is dead, or the receive names its peer (rank not wildcarded
+  // by the policy) and that peer is dead. A queued entry would only be
+  // purged right back out.
   const bool names_peer =
       args.matching_policy == matching_policy_t::rank_tag ||
       args.matching_policy == matching_policy_t::rank_only;
-  if (names_peer && r.device->net().is_peer_down(args.rank))
+  net::device_t& net = r.device->net();
+  const auto unreachable = [&] {
+    return net.is_peer_down(r.runtime->rank()) ||
+           (names_peer && net.is_peer_down(args.rank));
+  };
+  if (unreachable())
     return make_fatal_status(r.runtime, errorcode_t::fatal_peer_down,
                              args.rank, args.tag, args.local_buffer,
                              payload_size(args), args.user_context);
@@ -336,11 +342,11 @@ status_t post_receive(const resolved_t& r, const post_args_t& args,
   void* matched =
       r.engine->insert(key, entry, matching_engine_impl_t::type_t::recv);
   if (matched == nullptr) {
-    if (names_peer && r.device->net().is_peer_down(args.rank)) {
-      // The peer died while we were inserting; the purge pass may have swept
-      // the engine before our entry landed. Pull it back out. Losing the
-      // remove race means the purge (or a real match racing the kill) now
-      // owns the entry and will deliver its completion.
+    if (unreachable()) {
+      // The peer (or this rank) died while we were inserting; the purge pass
+      // may have swept the engine before our entry landed. Pull it back out.
+      // Losing the remove race means the purge (or a real match racing the
+      // kill) now owns the entry and will deliver its completion.
       if (r.engine->remove(key, entry)) {
         if (record) {
           std::lock_guard<util::spinlock_t> guard(record->lock);
@@ -712,20 +718,27 @@ status_t post_comm_dispatch(const post_args_t& args,
 
 status_t post_comm_impl(const post_args_t& args) {
   if (!trace::on()) return post_comm_dispatch(args, trace::span_t{});
-  const trace::span_t post_span = trace::begin(
-      trace::kind_t::post, args.rank, args.tag, payload_size(args));
+  // The post span's id and start are reserved up front (op spans opened
+  // inside share both), but its begin/end pair is recorded only for an
+  // attempt that was not a retry. A retried attempt was never accepted, so
+  // like its op span it records nothing: a spinning retry loop would
+  // otherwise flood the rings and the sample with spans of no operation.
+  const trace::span_t post_span = trace::reserve();
+  const auto record = [&](errorcode_t code) {
+    const std::size_t size = payload_size(args);
+    trace::begin_at(post_span, trace::kind_t::post, args.rank, args.tag,
+                    size);
+    trace::end(post_span, trace::kind_t::post, static_cast<uint8_t>(code),
+               args.rank, args.tag, size);
+  };
   status_t status;
   try {
     status = post_comm_dispatch(args, post_span);
   } catch (...) {
-    trace::end(post_span, trace::kind_t::post,
-               static_cast<uint8_t>(errorcode_t::fatal), args.rank, args.tag,
-               payload_size(args));
+    record(errorcode_t::fatal);
     throw;
   }
-  trace::end(post_span, trace::kind_t::post,
-             static_cast<uint8_t>(status.error.code), args.rank, args.tag,
-             payload_size(args));
+  if (!status.error.is_retry()) record(status.error.code);
   return status;
 }
 

@@ -617,9 +617,23 @@ bool device_impl_t::progress() {
     start = pin >= 0 ? static_cast<std::size_t>(pin) % n
                      : tls_poll_cursor++ % n;
   }
+  // Each shard is polled and its burst dispatched under the shard's dispatch
+  // claim. Without it, two threads could pop consecutive bursts of one shard
+  // and run handle_cqe concurrently, so a key's later message could reach
+  // matching first. A taken claim means another thread is draining the
+  // shard in order; skipping it is the progress this call would have made
+  // (the same convention as a backend's consumer claim).
   for (std::size_t k = 0; k < n; ++k) {
-    const auto polled =
-        shards_[(start + k) % n].net_device->poll_cq(cqes, cq_poll_burst_);
+    shard_t& shard = shards_[(start + k) % n];
+    if (shard.dispatching.load(std::memory_order_relaxed) ||
+        shard.dispatching.exchange(true, std::memory_order_acquire))
+      continue;
+    // Released on every exit: handle_cqe throws on protocol corruption.
+    struct release_t {
+      std::atomic<bool>& claim;
+      ~release_t() { claim.store(false, std::memory_order_release); }
+    } release{shard.dispatching};
+    const auto polled = shard.net_device->poll_cq(cqes, cq_poll_burst_);
     for (std::size_t i = 0; i < polled.count; ++i) {
       // Accumulate with |= so every CQE is handled; `advanced` must report
       // only what handle_cqe says (the old `|| cqe.op != send` term claimed

@@ -49,6 +49,7 @@
 
 #include "core/counters.hpp"
 #include "net/net.hpp"
+#include "util/cacheline.hpp"
 
 namespace lci::detail {
 
@@ -76,13 +77,20 @@ struct engine_waiter_t {
 
 // Per-device doorbell: registered with the net device (rung by peers pushing
 // onto this device's wire and by local dispatch-worthy completions) and rung
-// directly by the core's backlog-push sites. Counts rings even when no
-// engine thread is attached, so tests and get_attr can observe the protocol.
-class doorbell_impl_t final : public net::doorbell_t {
+// directly by the core's backlog-push sites. A ring is counted and forwarded
+// only when an engine waiter is attached: with none attached, ring() is one
+// load of a line nobody writes, so the senders to every shard of the device
+// can ring it per message without contending. The doorbell owns its cache
+// line, so the counter bumped by an attached engine's rings never shares a
+// line with device state read on every post.
+class alignas(util::cache_line_size) doorbell_impl_t final
+    : public net::doorbell_t {
  public:
   void ring() noexcept override {
+    engine_waiter_t* w = waiter_.load(std::memory_order_acquire);
+    if (w == nullptr) return;
     rings_.fetch_add(1, std::memory_order_relaxed);
-    if (engine_waiter_t* w = waiter_.load(std::memory_order_acquire)) w->wake();
+    w->wake();
   }
 
   void attach(engine_waiter_t* waiter) noexcept {
@@ -96,6 +104,8 @@ class doorbell_impl_t final : public net::doorbell_t {
   std::atomic<engine_waiter_t*> waiter_{nullptr};
   std::atomic<uint64_t> rings_{0};
 };
+static_assert(sizeof(doorbell_impl_t) == util::cache_line_size,
+              "the doorbell owns exactly one cache line");
 
 class progress_engine_t {
  public:

@@ -513,7 +513,15 @@ class device_impl_t {
   struct alignas(util::cache_line_size) shard_t {
     std::unique_ptr<net::device_t> net_device;
     std::unique_ptr<agg_slot_t[]> agg_slots;  // one per peer
+    // Dispatch claim: held from poll_cq through the handle_cqe calls of the
+    // burst it returned, so one thread at a time dispatches this shard's
+    // completions, in CQ order (per-key FIFO into matching). A thread that
+    // finds it taken skips the shard. On its own line: progress() writes it
+    // on every poll, while every post reads the descriptor above.
+    alignas(util::cache_line_size) std::atomic<bool> dispatching{false};
   };
+  static_assert(sizeof(shard_t) == 2 * util::cache_line_size,
+                "descriptor line + dispatch-claim line");
 
   bool replenish_preposts();
   bool handle_cqe(const net::cqe_t& cqe);
@@ -542,6 +550,8 @@ class device_impl_t {
   counter_block_t* counters_ = nullptr;
   const std::size_t prepost_depth_;
   const bool auto_progress_;
+  // Owns its cache line (see doorbell_impl_t): rung by every sender to every
+  // shard, next to shards_, which every post and progress call reads.
   doorbell_impl_t doorbell_;
   std::vector<shard_t> shards_;
   backlog_queue_t backlog_;

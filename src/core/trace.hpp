@@ -324,15 +324,25 @@ inline uint64_t now_ns() noexcept {
           .count());
 }
 
+// Reserve a span — a fresh op id and its start time — without recording its
+// begin: for a span kept only if the call it times turns out to count (a
+// post attempt that returns retry records nothing). Record it later with
+// begin_at + end. Null when tracing is off or the op was sampled out.
+inline span_t reserve() {
+  if (!on()) return {};
+  const uint64_t id = detail::next_id();
+  if (id == 0) return {};
+  return span_t{id, now_ns()};
+}
+
 // Open a span with a fresh op id. Returns a null span when tracing is off or
 // the op was sampled out.
 inline span_t begin(kind_t kind, int rank = -1, uint32_t tag = 0,
                     uint64_t size = 0) {
-  if (!on()) return {};
-  const uint64_t id = detail::next_id();
-  if (id == 0) return {};
-  span_t span{id, now_ns()};
-  detail::emit(span.begin_ns, id, kind, phase_t::begin, 0, rank, tag, size);
+  const span_t span = reserve();
+  if (span)
+    detail::emit(span.begin_ns, span.id, kind, phase_t::begin, 0, rank, tag,
+                 size);
   return span;
 }
 

@@ -25,7 +25,7 @@ sim_fabric_t::sim_fabric_t(int nranks, const config_t& config)
   if (fault.kill_rank >= 0 && fault.kill_rank < nranks &&
       fault.kill_after_ops == 0) {
     // Dead from the start: no devices exist yet, so no doorbells to ring.
-    ranks_[static_cast<std::size_t>(fault.kill_rank)]->dead.store(
+    ranks_[static_cast<std::size_t>(fault.kill_rank)]->dead->store(
         true, std::memory_order_release);
     death_epoch_.fetch_add(1, std::memory_order_release);
   }
@@ -55,7 +55,8 @@ int sim_fabric_t::register_device(int rank, int context,
   rank_state_t& state = *ranks_[static_cast<std::size_t>(rank)];
   context_devices_t* slot =
       state.contexts.get(static_cast<std::size_t>(context));
-  return static_cast<int>(slot->devices.push_back(device));
+  return static_cast<int>(
+      slot->devices.push_back(device != nullptr ? device : reserved_slot()));
 }
 
 void sim_fabric_t::publish_device(int rank, int context, int index,
@@ -73,12 +74,20 @@ void sim_fabric_t::unregister_device(int rank, int context, int index) {
   slot->devices.put(static_cast<std::size_t>(index), nullptr);
   // Drain peers still pinned inside route() -> wire_push() -> doorbell ring:
   // they routed before the slot was cleared and may hold a pointer to this
-  // device. After the count hits zero no such pointer survives. Pins span a
-  // single post call, so this wait is short and cannot deadlock (a pinned
-  // thread never unregisters or blocks on teardown).
-  util::backoff_t backoff;
-  while (state.route_pins.load(std::memory_order_acquire) != 0)
-    backoff.spin();
+  // device. Once every cell has been seen at zero no such pointer survives.
+  // Pins span a single post call, so this wait is short and cannot deadlock
+  // (a pinned thread never unregisters or blocks on teardown).
+  //
+  // Each cell is read with an RMW, not a load: the RMW lands in the cell's
+  // modification order after the slot clear, so a pin taken after it
+  // acquires the clear (route() skips this device) and a pin taken before it
+  // is counted. A plain load could be satisfied before the clear is visible
+  // to a concurrent poster (store-load reordering).
+  for (route_pin_cell_t& cell : state.route_pins) {
+    util::backoff_t backoff;
+    while (cell.count.fetch_add(0, std::memory_order_acq_rel) != 0)
+      backoff.spin();
+  }
 }
 
 sim_device_t* sim_fabric_t::route(int rank, int context,
@@ -91,10 +100,15 @@ sim_device_t* sim_fabric_t::route(int rank, int context,
   if (slot == nullptr) return nullptr;
   const auto& devices = slot->devices;
   const std::size_t n = devices.size();
-  if (n == 0) return nullptr;
-  const std::size_t start = static_cast<std::size_t>(src_index) % n;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (sim_device_t* d = devices.get((start + k) % n)) return d;
+  const auto paired = static_cast<std::size_t>(src_index);
+  if (paired >= n) return nullptr;  // not created yet
+  sim_device_t* d = devices.get(paired);
+  if (d == reserved_slot()) return nullptr;  // still under construction
+  if (d != nullptr) return d;
+  // The paired device was freed: any live one will do.
+  for (std::size_t k = 1; k < n; ++k) {
+    sim_device_t* other = devices.get((paired + k) % n);
+    if (is_live(other)) return other;
   }
   return nullptr;
 }
@@ -103,8 +117,8 @@ bool sim_fabric_t::kill_rank(int rank) {
   if (rank < 0 || rank >= nranks_) return false;
   rank_state_t& victim = *ranks_[static_cast<std::size_t>(rank)];
   bool expected = false;
-  if (!victim.dead.compare_exchange_strong(expected, true,
-                                           std::memory_order_acq_rel))
+  if (!victim.dead->compare_exchange_strong(expected, true,
+                                            std::memory_order_acq_rel))
     return false;  // already dead
   death_epoch_.fetch_add(1, std::memory_order_release);
   // Wake every live device: sleeping progress engines must notice the epoch
@@ -119,7 +133,8 @@ bool sim_fabric_t::kill_rank(int rank) {
       if (slot == nullptr) continue;
       const std::size_t n = slot->devices.size();
       for (std::size_t i = 0; i < n; ++i) {
-        if (sim_device_t* d = slot->devices.get(i)) d->ring_doorbell();
+        sim_device_t* d = slot->devices.get(i);
+        if (is_live(d)) d->ring_doorbell();
       }
     }
   }

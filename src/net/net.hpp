@@ -206,7 +206,8 @@ class device_t {
   virtual ~device_t() = default;
 
   // Index of this device within its rank (routing key: messages sent from
-  // device i arrive at the target rank's device i mod device-count).
+  // device i arrive at the target rank's device i — on sim exactly, a post
+  // retrying until that device exists; on shm/tcp at i mod device-count).
   virtual int index() const = 0;
 
   virtual post_result_t post_recv(void* buffer, std::size_t size,

@@ -9,11 +9,13 @@
 #include <vector>
 
 #include "net/net.hpp"
+#include "util/cacheline.hpp"
 #include "util/lcrq.hpp"
 #include "util/mpmc_array.hpp"
 #include "util/mpsc_queue.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
+#include "util/thread.hpp"
 
 namespace lci::net::detail {
 
@@ -225,7 +227,7 @@ class sim_fabric_t final : public fabric_t,
   // live device's doorbell so sleeping progress engines wake up and purge.
   bool kill_rank(int rank) override;
   bool is_dead(int rank) const {
-    return ranks_[static_cast<std::size_t>(rank)]->dead.load(
+    return ranks_[static_cast<std::size_t>(rank)]->dead->load(
         std::memory_order_acquire);
   }
   uint64_t death_epoch() const {
@@ -236,8 +238,9 @@ class sim_fabric_t final : public fabric_t,
   void note_post(int rank);
 
   // Device registry, scoped by context index (connection namespace).
-  // register_device reserves a slot (pass nullptr to keep it unroutable);
-  // publish_device makes a fully constructed device visible to route().
+  // register_device reserves a slot (pass nullptr to keep it unroutable
+  // until publish_device makes the fully constructed device visible);
+  // unregister_device frees it.
   int register_device(int rank, int context, sim_device_t* device);
   void publish_device(int rank, int context, int index, sim_device_t* device);
   void unregister_device(int rank, int context, int index);
@@ -248,24 +251,44 @@ class sim_fabric_t final : public fabric_t,
   // target's doorbell *after* the push: without the pin the receiver can
   // consume the message, complete and tear down between the push and the
   // ring.
+  //
+  // A pin is one RMW pair on every post, so it counts in a padded cell keyed
+  // by the posting thread: concurrent senders to one rank write different
+  // lines, and none of them writes a line the target's cores read per
+  // message (see rank_state_t).
+  static constexpr std::size_t route_pin_cells = 16;
+  struct alignas(util::cache_line_size) route_pin_cell_t {
+    std::atomic<int> count{0};
+  };
+  static_assert(sizeof(route_pin_cell_t) == util::cache_line_size,
+                "one pin cell per cache line");
+  static_assert((route_pin_cells & (route_pin_cells - 1)) == 0,
+                "pin cells are picked with a mask");
+
   class route_pin_t {
    public:
-    explicit route_pin_t(std::atomic<int>& count) : count_(&count) {
-      count_->fetch_add(1, std::memory_order_acquire);
+    explicit route_pin_t(route_pin_cell_t& cell) : cell_(&cell) {
+      cell_->count.fetch_add(1, std::memory_order_acquire);
     }
     route_pin_t(const route_pin_t&) = delete;
     route_pin_t& operator=(const route_pin_t&) = delete;
-    ~route_pin_t() { count_->fetch_sub(1, std::memory_order_release); }
+    ~route_pin_t() { cell_->count.fetch_sub(1, std::memory_order_release); }
 
    private:
-    std::atomic<int>* const count_;
+    route_pin_cell_t* const cell_;
   };
   route_pin_t pin_route(int rank) {
-    return route_pin_t(ranks_[static_cast<std::size_t>(rank)]->route_pins);
+    return route_pin_t(
+        ranks_[static_cast<std::size_t>(rank)]
+            ->route_pins[util::thread_id() & (route_pin_cells - 1)]);
   }
   // Routing: messages from device `src_index` of context `context` arrive at
-  // the target rank's same-context device src_index mod device-count
-  // (skipping freed slots).
+  // the target rank's same-context device `src_index` — devices are
+  // replicated resources, created in the same order on every rank. Until
+  // that device is published there is no route (nullptr: the post retries):
+  // falling over to a sibling would split one source endpoint's stream over
+  // two target endpoints and lose its FIFO order. Only a freed paired
+  // device falls over to another live one (teardown).
   sim_device_t* route(int rank, int context, int src_index) const;
   // Context index allocation (monotonic per rank).
   int next_context_index(int rank);
@@ -286,11 +309,25 @@ class sim_fabric_t final : public fabric_t,
 
  private:
   struct context_devices_t {
+    // nullptr = freed; reserved_slot() = registered, still under
+    // construction; otherwise the live device.
     util::mpmc_array_t<sim_device_t*> devices{8};
   };
+  static sim_device_t* reserved_slot() noexcept {
+    return reinterpret_cast<sim_device_t*>(alignof(sim_device_t));
+  }
+  static bool is_live(const sim_device_t* d) noexcept {
+    return d != nullptr && d != reserved_slot();
+  }
+  // Lock layout: `dead` is read several times per message by both sides
+  // (is_dead), so it sits alone on its line and is written once; the pins
+  // every post writes live in their own cells; route()'s registry follows
+  // on a line of its own.
   struct rank_state_t {
-    std::atomic<bool> dead{false};   // set once by kill_rank, never cleared
-    std::atomic<int> route_pins{0};  // peers inside route() -> push -> ring
+    // Set once by kill_rank, never cleared.
+    util::padded<std::atomic<bool>> dead;
+    // Peers inside route() -> push -> ring, keyed by posting thread.
+    route_pin_cell_t route_pins[route_pin_cells];
     util::mpmc_array_t<context_devices_t*> contexts{8};
     util::spinlock_t context_lock;
     std::vector<std::unique_ptr<context_devices_t>> context_storage;
@@ -300,6 +337,10 @@ class sim_fabric_t final : public fabric_t,
     std::vector<mr_id_t> mr_freelist;                  // guarded by mr_lock
     std::vector<std::unique_ptr<mr_record_t>> mr_storage;  // guarded by mr_lock
   };
+
+  static_assert(sizeof(decltype(rank_state_t::dead)) ==
+                    util::cache_line_size,
+                "the dead flag owns its cache line");
 
   const int nranks_;
   const config_t config_;

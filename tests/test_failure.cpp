@@ -219,6 +219,33 @@ TEST(PeerDeath, KillPeerHookFailsParkedAndFuturePosts) {
   });
 }
 
+// A dead rank's own receives can never complete, whoever they name: once
+// the self-death purge has run, a new receive — naming a live peer or
+// wildcarding the rank — must fail fast instead of parking forever.
+TEST(PeerDeath, DeadRankFailsItsOwnReceives) {
+  std::atomic<int> finished{0};
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(small_attr());
+    if (rank == 0) {
+      EXPECT_TRUE(lci::kill_peer(0));
+      lci::progress();  // runs the self-death purge
+      char buf[64];
+      const lci::status_t named = lci::post_recv(1, buf, sizeof(buf), 3, {});
+      EXPECT_EQ(named.error.code, lci::errorcode_t::fatal_peer_down);
+      const lci::status_t wildcard =
+          lci::post_recv_x(1, buf, sizeof(buf), 4, lci::comp_t{})
+              .matching_policy(lci::matching_policy_t::tag_only)();
+      EXPECT_EQ(wildcard.error.code, lci::errorcode_t::fatal_peer_down);
+    }
+    finished.fetch_add(1, std::memory_order_release);
+    while (finished.load(std::memory_order_acquire) < 2) {
+      lci::progress();
+      std::this_thread::yield();
+    }
+    lci::g_runtime_fina();
+  });
+}
+
 // Aggregation + kill_peer(): sub-operations buffered in an aggregation slot
 // for a peer that dies before any flush must each surface exactly once with
 // fatal_peer_down. The owed-pop audit (drain the queue, then keep polling)

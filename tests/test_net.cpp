@@ -1,6 +1,7 @@
 // Unit tests for the simulated network backend layer (paper Sec. 4.2).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -246,6 +247,88 @@ TEST(Net, RoutingSkipsFreedDevices) {
             post_result_t::ok);
   const cqe_t cqe = f.poll_for(*f.dev1, op_t::recv);
   EXPECT_EQ(*static_cast<int*>(cqe.buffer), 5);
+}
+
+// Pairing is exact: until the peer creates the device paired with ours,
+// posts from it find no route and retry — they never fall over to the
+// peer's other device, or one source's stream could split across two
+// target endpoints (and lose FIFO order) once the paired one appears.
+TEST(Net, RoutingWaitsForPairedDevice) {
+  two_rank_fixture_t f;
+  auto dev0b = f.ctx0->create_device();  // index 1; rank 1 has only index 0
+  auto on_dev1 = f.prepost(*f.dev1, 2, 64);
+  const int v = 9;
+  EXPECT_EQ(dev0b->post_send(1, &v, sizeof(v), 0, nullptr),
+            post_result_t::retry_full);
+  auto dev1b = f.ctx1->create_device();
+  auto on_dev1b = f.prepost(*dev1b, 2, 64);
+  ASSERT_EQ(dev0b->post_send(1, &v, sizeof(v), 0, nullptr),
+            post_result_t::ok);
+  const cqe_t cqe = f.poll_for(*dev1b, op_t::recv);
+  EXPECT_EQ(*static_cast<int*>(cqe.buffer), 9);
+  cqe_t cqes[4];
+  EXPECT_EQ(f.dev1->poll_cq(cqes, 4).count, 0u);  // nothing fell over
+}
+
+// Teardown under traffic: several threads post to rank 1 in a loop while
+// rank 1's device is destroyed and re-created. Route pins count per posting
+// thread, so these posters pin different cells, and unregister_device must
+// drain every cell before the device — and the doorbell its wire_push rings
+// after the push — may go away. The doorbell is freed right after the
+// device: under ASan/TSan a sender still inside route -> push -> ring on
+// either one is a reported use-after-free or race.
+TEST(Net, UnregisterDrainsPinsOfEveryPoster) {
+  struct counting_doorbell_t final : doorbell_t {
+    void ring() noexcept override {
+      rings.fetch_add(1, std::memory_order_relaxed);
+    }
+    std::atomic<uint64_t> rings{0};
+  };
+  config_t config;
+  config.wire_depth = 256;  // a fresh incarnation takes pushes, then bounces
+  auto fabric = create_sim_fabric(2, config);
+  auto ctx0 = fabric->create_context(0);
+  auto ctx1 = fabric->create_context(1);
+  constexpr int nposters = 4;
+  std::vector<std::unique_ptr<device_t>> senders;
+  for (int t = 0; t < nposters; ++t) senders.push_back(ctx0->create_device());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> accepted{0};
+  std::vector<std::thread> posters;
+  for (int t = 0; t < nposters; ++t) {
+    posters.emplace_back([&, t] {
+      device_t& dev = *senders[static_cast<std::size_t>(t)];
+      const uint64_t payload = 0x5eed0000u + static_cast<uint64_t>(t);
+      cqe_t cqes[64];
+      uint64_t mine = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        if (dev.post_send(1, &payload, sizeof(payload), 0, nullptr) ==
+            post_result_t::ok)
+          ++mine;
+        dev.poll_cq(cqes, 64);  // retire local send CQEs
+      }
+      accepted.fetch_add(mine, std::memory_order_relaxed);
+    });
+  }
+  constexpr int rounds = 300;
+  uint64_t rung = 0;
+  for (int round = 0; round < rounds; ++round) {
+    auto bell = std::make_unique<counting_doorbell_t>();
+    auto target = ctx1->create_device();
+    target->set_doorbell(bell.get());
+    // Tear down mid-stream: once pushes reach this incarnation, posters are
+    // pinned on it while it goes away.
+    while (bell->rings.load(std::memory_order_relaxed) < 8)
+      std::this_thread::yield();
+    target.reset();
+    rung += bell->rings.load(std::memory_order_relaxed);
+    bell.reset();
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& p : posters) p.join();
+  EXPECT_GE(rung, static_cast<uint64_t>(8 * rounds));
+  EXPECT_GT(accepted.load(), 0u);
 }
 
 // The ofi lock model serializes poll and post on one endpoint lock: a poll

@@ -221,6 +221,46 @@ TEST(AutoProgress, DoorbellWakesSleepingEngine) {
       fabric);
 }
 
+// A ring is counted only when it reaches an engine: devices no engine
+// services report doorbell_rings == 0 after traffic that rang them — wire
+// pushes from the peer (eager and rendezvous control messages) and the
+// local write completions of rendezvous sends.
+TEST(AutoProgress, UnattachedDoorbellCountsNoRings) {
+  lci::sim::spawn(2, [](int rank) {
+    lci::runtime_attr_t attr = engine_attr();
+    attr.auto_progress_default = false;  // no device is engine-run
+    lci::g_runtime_init(attr);
+    const int peer = 1 - rank;
+    for (const std::size_t size : {64ul, 1ul << 16}) {
+      for (int i = 0; i < 16; ++i) {
+        std::vector<char> buf(size, static_cast<char>(i));
+        lci::comp_t sync = lci::alloc_sync(1);
+        lci::status_t status;
+        do {
+          status = rank == 0 ? lci::post_send(peer, buf.data(), size, i, sync)
+                             : lci::post_recv(peer, buf.data(), size, i, sync);
+          lci::progress();
+        } while (status.error.is_retry());
+        if (status.error.is_posted()) {
+          while (!lci::sync_test(sync, &status)) lci::progress();
+        }
+        EXPECT_TRUE(status.error.is_done());
+        lci::free_comp(&sync);
+      }
+    }
+    lci::barrier();
+    const lci::device_attr_t dattr = lci::get_attr(lci::device_t{});
+    EXPECT_FALSE(dattr.auto_progress);
+    EXPECT_EQ(dattr.doorbell_rings, 0u);
+    const lci::counters_t c = lci::get_counters();
+    EXPECT_EQ(c.progress_thread_polls, 0u);
+    if (rank == 0) {
+      EXPECT_GT(c.send_inject + c.send_bcopy + c.send_rdv, 0u);
+    }
+    lci::g_runtime_fina();
+  });
+}
+
 // Quiescence: pause/resume with in-flight backlogged operations (forced
 // retries + allow_retry(false) push sends onto the device backlog), then a
 // clean teardown with the engine still attached. Every completion must be
