@@ -23,6 +23,7 @@
 // fatal_peer_down on a dead peer, fatal_canceled on a drain abort — and for
 // tracked entries the record-state CAS arbitrates against cancel()/the
 // deadline sweep, so every sub-op completes exactly once.
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -371,11 +372,23 @@ std::size_t device_impl_t::abort_aggregation(int rank, errorcode_t code) {
 // ---------------------------------------------------------------------------
 // Receive side: unpack one eager_batch.
 // ---------------------------------------------------------------------------
-void device_impl_t::handle_batch_recv(const net::cqe_t& cqe) {
+void device_impl_t::handle_batch_recv(const net::cqe_t& cqe,
+                                      net::device_t& ep) {
   auto* packet = static_cast<packet_t*>(cqe.user_context);
   const char* payload =
       static_cast<const char*>(cqe.buffer) + sizeof(msg_header_t);
-  const std::size_t payload_bytes = cqe.length - sizeof(msg_header_t);
+  // Only the bytes that landed in the packet are walked. A batch longer than
+  // the packet (the sender's packet_size is larger) arrived truncated: the
+  // first sub-message whose data does not fit completes with
+  // fatal_truncated, and the walk ends there, since no later sub-header
+  // arrived.
+  const std::size_t payload_bytes =
+      std::min(cqe.length, packet->pool->packet_capacity()) -
+      sizeof(msg_header_t);
+  const auto cut_short = [payload_bytes](std::size_t off,
+                                         const batch_sub_header_t& sub) {
+    return off + sizeof(sub) + sub.size > payload_bytes;
+  };
   runtime_->counters().add(counter_id_t::recv_batches);
   const bool packets_mode = runtime_->attr().am_deliver_packets;
 
@@ -389,7 +402,7 @@ void device_impl_t::handle_batch_recv(const net::cqe_t& cqe) {
     while (off + sizeof(batch_sub_header_t) <= payload_bytes) {
       batch_sub_header_t sub;
       std::memcpy(&sub, payload + off, sizeof(sub));
-      if (sub.kind == msg_header_t::eager_am) ++refs;
+      if (sub.kind == msg_header_t::eager_am && !cut_short(off, sub)) ++refs;
       off += batch_entry_bytes(sub.size);
     }
   }
@@ -402,6 +415,8 @@ void device_impl_t::handle_batch_recv(const net::cqe_t& cqe) {
     char* data =
         const_cast<char*>(payload) + off + sizeof(batch_sub_header_t);
     const std::size_t data_size = sub.size;
+    // A cut-short entry is the last one: the advance below ends the walk.
+    const bool cut = cut_short(off, sub);
     off += batch_entry_bytes(sub.size);
 
     if (sub.kind == msg_header_t::eager_send) {
@@ -416,17 +431,19 @@ void device_impl_t::handle_batch_recv(const net::cqe_t& cqe) {
                        static_cast<recv_entry_t*>(matched)->span.id,
                        cqe.peer_rank, sub.tag, data_size);
         complete_eager_recv(runtime_, static_cast<recv_entry_t*>(matched),
-                            cqe.peer_rank, sub.tag, data, data_size, nullptr,
-                            /*signal=*/true);
+                            cqe.peer_rank, sub.tag, cut ? nullptr : data,
+                            data_size, nullptr, /*signal=*/true);
         continue;
       }
       // Unexpected: re-stage as a standalone eager_send packet so the
       // retained-packet flow (match on a later post, dead-peer purge) owns
-      // it exactly as if it had arrived uncoalesced.
+      // it exactly as if it had arrived uncoalesced. A cut-short one keeps
+      // only its header and the truncated stamp.
+      const std::size_t kept = cut ? 0 : data_size;
       packet_t* standalone = runtime_->default_pool().get();
       if (standalone == nullptr)
         standalone = alloc_orphan_packet(&runtime_->default_pool(),
-                                         sizeof(msg_header_t) + data_size);
+                                         sizeof(msg_header_t) + kept);
       msg_header_t h;
       h.kind = msg_header_t::eager_send;
       h.policy = sub.policy;
@@ -434,9 +451,10 @@ void device_impl_t::handle_batch_recv(const net::cqe_t& cqe) {
       h.tag = sub.tag;
       h.rcomp = sub.rcomp;
       std::memcpy(standalone->payload(), &h, sizeof(h));
-      std::memcpy(standalone->payload() + sizeof(h), data, data_size);
+      std::memcpy(standalone->payload() + sizeof(h), data, kept);
       standalone->peer_rank = cqe.peer_rank;
       standalone->payload_size = static_cast<uint32_t>(data_size);
+      standalone->truncated = cut ? 1 : 0;
       void* matched = engine->insert(key, standalone,
                                      matching_engine_impl_t::type_t::send);
       if (matched != nullptr) {
@@ -445,10 +463,10 @@ void device_impl_t::handle_batch_recv(const net::cqe_t& cqe) {
         trace::instant(trace::kind_t::match,
                        static_cast<recv_entry_t*>(matched)->span.id,
                        cqe.peer_rank, sub.tag, data_size);
-        complete_eager_recv(runtime_, static_cast<recv_entry_t*>(matched),
-                            cqe.peer_rank, sub.tag,
-                            standalone->payload() + sizeof(h), data_size,
-                            nullptr, /*signal=*/true);
+        complete_eager_recv(
+            runtime_, static_cast<recv_entry_t*>(matched), cqe.peer_rank,
+            sub.tag, cut ? nullptr : standalone->payload() + sizeof(h),
+            data_size, nullptr, /*signal=*/true);
         standalone->pool->put(standalone);
       }
       continue;
@@ -458,6 +476,12 @@ void device_impl_t::handle_batch_recv(const net::cqe_t& cqe) {
     comp_impl_t* comp = runtime_->lookup_rcomp(sub.rcomp);
     if (comp == nullptr)
       throw fatal_error_t("batch active message names an unknown rcomp");
+    if (cut) {
+      comp->signal(make_fatal_status(runtime_, errorcode_t::fatal_truncated,
+                                     cqe.peer_rank, sub.tag, nullptr,
+                                     data_size, nullptr));
+      continue;
+    }
     runtime_->counters().add(counter_id_t::am_delivered);
     status_t status;
     status.error.code = errorcode_t::done;
@@ -481,7 +505,7 @@ void device_impl_t::handle_batch_recv(const net::cqe_t& cqe) {
   }
 
   if (packet->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    packet->pool->put(packet);
+    repost(packet, ep);
 }
 
 }  // namespace lci::detail

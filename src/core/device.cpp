@@ -49,6 +49,10 @@ device_impl_t::device_impl_t(runtime_impl_t* runtime,
   // one shard's traffic on one wire mailbox end to end.
   const std::size_t nshards = std::max<std::size_t>(1, attr.device_shards);
   const auto nranks = static_cast<std::size_t>(runtime_->nranks());
+  // prepost_depth is a per-device budget: split it across the shards so the
+  // packet-pool draw is invariant in the shard count (a 16-packet pool that
+  // leaves 8 packets free at shards=1 still leaves 8 free at shards=4).
+  prepost_per_shard_ = std::max<std::size_t>(1, prepost_depth_ / nshards);
   shards_ = std::vector<shard_t>(nshards);  // shard_t is immovable
   for (auto& shard : shards_) {
     shard.net_device = runtime_->net_context().create_device();
@@ -92,14 +96,9 @@ device_impl_t::~device_impl_t() {
 }
 
 bool device_impl_t::replenish_preposts() {
-  // prepost_depth is a per-device budget: split it across the shards so the
-  // packet-pool draw is invariant in the shard count (a 16-packet pool that
-  // leaves 8 packets free at shards=1 still leaves 8 free at shards=4).
-  const std::size_t per_shard =
-      std::max<std::size_t>(1, prepost_depth_ / shards_.size());
   bool advanced = false;
   for (auto& shard : shards_) {
-    while (shard.net_device->preposted_recvs() < per_shard) {
+    while (shard.net_device->preposted_recvs() < prepost_per_shard_) {
       packet_t* packet = runtime_->default_pool().get();
       if (packet == nullptr) return advanced;  // pool dry; retry next progress
       const auto result = shard.net_device->post_recv(
@@ -113,6 +112,14 @@ bool device_impl_t::replenish_preposts() {
     }
   }
   return advanced;
+}
+
+void device_impl_t::repost(packet_t* packet, net::device_t& ep) {
+  if (ep.preposted_recvs() < prepost_per_shard_ &&
+      ep.post_recv(packet->payload(), packet->pool->packet_capacity(),
+                   packet) == net::post_result_t::ok)
+    return;
+  packet->pool->put(packet);
 }
 
 }  // namespace lci::detail

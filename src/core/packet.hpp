@@ -41,6 +41,11 @@ struct alignas(util::cache_line_size) packet_t {
   // it can recover the sender and payload length.
   int peer_rank = -1;
   uint32_t payload_size = 0;
+  // Stamped with the two above: nonzero when the message arrived longer
+  // than the packet that received it (the sender's packet_size is larger),
+  // so only its header is usable; the receive it matches completes with
+  // fatal_truncated.
+  uint32_t truncated = 0;
   // Reference count for shared ownership of one received packet by several
   // consumers (an eager_batch delivering multiple AM payloads in
   // packet-delivery mode). 0 outside that path; armed by the batch walker and

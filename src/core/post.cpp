@@ -388,7 +388,8 @@ status_t post_receive(const resolved_t& r, const post_args_t& args,
     // the user forbade the done shortcut.
     const bool force_signal = !args.allow_done && entry->comp != nullptr;
     status_t status;
-    complete_eager_recv(r.runtime, entry, packet->peer_rank, header->tag, data,
+    complete_eager_recv(r.runtime, entry, packet->peer_rank, header->tag,
+                        packet->truncated != 0 ? nullptr : data,
                         packet->payload_size, &status, force_signal);
     if (force_signal) status.error.code = errorcode_t::posted;
     packet->pool->put(packet);

@@ -201,7 +201,13 @@ void complete_eager_recv(runtime_impl_t* runtime, recv_entry_t* entry,
   status.rank = peer_rank;
   status.tag = tag;
   status.user_context = entry->user_context;
-  if (!entry->list.empty()) {
+  if (data == nullptr) {
+    // Arrived truncated: the bytes past the receiving packet never landed.
+    status = make_fatal_status(runtime, errorcode_t::fatal_truncated,
+                               peer_rank, tag,
+                               entry->list.empty() ? entry->buffer : nullptr,
+                               size, entry->user_context);
+  } else if (!entry->list.empty()) {
     if (scatter(data, size, entry->list)) {
       status.buffer = buffer_t{nullptr, size};
     } else {
@@ -244,20 +250,36 @@ void complete_eager_recv(runtime_impl_t* runtime, recv_entry_t* entry,
 // CQE handling
 // ---------------------------------------------------------------------------
 
-void device_impl_t::handle_recv(const net::cqe_t& cqe) {
+void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
   auto* packet = static_cast<packet_t*>(cqe.user_context);
   if (net().is_peer_down(cqe.peer_rank)) {
     // The sender died after this message reached our CQ: evaporate it, as if
     // it had been lost on the wire. Without this, traffic already queued
     // locally could resurrect a dead peer's messages after the purge ran.
-    packet->pool->put(packet);
+    repost(packet, ep);
     return;
   }
+  // The fabric never writes past the receive packet but reports the length
+  // the sender sent (on shm/tcp, input from another process). Shorter than
+  // a header is corrupt. Longer than the packet (the sender's packet_size is
+  // larger) means only the first bytes landed: the eager kinds complete
+  // their operation with fatal_truncated, never done, and a rendezvous
+  // control message cut short cannot be answered.
+  if (cqe.length < sizeof(msg_header_t)) {
+    repost(packet, ep);
+    throw fatal_error_t("message shorter than its header");
+  }
+  const bool truncated = cqe.length > packet->pool->packet_capacity();
   const auto* header = static_cast<const msg_header_t*>(cqe.buffer);
   const char* data =
       static_cast<const char*>(cqe.buffer) + sizeof(msg_header_t);
   const std::size_t data_size = cqe.length - sizeof(msg_header_t);
   const auto policy = static_cast<matching_policy_t>(header->policy);
+  const auto control_fits = [&](std::size_t payload_bytes) {
+    if (!truncated && data_size >= payload_bytes) return;
+    repost(packet, ep);
+    throw fatal_error_t("rendezvous control message cut short");
+  };
 
   switch (header->kind) {
     case msg_header_t::eager_send: {
@@ -267,6 +289,7 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe) {
         throw fatal_error_t("message names an unknown matching engine");
       packet->peer_rank = cqe.peer_rank;
       packet->payload_size = static_cast<uint32_t>(data_size);
+      packet->truncated = truncated ? 1 : 0;
       const auto key = engine->make_key(cqe.peer_rank, header->tag, policy);
       void* matched =
           engine->insert(key, packet, matching_engine_impl_t::type_t::send);
@@ -275,15 +298,23 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe) {
       runtime_->counters().add(counter_id_t::recv_matched);
       trace::instant(trace::kind_t::match, entry->span.id, cqe.peer_rank,
                      header->tag, data_size);
-      complete_eager_recv(runtime_, entry, cqe.peer_rank, header->tag, data,
-                          data_size, nullptr, /*signal=*/true);
-      packet->pool->put(packet);
+      complete_eager_recv(runtime_, entry, cqe.peer_rank, header->tag,
+                          truncated ? nullptr : data, data_size, nullptr,
+                          /*signal=*/true);
+      repost(packet, ep);
       return;
     }
     case msg_header_t::eager_am: {
       comp_impl_t* comp = runtime_->lookup_rcomp(header->rcomp);
       if (comp == nullptr)
         throw fatal_error_t("active message names an unknown rcomp");
+      if (truncated) {
+        comp->signal(make_fatal_status(runtime_, errorcode_t::fatal_truncated,
+                                       cqe.peer_rank, header->tag, nullptr,
+                                       data_size, nullptr));
+        repost(packet, ep);
+        return;
+      }
       runtime_->counters().add(counter_id_t::am_delivered);
       status_t status;
       status.error.code = errorcode_t::done;
@@ -307,11 +338,12 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe) {
         std::memcpy(buf, data, data_size);
         status.buffer = buffer_t{buf, data_size};
         comp->signal(status);
-        packet->pool->put(packet);
+        repost(packet, ep);
       }
       return;
     }
     case msg_header_t::rts: {
+      control_fits(sizeof(rts_payload_t));
       matching_engine_impl_t* engine =
           runtime_->lookup_engine(header->engine_id);
       if (engine == nullptr)
@@ -347,10 +379,11 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe) {
       delete entry;
       start_rendezvous_recv(runtime_, this, cqe.peer_rank, header->tag,
                             rts.rdv_id, rts.size, std::move(state));
-      packet->pool->put(packet);
+      repost(packet, ep);
       return;
     }
     case msg_header_t::rts_am: {
+      control_fits(sizeof(rts_payload_t));
       comp_impl_t* comp = runtime_->lookup_rcomp(header->rcomp);
       if (comp == nullptr)
         throw fatal_error_t("rendezvous active message names an unknown rcomp");
@@ -370,10 +403,11 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe) {
                                 header->tag, state.size);
       start_rendezvous_recv(runtime_, this, cqe.peer_rank, header->tag,
                             rts.rdv_id, rts.size, std::move(state));
-      packet->pool->put(packet);
+      repost(packet, ep);
       return;
     }
     case msg_header_t::rtr: {
+      control_fits(sizeof(rtr_payload_t));
       rtr_payload_t rtr;
       std::memcpy(&rtr, data, sizeof(rtr));
       rdv_send_t send;
@@ -382,7 +416,7 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe) {
         // its peer: the handshake is legitimately orphaned. Drop it. (This
         // used to throw, which turned every canceled rendezvous into a
         // crash when the answer eventually arrived.)
-        packet->pool->put(packet);
+        repost(packet, ep);
         return;
       }
       // Taking the pending entry is the arbitration point: from here the
@@ -402,7 +436,7 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe) {
                     make_fatal_status(runtime_, errorcode_t::fatal_truncated,
                                       send.peer_rank, send.tag, send.buffer,
                                       send.size, send.user_context));
-        packet->pool->put(packet);
+        repost(packet, ep);
         return;
       }
       const void* src = send.staged ? send.staged.get() : send.buffer;
@@ -479,26 +513,26 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe) {
         backlog_.push(attempt);
         ring_doorbell();
       }
-      packet->pool->put(packet);
+      repost(packet, ep);
       return;
     }
     case msg_header_t::eager_batch:
       // Coalesced eager sub-messages; the walker owns the packet from here
       // (it is shared with AM consumers in packet-delivery mode).
-      handle_batch_recv(cqe);
+      handle_batch_recv(cqe, ep);
       return;
   }
   throw fatal_error_t("corrupt message header");
 }
 
-bool device_impl_t::handle_cqe(const net::cqe_t& cqe) {
+bool device_impl_t::handle_cqe(const net::cqe_t& cqe, net::device_t& ep) {
   switch (cqe.op) {
     case net::op_t::send:
       // Eager sends complete at posting time (the buffer was copied); the
       // CQE itself needs no action.
       return false;
     case net::op_t::recv:
-      handle_recv(cqe);
+      handle_recv(cqe, ep);
       return true;
     case net::op_t::write:
     case net::op_t::read: {
@@ -633,16 +667,19 @@ bool device_impl_t::progress() {
       std::atomic<bool>& claim;
       ~release_t() { claim.store(false, std::memory_order_release); }
     } release{shard.dispatching};
-    const auto polled = shard.net_device->poll_cq(cqes, cq_poll_burst_);
+    net::device_t& ep = *shard.net_device;
+    const auto polled = ep.poll_cq(cqes, cq_poll_burst_);
     for (std::size_t i = 0; i < polled.count; ++i) {
       // Accumulate with |= so every CQE is handled; `advanced` must report
       // only what handle_cqe says (the old `|| cqe.op != send` term claimed
       // progress for no-op completions, defeating callers that spin until
       // quiescence).
-      advanced |= handle_cqe(cqes[i]);
+      advanced |= handle_cqe(cqes[i], ep);
     }
   }
-  // (7) Keep the receive queue full.
+  // (7) Keep the receive queue full. Consumed packets were reposted on
+  // their own endpoint during dispatch; this refills from the pool what
+  // that could not (packets retained or lent out, reposts that missed).
   advanced |= replenish_preposts();
   if (traced)
     trace::hist_record(trace::hist_t::progress_poll,

@@ -524,9 +524,17 @@ class device_impl_t {
                 "descriptor line + dispatch-claim line");
 
   bool replenish_preposts();
-  bool handle_cqe(const net::cqe_t& cqe);
-  void handle_recv(const net::cqe_t& cqe);
-  void handle_batch_recv(const net::cqe_t& cqe);  // defined in coalesce.cpp
+  // Returns a receive packet the dispatch is done with straight to `ep`, the
+  // shard endpoint it arrived on, while that shard is below its prepost
+  // budget; a try-lock miss, a full SRQ or a full budget sends it back to
+  // the pool instead, and replenish_preposts() covers what is missing.
+  void repost(packet_t* packet, net::device_t& ep);
+  // Dispatch of one completion polled from `ep` (the shard endpoint it came
+  // from, where consumed receive packets are reposted).
+  bool handle_cqe(const net::cqe_t& cqe, net::device_t& ep);
+  void handle_recv(const net::cqe_t& cqe, net::device_t& ep);
+  void handle_batch_recv(const net::cqe_t& cqe,
+                         net::device_t& ep);  // defined in coalesce.cpp
   agg_slot_t& agg_slot(std::size_t shard, int rank) noexcept {
     return shards_[shard].agg_slots[static_cast<std::size_t>(rank)];
   }
@@ -549,6 +557,8 @@ class device_impl_t {
   // complete runtime_impl_t type; set in the constructor.
   counter_block_t* counters_ = nullptr;
   const std::size_t prepost_depth_;
+  // prepost_depth_ split over the shards (see replenish_preposts).
+  std::size_t prepost_per_shard_ = 1;
   const bool auto_progress_;
   // Owns its cache line (see doorbell_impl_t): rung by every sender to every
   // shard, next to shards_, which every post and progress call reads.
@@ -808,7 +818,9 @@ void start_rendezvous_recv(runtime_impl_t* runtime, device_impl_t* device,
 // Delivers an eager payload into a matched receive and signals its comp.
 // Consumes (deletes) the entry. An oversized payload (posted buffer or
 // buffer list too small) completes the receive with fatal_truncated instead
-// of writing past the buffer.
+// of writing past the buffer, and so does data == nullptr: the message
+// arrived truncated (longer than the packet that received it) and `size`
+// is the length its sender sent.
 void complete_eager_recv(runtime_impl_t* runtime, recv_entry_t* entry,
                          int peer_rank, tag_t tag, const char* data,
                          std::size_t size, status_t* out_status, bool signal);

@@ -223,6 +223,9 @@ class device_t {
                                   mr_id_t remote_mr, std::size_t remote_offset,
                                   bool notify, uint32_t imm,
                                   void* user_context) = 0;
+  // Writes at most `max` completions into out[]: local send/write/read
+  // completions and inbound receives/notifications alike, each sender's
+  // messages in the order it sent them.
   virtual poll_result_t poll_cq(cqe_t* out, std::size_t max) = 0;
 
   // Diagnostics.

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cstring>
 #include <mutex>
@@ -58,8 +57,9 @@ void sim_device_t::set_single_consumer(bool enable) {
   }
   if (mpsc_cq_) return;
   // Bounded by design; clamped so a deep configured cq_depth does not turn
-  // into megabytes of ring per shard. Overflow backpressures through
-  // send_depth_limit() (posts) and the delivery-loop room check (wire).
+  // into megabytes of ring per shard. Only local completions enter it (wire
+  // deliveries go straight into the poll batch), so send_depth_limit() on
+  // the posts is its whole overflow protection.
   const std::size_t cap =
       std::min<std::size_t>(std::max<std::size_t>(fabric_->config().cq_depth,
                                                   1024),
@@ -69,15 +69,25 @@ void sim_device_t::set_single_consumer(bool enable) {
 
 void sim_device_t::push_cqe(cqe_t cqe) {
   if (mpsc_cq_) {
-    // Unreachable in practice: producers stop at send_depth_limit() (half
-    // the ring) and the delivery loop checks for room, so full here needs
-    // more simultaneous posters than capacity/2. Spin rather than lose a
+    // Unreachable in practice: every producer is a post that stopped at
+    // send_depth_limit() (half the ring), so full here needs more
+    // simultaneous posters than capacity/2. Spin rather than lose a
     // completion; some poller drains the ring in any such scenario.
     while (!mpsc_cq_->try_push(cqe)) {
     }
     return;
   }
   cq_.push(std::move(cqe));
+}
+
+std::size_t sim_device_t::pop_cqes(cqe_t* out, std::size_t max) {
+  std::size_t count = 0;
+  while (count < max) {
+    auto cqe = mpsc_cq_ ? mpsc_cq_->try_pop() : cq_.try_pop();
+    if (!cqe) break;
+    out[count++] = *cqe;
+  }
+  return count;
 }
 
 std::size_t sim_device_t::send_depth_limit() const {
@@ -136,11 +146,8 @@ post_result_t sim_device_t::post_recv(void* buffer, std::size_t size,
   const bool ofi = fabric_->config().lock_model == lock_model_t::ofi;
   auto guard = ofi ? ep_lock_.guard() : srq_lock_.guard();
   if (!guard) return post_result_t::retry_lock;
-  {
-    std::lock_guard<util::spinlock_t> inner(srq_inner_lock_);
-    srq_.push_back(prepost_t{buffer, size, user_context});
-  }
-  srq_count_.fetch_add(1, std::memory_order_relaxed);
+  if (!srq_.try_push(prepost_t{buffer, size, user_context}))
+    return post_result_t::retry_full;  // the SRQ ring is full
   return post_result_t::ok;
 }
 
@@ -343,7 +350,8 @@ bool sim_device_t::wire_push(wire_msg_t msg) {
   return true;
 }
 
-bool sim_device_t::deliver_one(wire_msg_t& msg, uint64_t& now_cache) {
+bool sim_device_t::deliver_one(wire_msg_t& msg, uint64_t& now_cache,
+                               cqe_t& out) {
   if (msg.defer_polls > 0) {
     // Injected delivery delay: skip this attempt. The message stays at the
     // head of its FIFO (wire or RNR stash), so per-sender order holds.
@@ -353,7 +361,7 @@ bool sim_device_t::deliver_one(wire_msg_t& msg, uint64_t& now_cache) {
   if (msg.ready_ns != 0) {
     // Timing model: not yet "on this side of the wire". FIFO per sender, so
     // head-of-line blocking here is the modelled serialization. One clock
-    // read per delivery burst: the caller's cache persists across messages.
+    // read per poll: the caller's cache persists across messages.
     if (now_cache == 0) {
       now_cache = static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -363,44 +371,27 @@ bool sim_device_t::deliver_one(wire_msg_t& msg, uint64_t& now_cache) {
     if (now_cache < msg.ready_ns) return false;
   }
   if (msg.kind == op_t::send) {
-    prepost_t prepost;
-    {
-      std::lock_guard<util::spinlock_t> inner(srq_inner_lock_);
-      if (srq_.empty()) return false;  // receiver-not-ready
-      prepost = srq_.front();
-      srq_.pop_front();
-    }
-    srq_count_.fetch_sub(1, std::memory_order_relaxed);
-    assert(msg.size <= prepost.size &&
-           "eager message larger than the pre-posted buffer");
-    // Release-safe clamp: never overrun the pre-posted buffer. The CQE still
-    // reports the full wire length, so the consumer can detect the overrun
-    // (the LCI progress engine completes such receives with an error).
-    std::memcpy(prepost.buffer, msg.data(),
-                std::min<std::size_t>(msg.size, prepost.size));
-    push_cqe(cqe_t{op_t::recv, msg.src_rank, msg.imm, msg.size,
-                   prepost.buffer, prepost.user_context});
+    auto prepost = srq_.try_pop();
+    if (!prepost) return false;  // receiver-not-ready
+    // Never overrun the pre-posted buffer. The CQE still reports the full
+    // wire length, so the consumer sees the overrun: the LCI progress
+    // engine completes such a message with fatal_truncated.
+    std::memcpy(prepost->buffer, msg.data(),
+                std::min<std::size_t>(msg.size, prepost->size));
+    out = cqe_t{op_t::recv, msg.src_rank, msg.imm, msg.size,
+                prepost->buffer, prepost->user_context};
   } else {
-    push_cqe(
-        cqe_t{msg.kind, msg.src_rank, msg.imm, msg.size, nullptr, nullptr});
+    out = cqe_t{msg.kind, msg.src_rank, msg.imm, msg.size, nullptr, nullptr};
   }
   end_wire_span(msg.trace_id, 0, msg.src_rank, msg.size);
   return true;
 }
 
-void sim_device_t::deliver_from_wire() {
-  const std::size_t burst = fabric_->config().poll_burst;
+std::size_t sim_device_t::deliver_from_wire(cqe_t* out, std::size_t max,
+                                            uint64_t& now_cache) {
   std::size_t delivered = 0;
-  uint64_t now_cache = 0;  // lazily filled by the first timed message
-  // MPSC mode: deliveries stop while the bounded ring is near capacity so a
-  // delivery can never find it full (racing producers stay below
-  // send_depth_limit(), half the ring, so a one-burst margin suffices).
-  const auto cq_has_room = [this]() {
-    return !mpsc_cq_ ||
-           mpsc_cq_->size_approx() + 1 < mpsc_cq_->capacity();
-  };
   // Messages stalled earlier on receiver-not-ready go first (they are older).
-  while (!rnr_stash_.empty() && delivered < burst && cq_has_room()) {
+  while (!rnr_stash_.empty() && delivered < max) {
     if (fabric_->is_dead(rnr_stash_.front().src_rank)) {
       // The sender died while this message waited: it evaporates.
       wire_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -410,12 +401,13 @@ void sim_device_t::deliver_from_wire() {
       rnr_depth_.fetch_sub(1, std::memory_order_relaxed);
       continue;
     }
-    if (!deliver_one(rnr_stash_.front(), now_cache)) return;
+    if (!deliver_one(rnr_stash_.front(), now_cache, out[delivered]))
+      return delivered;
     rnr_stash_.pop_front();
     rnr_depth_.fetch_sub(1, std::memory_order_relaxed);
     ++delivered;
   }
-  while (delivered < burst && cq_has_room()) {
+  while (delivered < max) {
     auto msg = wire_.try_pop();
     if (!msg) break;
     if (fabric_->is_dead(msg->src_rank)) {
@@ -423,84 +415,95 @@ void sim_device_t::deliver_from_wire() {
       end_wire_span(msg->trace_id, wire_err_dropped, msg->src_rank, msg->size);
       continue;
     }
-    if (!deliver_one(*msg, now_cache)) {
+    if (!deliver_one(*msg, now_cache, out[delivered])) {
       rnr_stash_.push_back(std::move(*msg));
       rnr_depth_.fetch_add(1, std::memory_order_relaxed);
       break;
     }
     ++delivered;
   }
+  return delivered;
+}
+
+void sim_device_t::purge_dead() {
+  while (auto msg = wire_.try_pop()) {
+    wire_dropped_.fetch_add(1, std::memory_order_relaxed);
+    end_wire_span(msg->trace_id, wire_err_dropped, msg->src_rank, msg->size);
+  }
+  for (const wire_msg_t& stalled : rnr_stash_)
+    end_wire_span(stalled.trace_id, wire_err_dropped, stalled.src_rank,
+                  stalled.size);
+  rnr_stash_.clear();
+  rnr_depth_.store(0, std::memory_order_relaxed);
+  cqe_t sink[16];
+  while (pop_cqes(sink, 16) != 0) {
+  }
+}
+
+std::size_t sim_device_t::poll_owned(cqe_t* out, std::size_t max) {
+  if (fabric_->is_dead(rank_)) {
+    purge_dead();
+    return 0;
+  }
+  // One batch, two sources: local completions popped from the CQ, and
+  // inbound messages delivered from the wire straight into out[]. The
+  // source that went second last poll leads this one with up to half the
+  // batch (rounded up), the other fills the rest, and the leader tops up
+  // whatever is left — so neither source can starve the other, even at
+  // max == 1. The wire tops up only if its first turn filled its share: a
+  // stalled wire head (RNR, delay, timing model) is attempted once per
+  // poll, since each attempt burns one of a delayed message's polls.
+  inbound_first_ = !inbound_first_;
+  const std::size_t share = max - max / 2;
+  std::size_t inbound_left =
+      std::min(max, fabric_->config().poll_burst);  // NIC event burst
+  uint64_t now_cache = 0;
+  std::size_t count = 0;
+  const auto inbound = [&](std::size_t limit) {
+    const std::size_t want = std::min(limit - count, inbound_left);
+    const std::size_t got = deliver_from_wire(out + count, want, now_cache);
+    count += got;
+    inbound_left -= got;
+    return got == want;
+  };
+  const auto local = [&](std::size_t limit) {
+    count += pop_cqes(out + count, limit - count);
+  };
+  if (inbound_first_) {
+    const bool more = inbound(share);
+    local(max);
+    if (more) inbound(max);
+  } else {
+    local(share);
+    inbound(max);
+    local(max);
+  }
+  return count;
 }
 
 poll_result_t sim_device_t::poll_cq(cqe_t* out, std::size_t max) {
-  if (mpsc_cq_) return poll_cq_mpsc(out, max);
+  if (mpsc_cq_) {
+    // Single-consumer mode: no lock-model lock on the poll path at all. The
+    // consumer role is claimed per poll with one CAS, and an idle poll —
+    // nothing completed, nothing on the wire, nothing stalled — returns
+    // after three relaxed loads without even the claim. A push racing past
+    // these loads is caught by the next poll, exactly the eventual-
+    // visibility contract poll loops already live with. A dead rank with
+    // nothing queued needs no purge.
+    if (mpsc_cq_->empty_approx() &&
+        rnr_depth_.load(std::memory_order_relaxed) == 0 &&
+        wire_.empty_approx())
+      return poll_result_t{0, false};
+    auto claim = mpsc_cq_->try_claim_consumer();
+    // Another thread is consuming; it is making the progress this poll would
+    // have made. Not a lock miss: the lock-model locks were never touched.
+    if (!claim) return poll_result_t{0, false};
+    return poll_result_t{poll_owned(out, max), false};
+  }
   const bool ofi = fabric_->config().lock_model == lock_model_t::ofi;
   auto guard = ofi ? ep_lock_.guard() : cq_lock_.guard();
   if (!guard) return poll_result_t{0, true};
-  if (fabric_->is_dead(rank_)) {
-    // A dead rank observes nothing: everything queued at it evaporates.
-    while (auto msg = wire_.try_pop()) {
-      wire_dropped_.fetch_add(1, std::memory_order_relaxed);
-      end_wire_span(msg->trace_id, wire_err_dropped, msg->src_rank, msg->size);
-    }
-    for (const wire_msg_t& stalled : rnr_stash_)
-      end_wire_span(stalled.trace_id, wire_err_dropped, stalled.src_rank,
-                    stalled.size);
-    rnr_stash_.clear();
-    rnr_depth_.store(0, std::memory_order_relaxed);
-    while (cq_.try_pop()) {
-    }
-    return poll_result_t{0, false};
-  }
-  deliver_from_wire();
-  std::size_t count = 0;
-  while (count < max) {
-    auto cqe = cq_.try_pop();
-    if (!cqe) break;
-    out[count++] = *cqe;
-  }
-  return poll_result_t{count, false};
-}
-
-// Single-consumer mode: no lock-model lock on the poll path at all. The CQ
-// is the bounded MPSC ring; the consumer role is claimed per poll with one
-// CAS, and an idle poll — nothing completed, nothing on the wire, nothing
-// stalled — returns after three relaxed loads without even the claim.
-poll_result_t sim_device_t::poll_cq_mpsc(cqe_t* out, std::size_t max) {
-  // Empty fast path (RMW-free). A push racing past these loads is caught by
-  // the next poll — exactly the eventual-visibility contract poll loops
-  // already live with. A dead rank with nothing queued needs no drain.
-  if (mpsc_cq_->empty_approx() &&
-      rnr_depth_.load(std::memory_order_relaxed) == 0 &&
-      wire_.empty_approx())
-    return poll_result_t{0, false};
-  auto claim = mpsc_cq_->try_claim_consumer();
-  // Another thread is consuming; it is making the progress this poll would
-  // have made. Not a lock miss: the lock-model locks were never touched.
-  if (!claim) return poll_result_t{0, false};
-  if (fabric_->is_dead(rank_)) {
-    // A dead rank observes nothing: everything queued at it evaporates.
-    while (auto msg = wire_.try_pop()) {
-      wire_dropped_.fetch_add(1, std::memory_order_relaxed);
-      end_wire_span(msg->trace_id, wire_err_dropped, msg->src_rank, msg->size);
-    }
-    for (const wire_msg_t& stalled : rnr_stash_)
-      end_wire_span(stalled.trace_id, wire_err_dropped, stalled.src_rank,
-                    stalled.size);
-    rnr_stash_.clear();
-    rnr_depth_.store(0, std::memory_order_relaxed);
-    while (mpsc_cq_->try_pop()) {
-    }
-    return poll_result_t{0, false};
-  }
-  deliver_from_wire();
-  std::size_t count = 0;
-  while (count < max) {
-    auto cqe = mpsc_cq_->try_pop();
-    if (!cqe) break;
-    out[count++] = *cqe;
-  }
-  return poll_result_t{count, false};
+  return poll_result_t{poll_owned(out, max), false};
 }
 
 bool sim_device_t::is_peer_down(int rank) const {

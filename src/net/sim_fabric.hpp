@@ -88,9 +88,7 @@ class sim_device_t final : public device_t {
                           bool notify, uint32_t imm,
                           void* user_context) override;
   poll_result_t poll_cq(cqe_t* out, std::size_t max) override;
-  std::size_t preposted_recvs() const override {
-    return srq_count_.load(std::memory_order_relaxed);
-  }
+  std::size_t preposted_recvs() const override { return srq_.size_approx(); }
   uint64_t injected_faults() const override {
     return injected_faults_.load(std::memory_order_relaxed);
   }
@@ -126,15 +124,26 @@ class sim_device_t final : public device_t {
   std::size_t effective_send_depth() const;
   std::size_t effective_wire_depth() const;
 
-  // Under the polling lock: move deliverable wire messages into the CQ.
-  void deliver_from_wire();
-  // false: RNR (no pre-posted recv). now_cache amortizes the clock read
-  // across a delivery burst: 0 = not read yet, filled on first timed message.
-  bool deliver_one(wire_msg_t& msg, uint64_t& now_cache);
+  // The body of poll_cq, run under the polling lock or consumer claim: fills
+  // out[] with local completions and inbound deliveries (see poll_cq).
+  std::size_t poll_owned(cqe_t* out, std::size_t max);
+  // Under the polling lock or claim: writes up to `max` deliverable wire
+  // messages (RNR stash first) as CQEs straight into out[]; they never pass
+  // through the CQ. now_cache amortizes the clock read across a poll: 0 =
+  // not read yet, filled on the first timed message.
+  std::size_t deliver_from_wire(cqe_t* out, std::size_t max,
+                                uint64_t& now_cache);
+  // false: not deliverable yet (deferred, not ready, or RNR: no pre-posted
+  // recv).
+  bool deliver_one(wire_msg_t& msg, uint64_t& now_cache, cqe_t& out);
+  // Under the polling lock or claim: a dead rank observes nothing, so
+  // everything queued at it evaporates.
+  void purge_dead();
 
   // CQ access shims: the MPSC queue when single-consumer mode is on, the
-  // legacy LCRQ otherwise.
+  // legacy LCRQ otherwise. The CQ holds local completions only.
   void push_cqe(cqe_t cqe);
+  std::size_t pop_cqes(cqe_t* out, std::size_t max);
   std::size_t cq_size_approx() const noexcept {
     return mpsc_cq_ ? mpsc_cq_->size_approx() : cq_.size_approx();
   }
@@ -143,8 +152,6 @@ class sim_device_t final : public device_t {
   // most one element past its own threshold check, so the ring cannot
   // overflow unless more than capacity/2 threads post simultaneously.
   std::size_t send_depth_limit() const;
-  // Single-consumer poll path: claim, drain, release (see poll_cq).
-  poll_result_t poll_cq_mpsc(cqe_t* out, std::size_t max);
 
   // Rings the registered doorbell (if any): new work is observable on this
   // device. Called by peers from wire_push and locally after pushing
@@ -160,14 +167,18 @@ class sim_device_t final : public device_t {
 
   util::lcrq_t<wire_msg_t> wire_{1024};
   util::lcrq_t<cqe_t> cq_{1024};
-  // Single-consumer mode (set_single_consumer): completions flow through
-  // this bounded lock-free MPSC ring instead of cq_, and poll_cq claims the
-  // consumer role per poll instead of taking the lock-model CQ lock.
+  // Single-consumer mode (set_single_consumer): local completions flow
+  // through this bounded lock-free MPSC ring instead of cq_, and poll_cq
+  // claims the consumer role per poll instead of taking the lock-model CQ
+  // lock.
   std::unique_ptr<util::mpsc_queue_t<cqe_t>> mpsc_cq_;
   std::deque<wire_msg_t> rnr_stash_;  // guarded by the polling lock / claim
   // Mirror of rnr_stash_.size(), readable without the polling lock: the MPSC
   // empty fast path must see stalled messages without claiming the consumer.
   std::atomic<std::size_t> rnr_depth_{0};
+  // Which source leads the next poll's batch (see poll_owned). Guarded by
+  // the polling lock / claim.
+  bool inbound_first_ = false;
   std::atomic<doorbell_t*> doorbell_{nullptr};
 
   // Fault-injection state: a deterministic per-device RNG stream (seeded
@@ -178,9 +189,15 @@ class sim_device_t final : public device_t {
   std::atomic<uint64_t> injected_faults_{0};
   std::atomic<uint64_t> wire_dropped_{0};
 
-  util::spinlock_t srq_inner_lock_;
-  std::deque<prepost_t> srq_;
-  std::atomic<std::size_t> srq_count_{0};
+  // The shared receive queue: a bounded lock-free ring. Its producers are
+  // post_recv callers, which keep the lock model's try-lock (srq_lock_ or
+  // ep_lock_); its single consumer is whoever holds the polling lock or
+  // consumer claim, which also orders one consumer's pops before the next's.
+  // 1024 entries cover every caller's prepost budget (LCI devices 128,
+  // simgex 512, simmpi 256); a post beyond it returns retry_full, like a
+  // post past a hardware SRQ's max_wr.
+  static constexpr std::size_t srq_capacity = 1024;
+  util::mpsc_queue_t<prepost_t> srq_{srq_capacity};
 
   // Lock layout (paper Sec. 4.2.3/4.2.4). ibv: per-object locks; ofi: one
   // endpoint lock used for every operation.

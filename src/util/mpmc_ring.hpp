@@ -43,8 +43,11 @@ class mpmc_ring_t {
     delete[] cells_;
   }
 
-  // Non-blocking push. Returns false when the ring is full.
-  bool try_push(T value) {
+  // Non-blocking push. Returns false when the ring is full, leaving `value`
+  // untouched: it is moved (or copied) only into a claimed cell, so a caller
+  // that retries elsewhere — lcrq_t growing its chain — still owns it.
+  template <typename U>
+  bool try_push(U&& value) {
     cell_t* cell;
     std::size_t pos = tail_.value.load(std::memory_order_relaxed);
     while (true) {
@@ -62,7 +65,7 @@ class mpmc_ring_t {
         pos = tail_.value.load(std::memory_order_relaxed);
       }
     }
-    new (&cell->storage) T(std::move(value));
+    new (&cell->storage) T(std::forward<U>(value));
     cell->sequence.store(pos + 1, std::memory_order_release);
     return true;
   }

@@ -15,9 +15,12 @@
 // release-stores the flag so the head cursor and cell states written by one
 // consumer happen-before the next claimant's pops — consumer *rotation*
 // (different progress threads claiming in turn) is safe, concurrent
-// consumption is not. empty_approx() is designed to be called without the
-// claim: an empty poll costs two relaxed loads and zero RMWs, which is what
-// makes polling N idle shards cheap.
+// consumption is not. An owner that already serializes its consumers under
+// a lock or claim of its own (the sim SRQ, popped by whoever holds its
+// device's poll) may skip this queue's claim; that lock gives the same
+// ordering. empty_approx() is designed to be called without the claim: an
+// empty poll costs two relaxed loads and zero RMWs, which is what makes
+// polling N idle shards cheap.
 #pragma once
 
 #include <atomic>
@@ -59,8 +62,11 @@ class mpsc_queue_t {
     delete[] cells_;
   }
 
-  // Non-blocking push; any thread. Returns false when the ring is full.
-  bool try_push(T value) {
+  // Non-blocking push; any thread. Returns false when the ring is full,
+  // leaving `value` untouched (it is moved or copied only into a claimed
+  // cell).
+  template <typename U>
+  bool try_push(U&& value) {
     cell_t* cell;
     std::size_t pos = tail_.value.load(std::memory_order_relaxed);
     while (true) {
@@ -78,7 +84,7 @@ class mpsc_queue_t {
         pos = tail_.value.load(std::memory_order_relaxed);
       }
     }
-    new (&cell->storage) T(std::move(value));
+    new (&cell->storage) T(std::forward<U>(value));
     cell->sequence.store(pos + 1, std::memory_order_release);
     return true;
   }
@@ -131,7 +137,10 @@ class mpsc_queue_t {
     return consumer_guard_t{this};
   }
 
-  // Non-blocking pop; caller must hold the consumer claim.
+  // Non-blocking pop. The caller must be the only consumer: it holds the
+  // consumer claim, or its owner serializes consumers by other means that
+  // also order one consumer's pops before the next's (the sim SRQ pops
+  // under its device's polling lock or CQ claim).
   std::optional<T> try_pop() {
     const std::size_t pos = head_.value.load(std::memory_order_relaxed);
     cell_t* cell = &cells_[pos & mask_];

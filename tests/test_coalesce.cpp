@@ -306,6 +306,108 @@ TEST(Coalesce, DeadlineAndCancelOnBufferedSubOps) {
   });
 }
 
+// A batch longer than the packet that receives it (the sender's
+// packet_size is larger) arrives truncated: the sub-messages that fit
+// complete done with their bytes, and the one cut short completes with
+// fatal_truncated exactly once — a receive posted before it arrived, one
+// posted after, or an active message's rcomp. The walk reads nothing past
+// the packet.
+TEST(Coalesce, TruncatedBatchFailsTheCutSubMessage) {
+  constexpr std::size_t size = 240;  // 256 B per sub-message with its header
+  constexpr int fit = 3;             // 3 x 256 B fit a 1 KiB packet's payload
+  lci::sim::spawn(2, [&](int rank) {
+    lci::runtime_attr_t attr = agg_attr();
+    attr.aggregation_flush_us = 1000000;  // flush() is the only exit
+    attr.packet_size = rank == 0 ? 8192 : 1024;
+    lci::g_runtime_init(attr);
+    lci::comp_t cq = lci::alloc_cq();
+    lci::comp_t rcq = lci::alloc_cq();
+    const lci::rcomp_t rcomp = lci::register_rcomp(rcq);
+    // Three batches of `fit` fillers plus one sub-message cut short: a send
+    // to a posted receive (tag 3), an unexpected send (tag 13), an AM.
+    std::vector<std::vector<char>> in(3 * fit, std::vector<char>(size, 0));
+    std::vector<char> cut_in(4000, 0);
+    const auto filler_tag = [](int batch, int i) {
+      return static_cast<lci::tag_t>(10 * batch + i);
+    };
+    if (rank == 1) {
+      for (int b = 0; b < 3; ++b)
+        for (int i = 0; i < fit; ++i)
+          EXPECT_TRUE(lci::post_recv(
+                          0, in[static_cast<std::size_t>(b * fit + i)].data(),
+                          size, filler_tag(b, i), cq)
+                          .error.is_posted());
+      EXPECT_TRUE(lci::post_recv(0, cut_in.data(), cut_in.size(), 3, cq)
+                      .error.is_posted());
+    }
+    lci::barrier();
+    if (rank == 0) {
+      lci::pin_thread_shard(0);  // one slot, one batch per flush
+      std::vector<char> out(size);
+      for (int b = 0; b < 3; ++b) {
+        for (int i = 0; i < fit; ++i) {
+          std::memset(out.data(), 'a' + b * fit + i, size);
+          EXPECT_TRUE(
+              lci::post_send(1, out.data(), size, filler_tag(b, i), {})
+                  .error.is_done());
+        }
+        std::memset(out.data(), 'z', size);
+        const lci::status_t ss =
+            b == 2 ? lci::post_am_x(1, out.data(), size, {}, rcomp).tag(23)()
+                   : lci::post_send(1, out.data(), size, 10 * b + 3, {});
+        EXPECT_TRUE(ss.error.is_done());
+        EXPECT_EQ(lci::flush(), 1u);
+      }
+      lci::pin_thread_shard(-1);
+    } else {
+      int fillers = 0;
+      int cut = 0;
+      while (fillers + cut < 3 * fit + 1) {
+        lci::progress();
+        const lci::status_t st = lci::cq_pop(cq);
+        if (st.error.is_retry()) continue;
+        if (static_cast<int>(st.tag % 10) < fit) {
+          EXPECT_TRUE(st.error.is_done());
+          const auto k = static_cast<std::size_t>(st.tag / 10 * fit +
+                                                  st.tag % 10);
+          ASSERT_LT(k, in.size());
+          EXPECT_EQ(in[k][0], static_cast<char>('a' + k));
+          EXPECT_EQ(in[k][size - 1], static_cast<char>('a' + k));
+          ++fillers;
+        } else {
+          EXPECT_EQ(st.error.code, lci::errorcode_t::fatal_truncated);
+          EXPECT_EQ(st.tag, 3u);
+          EXPECT_EQ(cut_in[0], 0);
+          ++cut;
+        }
+      }
+      lci::status_t st;
+      do {
+        lci::progress();
+        st = lci::cq_pop(rcq);
+      } while (st.error.is_retry());
+      EXPECT_EQ(st.error.code, lci::errorcode_t::fatal_truncated);
+      EXPECT_EQ(st.tag, 23u);
+      // The unexpected one arrived before the AM (same shard, FIFO): its
+      // late receive fails inline.
+      st = lci::post_recv(0, cut_in.data(), cut_in.size(), 13, cq);
+      EXPECT_EQ(st.error.code, lci::errorcode_t::fatal_truncated);
+      EXPECT_EQ(cut_in[0], 0);
+      for (int i = 0; i < 50; ++i) {
+        lci::progress();
+        EXPECT_TRUE(lci::cq_pop(cq).error.is_retry());
+        EXPECT_TRUE(lci::cq_pop(rcq).error.is_retry());
+      }
+      EXPECT_EQ(lci::get_counters().comp_fatal, 3u);
+    }
+    lci::barrier();
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&rcq);
+    lci::free_comp(&cq);
+    lci::g_runtime_fina();
+  });
+}
+
 // drain() force-flushes armed slots in its cooperative phase: buffered
 // sub-operations complete done, not fatal_canceled.
 TEST(Coalesce, DrainFlushesBufferedSubOps) {
@@ -313,6 +415,9 @@ TEST(Coalesce, DrainFlushesBufferedSubOps) {
   attr.aggregation_flush_us = 1000000;
   lci::sim::spawn(2, [&](int rank) {
     lci::g_runtime_init(attr);
+    // Until rank 1 has published its shards, rank 0's batch has no route
+    // and retries; a drain started before then could run out its 100 ms.
+    lci::barrier();
     if (rank == 0) {
       lci::comp_t cq = lci::alloc_cq();
       char out[8] = "drained";

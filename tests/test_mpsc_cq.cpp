@@ -1,20 +1,25 @@
 // Torture tests for the lock-free receive path (docs/INTERNALS.md "Lock
 // layout"): the bounded MPSC completion queue — producers on every thread,
 // consumer rotation through the claim protocol, wraparound and full/empty
-// ring edges — and the shard-steered matching engine racing a dead-peer
-// purge with device_shards = 4. Runs in the tsan tier-1 leg: every test
-// here must stay race-free under concurrent producers, rotating consumers,
-// and a purge walking all bucket segments mid-traffic.
+// ring edges — the shard-steered matching engine racing a dead-peer purge
+// with device_shards = 4, and the receive-packet cycle: consumed packets
+// reposted on their own endpoint, with the pool as the fallback. Runs in
+// the tsan tier-1 leg: every test here must stay race-free under concurrent
+// producers, rotating consumers, and a purge walking all bucket segments
+// mid-traffic.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/lci.hpp"
+#include "core/runtime_impl.hpp"
 #include "util/mpsc_queue.hpp"
 
 namespace {
@@ -246,6 +251,221 @@ TEST(MpscCq, PurgeWhileSteeredShards4) {
     }
     lci::g_runtime_fina();
   });
+}
+
+// ---------------------------------------------------------------------------
+// The receive-packet cycle: a packet the dispatch is done with is reposted
+// on the endpoint it arrived on; the pool takes it only when that misses.
+// ---------------------------------------------------------------------------
+
+// The rank threads meet here outside LCI. Callers meet only once every
+// message they expect has arrived, so when both have arrived nothing is in
+// flight and each rank's packet accounting holds still.
+class rank_meeting_t {
+ public:
+  void meet(int round) {
+    arrived_.fetch_add(1, std::memory_order_acq_rel);
+    while (arrived_.load(std::memory_order_acquire) < 2 * round) {
+      lci::progress();
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  std::atomic<int> arrived_{0};
+};
+
+// Where this rank's default-pool packets sit: pre-posted on each shard of
+// the default device, or back in the pool.
+struct packet_census_t {
+  std::vector<std::size_t> preposted;
+  std::size_t pooled = 0;
+  std::size_t budget = 0;  // per shard
+
+  static packet_census_t take() {
+    lci::detail::runtime_impl_t* rt = lci::detail::resolve_runtime({});
+    lci::detail::device_impl_t& device = rt->default_device();
+    packet_census_t census;
+    for (std::size_t s = 0; s < device.nshards(); ++s)
+      census.preposted.push_back(device.net(s).preposted_recvs());
+    lci::packet_pool_t pool;
+    pool.p = &rt->default_pool();
+    census.pooled = lci::get_attr(pool).pooled;
+    census.budget = std::max<std::size_t>(
+        1, device.prepost_depth() / device.nshards());
+    return census;
+  }
+};
+
+// Sends `count` AMs to `peer` (8 B inject and 1000 B buffer-copy
+// alternating) and receives as many on `rcq`, progressing throughout.
+void exchange_ams(int peer, int count, lci::comp_t rcq, lci::rcomp_t rcomp) {
+  char payload[1000] = {};
+  int sent = 0;
+  int received = 0;
+  while (sent < count || received < count) {
+    if (sent < count) {
+      const std::size_t size = sent % 2 == 0 ? 8 : sizeof(payload);
+      if (!lci::post_am(peer, payload, size, lci::comp_t{}, rcomp)
+               .error.is_retry())
+        ++sent;
+    }
+    lci::progress();
+    const lci::status_t st = lci::cq_pop(rcq);
+    if (st.error.is_done()) {
+      ++received;
+      std::free(st.buffer.base);
+    }
+  }
+}
+
+// 10k AMs each way on a 2-shard device: afterwards every shard holds
+// exactly its prepost budget again, and the pool holds what it held before
+// the traffic — no packet was lost or left stranded by the reposts.
+TEST(RecvPath, RepostRestoresBudgetAndPool) {
+  rank_meeting_t meeting;
+  lci::sim::spawn(2, [&](int rank) {
+    lci::runtime_attr_t attr;
+    attr.device_shards = 2;
+    lci::g_runtime_init(attr);
+    lci::comp_t rcq = lci::alloc_cq();
+    const lci::rcomp_t rcomp = lci::register_rcomp(rcq);
+    lci::barrier();
+    meeting.meet(1);
+    const packet_census_t before = packet_census_t::take();
+    ASSERT_EQ(before.preposted.size(), 2u);
+    for (std::size_t depth : before.preposted) EXPECT_EQ(depth, before.budget);
+    meeting.meet(2);
+
+    exchange_ams(1 - rank, 10000, rcq, rcomp);
+    meeting.meet(3);
+    for (int i = 0; i < 10; ++i) lci::progress();
+    const packet_census_t after = packet_census_t::take();
+    for (std::size_t s = 0; s < after.preposted.size(); ++s)
+      EXPECT_EQ(after.preposted[s], after.budget) << "shard " << s;
+    EXPECT_EQ(after.pooled, before.pooled);
+    meeting.meet(4);
+
+    lci::barrier();
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&rcq);
+    lci::g_runtime_fina();
+  });
+}
+
+// Under the ofi lock model one endpoint lock serializes a device's posts,
+// its polls and its reposts. Two sender threads per rank keep that lock
+// busy while the rank's main thread dispatches, so reposts miss it and
+// hand their packets to the pool; replenish_preposts() refills from there.
+// Every packet is accounted for afterwards.
+TEST(RecvPath, OfiRepostMissKeepsEveryPacket) {
+  constexpr int senders = 2;
+  constexpr int per_sender = 4000;
+  lci::net::config_t fabric;
+  fabric.lock_model = lci::net::lock_model_t::ofi;
+  rank_meeting_t meeting;
+  lci::sim::spawn(
+      2,
+      [&](int rank) {
+        lci::runtime_attr_t attr;
+        attr.device_shards = 1;
+        lci::g_runtime_init(attr);
+        const int peer = 1 - rank;
+        lci::comp_t rcq = lci::alloc_cq();
+        const lci::rcomp_t rcomp = lci::register_rcomp(rcq);
+        lci::barrier();
+        meeting.meet(1);
+        const packet_census_t before = packet_census_t::take();
+        meeting.meet(2);
+
+        // The senders only post; this thread alone progresses, so the
+        // prepost count cannot overshoot its budget.
+        auto binding = lci::sim::current_binding();
+        std::vector<std::thread> threads;
+        for (int t = 0; t < senders; ++t) {
+          threads.emplace_back([&] {
+            lci::sim::scoped_binding_t bound(binding);
+            char payload[1000] = {};
+            for (int i = 0; i < per_sender; ++i) {
+              const std::size_t size = i % 2 == 0 ? 8 : sizeof(payload);
+              while (lci::post_am(peer, payload, size, lci::comp_t{}, rcomp)
+                         .error.is_retry())
+                std::this_thread::yield();
+            }
+          });
+        }
+        int received = 0;
+        while (received < senders * per_sender) {
+          lci::progress();
+          const lci::status_t st = lci::cq_pop(rcq);
+          if (st.error.is_done()) {
+            ++received;
+            std::free(st.buffer.base);
+          }
+        }
+        for (auto& t : threads) t.join();
+        meeting.meet(3);
+        for (int i = 0; i < 10; ++i) lci::progress();
+        const packet_census_t after = packet_census_t::take();
+        ASSERT_EQ(after.preposted.size(), 1u);
+        EXPECT_EQ(after.preposted[0], after.budget);
+        EXPECT_EQ(after.pooled + after.preposted[0],
+                  before.pooled + before.preposted[0]);
+        meeting.meet(4);
+
+        lci::barrier();
+        lci::deregister_rcomp(rcomp);
+        lci::free_comp(&rcq);
+        lci::g_runtime_fina();
+      },
+      fabric);
+}
+
+// cq_poll_burst = 1 with traffic both ways: each poll returns one entry,
+// and local send completions and inbound deliveries take turns. A shrunk
+// send depth turns starvation of either into a stall — unreaped send
+// completions block every further post, and undelivered inbound messages
+// never complete — which the deadline reports.
+TEST(RecvPath, PollBurstOneServesBothDirections) {
+  constexpr int count = 5000;
+  lci::net::config_t fabric;
+  fabric.fault.send_depth = 4;
+  lci::sim::spawn(
+      2,
+      [&](int rank) {
+        lci::runtime_attr_t attr;
+        attr.cq_poll_burst = 1;
+        lci::g_runtime_init(attr);
+        ASSERT_EQ(lci::get_attr(lci::device_t{}).cq_poll_burst, 1u);
+        const int peer = 1 - rank;
+        lci::comp_t rcq = lci::alloc_cq();
+        const lci::rcomp_t rcomp = lci::register_rcomp(rcq);
+        lci::barrier();
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        uint64_t v = 0;
+        int sent = 0;
+        int received = 0;
+        while (sent < count || received < count) {
+          ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+              << "sent " << sent << ", received " << received;
+          if (sent < count &&
+              !lci::post_am(peer, &v, sizeof(v), lci::comp_t{}, rcomp)
+                   .error.is_retry())
+            ++sent;
+          lci::progress();
+          const lci::status_t st = lci::cq_pop(rcq);
+          if (st.error.is_done()) {
+            ++received;
+            std::free(st.buffer.base);
+          }
+        }
+        lci::barrier();
+        lci::deregister_rcomp(rcomp);
+        lci::free_comp(&rcq);
+        lci::g_runtime_fina();
+      },
+      fabric);
 }
 
 }  // namespace

@@ -331,22 +331,181 @@ TEST(Net, UnregisterDrainsPinsOfEveryPoster) {
   EXPECT_GT(accepted.load(), 0u);
 }
 
-// The ofi lock model serializes poll and post on one endpoint lock: a poll
-// while the endpoint is held reports lock_missed instead of blocking.
+// poll_cq(out, max) writes at most `max` entries — local completions and
+// inbound deliveries together — and keeps each sender's FIFO across polls,
+// through the RNR stash (bursts outrun the few preposts) and through
+// deferred heads (injected delivery delay). Both devices send and receive,
+// so every poll mixes the two sources.
+TEST(Net, PollBatchIsBoundedAndKeepsSenderFifo) {
+  config_t config;
+  config.fault.delay_rate = 0.25;
+  config.fault.delay_polls = 2;
+  two_rank_fixture_t f(config);
+  constexpr uint32_t count = 3000;
+  constexpr std::size_t max = 3;
+  constexpr int slots = 4;
+  struct side_t {
+    device_t* dev;
+    int peer;
+    uint32_t buffers[slots] = {};
+    uint32_t sent = 0;
+    uint32_t expected = 0;
+    uint32_t local = 0;
+  };
+  side_t sides[2] = {{f.dev0.get(), 1}, {f.dev1.get(), 0}};
+  for (side_t& s : sides)
+    for (uint32_t& b : s.buffers)
+      ASSERT_EQ(s.dev->post_recv(&b, sizeof(b), &b), post_result_t::ok);
+  const auto done = [&] {
+    for (const side_t& s : sides)
+      if (s.expected < count || s.local < count) return false;
+    return true;
+  };
+  for (long iter = 0; !done(); ++iter) {
+    ASSERT_LT(iter, 10000000L) << "traffic stalled";
+    for (side_t& s : sides) {
+      for (int burst = 0; burst < 8 && s.sent < count; ++burst) {
+        if (s.dev->post_send(s.peer, &s.sent, sizeof(s.sent), 0, nullptr) !=
+            post_result_t::ok)
+          break;
+        ++s.sent;
+      }
+      cqe_t cqes[max + 1];
+      cqes[max].op = op_t::remote_read;  // canary past the batch
+      const auto polled = s.dev->poll_cq(cqes, max);
+      ASSERT_LE(polled.count, max);
+      ASSERT_EQ(cqes[max].op, op_t::remote_read) << "poll wrote past max";
+      for (std::size_t i = 0; i < polled.count; ++i) {
+        if (cqes[i].op == op_t::send) {
+          ++s.local;
+          continue;
+        }
+        ASSERT_EQ(cqes[i].op, op_t::recv);
+        auto* b = static_cast<uint32_t*>(cqes[i].buffer);
+        ASSERT_EQ(*b, s.expected) << "per-sender FIFO broken";
+        ++s.expected;
+        ASSERT_EQ(s.dev->post_recv(b, sizeof(*b), b), post_result_t::ok);
+      }
+    }
+  }
+}
+
+// At max == 1 the two sources of a poll take turns: with a local completion
+// and an inbound message always pending, neither starves the other.
+TEST(Net, PollBurstOneServesBothSources) {
+  two_rank_fixture_t f;
+  constexpr int iters = 1000;
+  std::vector<int> inbox(64);
+  for (int& b : inbox)
+    ASSERT_EQ(f.dev1->post_recv(&b, sizeof(b), &b), post_result_t::ok);
+  auto outbox = f.prepost(*f.dev0, 64, sizeof(int));
+  int local = 0;
+  int inbound = 0;
+  for (int i = 0; i < iters; ++i) {
+    ASSERT_EQ(f.dev0->post_send(1, &i, sizeof(i), 0, nullptr),
+              post_result_t::ok);
+    ASSERT_EQ(f.dev1->post_send(0, &i, sizeof(i), 0, nullptr),
+              post_result_t::ok);
+    cqe_t cqe;
+    ASSERT_EQ(f.dev1->poll_cq(&cqe, 1).count, 1u);
+    if (cqe.op == op_t::send) {
+      ++local;
+    } else {
+      ASSERT_EQ(cqe.op, op_t::recv);
+      EXPECT_EQ(*static_cast<int*>(cqe.buffer), inbound);
+      ++inbound;
+      ASSERT_EQ(f.dev1->post_recv(cqe.buffer, sizeof(int), cqe.buffer),
+                post_result_t::ok);
+    }
+    // dev0 only keeps its side flowing: reap and repost.
+    cqe_t reap[8];
+    const auto polled = f.dev0->poll_cq(reap, 8);
+    for (std::size_t k = 0; k < polled.count; ++k) {
+      if (reap[k].op == op_t::recv) {
+        ASSERT_EQ(f.dev0->post_recv(reap[k].buffer, sizeof(int),
+                                    reap[k].user_context),
+                  post_result_t::ok);
+      }
+    }
+  }
+  EXPECT_GE(local, iters / 3);
+  EXPECT_GE(inbound, iters / 3);
+}
+
+// The SRQ is a bounded ring: a post past its capacity returns retry_full and
+// leaves the queue as it was, and deliveries consume preposts in post order.
+TEST(Net, FullSrqRingReturnsRetryFull) {
+  two_rank_fixture_t f;
+  std::vector<uint32_t> slots(1u << 16);
+  std::size_t posted = 0;
+  while (f.dev1->post_recv(&slots[posted], sizeof(uint32_t),
+                           &slots[posted]) == post_result_t::ok) {
+    ++posted;
+    ASSERT_LT(posted, slots.size()) << "the SRQ never filled";
+  }
+  EXPECT_GE(posted, 512u);  // room for every caller's prepost budget
+  EXPECT_EQ(f.dev1->preposted_recvs(), posted);
+  EXPECT_EQ(f.dev1->post_recv(&slots[posted], sizeof(uint32_t), nullptr),
+            post_result_t::retry_full);
+  EXPECT_EQ(f.dev1->preposted_recvs(), posted);
+
+  constexpr uint32_t count = 5;
+  for (uint32_t v = 0; v < count; ++v)
+    ASSERT_EQ(f.dev0->post_send(1, &v, sizeof(v), 0, nullptr),
+              post_result_t::ok);
+  for (uint32_t v = 0; v < count;) {
+    cqe_t cqes[count];
+    const auto polled = f.dev1->poll_cq(cqes, count);
+    for (std::size_t i = 0; i < polled.count; ++i, ++v) {
+      ASSERT_EQ(cqes[i].op, op_t::recv);
+      EXPECT_EQ(cqes[i].user_context, &slots[v]);  // the v-th prepost
+      EXPECT_EQ(slots[v], v);
+    }
+  }
+  EXPECT_EQ(f.dev1->preposted_recvs(), posted - count);
+  EXPECT_EQ(f.dev1->post_recv(&slots[0], sizeof(uint32_t), &slots[0]),
+            post_result_t::ok);  // consumed slots made room again
+}
+
+// The ofi lock model serializes polls and posts on one endpoint lock: while
+// the endpoint is held, a poll reports lock_missed and a post_recv returns
+// retry_lock, queueing nothing. A self-send holds dev0's endpoint lock
+// across its wire push, which rings dev0's doorbell — so the doorbell runs
+// with the lock held and tries both.
 TEST(Net, OfiEndpointLockMiss) {
   config_t config;
   config.lock_model = lock_model_t::ofi;
   two_rank_fixture_t f(config);
 
-  std::atomic<bool> hold{true}, held{false};
-  // Occupy dev0's endpoint lock by keeping a poll outstanding from another
-  // thread is not directly expressible; instead verify single-threaded
-  // behaviour: poll and post both succeed when uncontended.
+  struct probing_doorbell_t final : doorbell_t {
+    device_t* dev = nullptr;
+    int rings = 0;
+    bool poll_missed = false;
+    post_result_t recv_result = post_result_t::ok;
+    char buffer[16] = {};
+    void ring() noexcept override {
+      if (rings++ != 0) return;
+      cqe_t cqe;
+      poll_missed = dev->poll_cq(&cqe, 1).lock_missed;
+      recv_result = dev->post_recv(buffer, sizeof(buffer), buffer);
+    }
+  } bell;
+  bell.dev = f.dev0.get();
+  f.dev0->set_doorbell(&bell);
+  const int v = 5;
+  ASSERT_EQ(f.dev0->post_send(0, &v, sizeof(v), 0, nullptr),
+            post_result_t::ok);
+  f.dev0->set_doorbell(nullptr);
+  ASSERT_GE(bell.rings, 1);
+  EXPECT_TRUE(bell.poll_missed);
+  EXPECT_EQ(bell.recv_result, post_result_t::retry_lock);
+  EXPECT_EQ(f.dev0->preposted_recvs(), 0u);
+
+  // Uncontended, both go through.
   cqe_t cqes[4];
-  const auto polled = f.dev0->poll_cq(cqes, 4);
-  EXPECT_FALSE(polled.lock_missed);
-  (void)hold;
-  (void)held;
+  EXPECT_FALSE(f.dev0->poll_cq(cqes, 4).lock_missed);
+  EXPECT_EQ(f.dev0->post_recv(bell.buffer, sizeof(bell.buffer), bell.buffer),
+            post_result_t::ok);
 }
 
 // Timing model (optional): a message is deliverable only after

@@ -271,6 +271,90 @@ TEST(MatchingPolicy, DifferentPoliciesDoNotCross) {
 }
 
 // ---------------------------------------------------------------------------
+// Truncation on arrival: rank 0's packets (8 KiB) are larger than rank 1's
+// (1 KiB), so a 3000 B buffer-copy message fits the sender's eager protocol
+// but not the packet that receives it. Its operation completes with
+// fatal_truncated exactly once — never done with partial bytes — whether
+// the receive was posted before the message arrived, after it, or is an
+// active message's rcomp.
+// ---------------------------------------------------------------------------
+TEST(Truncation, EagerLongerThanReceiverPacketFailsOnce) {
+  constexpr std::size_t size = 3000;
+  lci::sim::spawn(2, [&](int rank) {
+    lci::runtime_attr_t attr;
+    attr.packet_size = rank == 0 ? 8192 : 1024;
+    lci::g_runtime_init(attr);
+    lci::comp_t rcq = lci::alloc_cq();
+    const lci::rcomp_t rcomp = lci::register_rcomp(rcq);
+    lci::comp_t cq = lci::alloc_cq();
+    std::vector<char> early(4000, 0);
+    if (rank == 1) {
+      EXPECT_TRUE(lci::post_recv(0, early.data(), early.size(), 1, cq)
+                      .error.is_posted());
+    }
+    lci::barrier();
+    if (rank == 0) {
+      // One shard carries all three in order, so the AM's arrival implies
+      // the unexpected send's.
+      lci::pin_thread_shard(0);
+      std::vector<char> out(size, 'x');
+      const auto until_done = [](const auto& post) {
+        lci::status_t st;
+        do {
+          st = post();
+          lci::progress();
+        } while (st.error.is_retry());
+        EXPECT_TRUE(st.error.is_done());  // eager: the copy is made
+      };
+      until_done([&] { return lci::post_send(1, out.data(), size, 1, {}); });
+      until_done([&] { return lci::post_send(1, out.data(), size, 2, {}); });
+      until_done([&] {
+        return lci::post_am_x(1, out.data(), size, {}, rcomp).tag(3)();
+      });
+      lci::pin_thread_shard(-1);
+    } else {
+      const auto pop = [](lci::comp_t from) {
+        lci::status_t st;
+        do {
+          lci::progress();
+          st = lci::cq_pop(from);
+        } while (st.error.is_retry());
+        return st;
+      };
+      // Posted before arrival: matched in the progress engine.
+      lci::status_t st = pop(cq);
+      EXPECT_EQ(st.error.code, lci::errorcode_t::fatal_truncated);
+      EXPECT_EQ(st.rank, 0);
+      EXPECT_EQ(st.tag, 1u);
+      EXPECT_EQ(st.buffer.size, size);
+      EXPECT_EQ(early[0], 0);  // nothing was delivered
+      // The active message: its rcomp sees the failure.
+      st = pop(rcq);
+      EXPECT_EQ(st.error.code, lci::errorcode_t::fatal_truncated);
+      EXPECT_EQ(st.tag, 3u);
+      EXPECT_EQ(st.buffer.base, nullptr);
+      // Posted after arrival: the retained packet fails the receive inline.
+      std::vector<char> late(4000, 0);
+      st = lci::post_recv(0, late.data(), late.size(), 2, cq);
+      EXPECT_EQ(st.error.code, lci::errorcode_t::fatal_truncated);
+      EXPECT_EQ(st.buffer.size, size);
+      // Exactly once: nothing else surfaces.
+      for (int i = 0; i < 50; ++i) {
+        lci::progress();
+        EXPECT_TRUE(lci::cq_pop(cq).error.is_retry());
+        EXPECT_TRUE(lci::cq_pop(rcq).error.is_retry());
+      }
+      EXPECT_EQ(lci::get_counters().comp_fatal, 3u);
+    }
+    lci::barrier();
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&rcq);
+    lci::free_comp(&cq);
+    lci::g_runtime_fina();
+  });
+}
+
+// ---------------------------------------------------------------------------
 // Return-value conventions
 // ---------------------------------------------------------------------------
 

@@ -342,6 +342,9 @@ TEST(Shards, DrainFlushesEveryShard) {
   attr.aggregation_flush_us = 1000000;
   lci::sim::spawn(2, [&](int rank) {
     lci::g_runtime_init(attr);
+    // Rank 1's shards must be published before rank 0's bounded drain: an
+    // unpublished peer endpoint has no route, so the flushes would retry.
+    lci::barrier();
     if (rank == 0) {
       constexpr int buffered = 8;
       lci::comp_t cq = lci::alloc_cq();

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "util/backoff.hpp"
-#include "util/inline_vector.hpp"
 #include "util/lcrq.hpp"
 #include "util/mpmc_array.hpp"
 #include "util/mpmc_ring.hpp"
@@ -227,6 +226,33 @@ TEST(Lcrq, GrowsAcrossSegments) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(seen.count(i), 1u);
 }
 
+// A push that finds its segment full moves on to the next one, so the
+// segment's refused try_push must leave the value intact: a move-only
+// payload pushed at a segment boundary must arrive whole (the sim wire
+// carries eager payloads above 128 B this way once 1024 messages queue).
+TEST(Lcrq, GrowthKeepsMoveOnlyPayloads) {
+  lci::util::lcrq_t<std::unique_ptr<int>> queue(4);
+  for (int i = 0; i < 100; ++i) queue.push(std::make_unique<int>(i));
+  EXPECT_GT(queue.segment_count(), 1u);
+  for (int i = 0; i < 100; ++i) {
+    auto v = queue.try_pop();
+    ASSERT_TRUE(v.has_value());
+    ASSERT_NE(*v, nullptr) << "payload " << i << " lost at a segment boundary";
+    EXPECT_EQ(**v, i);
+  }
+  EXPECT_FALSE(queue.try_pop().has_value());
+}
+
+TEST(MpmcRing, RefusedPushLeavesTheValue) {
+  lci::util::mpmc_ring_t<std::unique_ptr<int>> ring(2);
+  EXPECT_TRUE(ring.try_push(std::make_unique<int>(1)));
+  EXPECT_TRUE(ring.try_push(std::make_unique<int>(2)));
+  auto value = std::make_unique<int>(3);
+  EXPECT_FALSE(ring.try_push(std::move(value)));  // full
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(*value, 3);
+}
+
 TEST(Lcrq, SpscFifo) {
   lci::util::lcrq_t<int> queue(8);
   std::thread producer([&] {
@@ -272,59 +298,6 @@ TEST(Lcrq, MpmcNoLossNoDuplication) {
   }
   for (auto& th : threads) th.join();
   for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// inline_vector
-// ---------------------------------------------------------------------------
-
-TEST(InlineVector, PushAndCapacity) {
-  lci::util::inline_vector_t<int, 3> v;
-  EXPECT_TRUE(v.empty());
-  EXPECT_TRUE(v.try_push_back(1));
-  EXPECT_TRUE(v.try_push_back(2));
-  EXPECT_TRUE(v.try_push_back(3));
-  EXPECT_TRUE(v.full());
-  EXPECT_FALSE(v.try_push_back(4));
-  EXPECT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0], 1);
-  EXPECT_EQ(v[2], 3);
-}
-
-TEST(InlineVector, EraseUnordered) {
-  lci::util::inline_vector_t<int, 4> v;
-  for (int i = 1; i <= 4; ++i) v.push_back(i);
-  v.erase_unordered(0);  // last element moves into slot 0
-  EXPECT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0], 4);
-}
-
-TEST(InlineVector, EraseOrdered) {
-  lci::util::inline_vector_t<int, 4> v;
-  for (int i = 1; i <= 4; ++i) v.push_back(i);
-  v.erase_ordered(1);
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0], 1);
-  EXPECT_EQ(v[1], 3);
-  EXPECT_EQ(v[2], 4);
-}
-
-TEST(InlineVector, DestroysElements) {
-  int alive = 0;
-  struct probe_t {
-    int* alive;
-    explicit probe_t(int* a) : alive(a) { ++*alive; }
-    probe_t(const probe_t& other) : alive(other.alive) { ++*alive; }
-    probe_t& operator=(const probe_t&) = default;
-    ~probe_t() { --*alive; }
-  };
-  {
-    lci::util::inline_vector_t<probe_t, 2> v;
-    v.push_back(probe_t(&alive));
-    v.push_back(probe_t(&alive));
-    EXPECT_EQ(alive, 2);
-  }
-  EXPECT_EQ(alive, 0);  // every constructed element destroyed
 }
 
 // ---------------------------------------------------------------------------
