@@ -134,7 +134,10 @@ class subgrid_t {
   // update while one of the current step's ghosts is still stale.
   std::atomic<long> arrived[2] = {0, 0};
   std::atomic<int> claimed_step{0};
-  std::atomic<int> completed_steps{0};
+  // The step whose faces this subgrid has shipped; the update for that step
+  // may run. -1 until the kick-off has shipped the step-0 faces: an update
+  // claimed earlier would swap the state that extraction reads.
+  std::atomic<int> completed_steps{-1};
 
  private:
   int id_ = 0;
@@ -398,8 +401,13 @@ result_t run(const config_t& config) {
     if (rank == 0) shared.t0.store(now_sec());
     scheduler.start([&port](int worker) { return port.progress(worker); });
 
-    // Kick off: ship every owned subgrid's step-0 faces.
-    for (auto& sg : app.owned) app.send_faces(*sg, 0);
+    // Kick off: ship every owned subgrid's step-0 faces, then let it update.
+    // Workers are already receiving, so all its neighbours' faces may be here.
+    for (auto& sg : app.owned) {
+      app.send_faces(*sg, 0);
+      sg->completed_steps.store(0, std::memory_order_release);
+      app.maybe_spawn_update(*sg);
+    }
     const int target = static_cast<int>(app.owned.size());
     scheduler.run_until([&] {
       const bool reduced =

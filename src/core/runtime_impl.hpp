@@ -557,7 +557,7 @@ class device_impl_t {
   // complete runtime_impl_t type; set in the constructor.
   counter_block_t* counters_ = nullptr;
   const std::size_t prepost_depth_;
-  // prepost_depth_ split over the shards (see replenish_preposts).
+  // prepost_depth_ split over the shards (see the constructor).
   std::size_t prepost_per_shard_ = 1;
   const bool auto_progress_;
   // Owns its cache line (see doorbell_impl_t): rung by every sender to every

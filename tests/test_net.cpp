@@ -294,6 +294,7 @@ TEST(Net, UnregisterDrainsPinsOfEveryPoster) {
   for (int t = 0; t < nposters; ++t) senders.push_back(ctx0->create_device());
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> paused{false};
   std::atomic<uint64_t> accepted{0};
   std::vector<std::thread> posters;
   for (int t = 0; t < nposters; ++t) {
@@ -303,8 +304,9 @@ TEST(Net, UnregisterDrainsPinsOfEveryPoster) {
       cqe_t cqes[64];
       uint64_t mine = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        if (dev.post_send(1, &payload, sizeof(payload), 0, nullptr) ==
-            post_result_t::ok)
+        if (!paused.load(std::memory_order_acquire) &&
+            dev.post_send(1, &payload, sizeof(payload), 0, nullptr) ==
+                post_result_t::ok)
           ++mine;
         dev.poll_cq(cqes, 64);  // retire local send CQEs
       }
@@ -315,8 +317,13 @@ TEST(Net, UnregisterDrainsPinsOfEveryPoster) {
   uint64_t rung = 0;
   for (int round = 0; round < rounds; ++round) {
     auto bell = std::make_unique<counting_doorbell_t>();
+    // The posters hold off while the incarnation comes up: a push that lands
+    // before set_doorbell rings nothing, and a wire filled by such pushes
+    // (wire_depth of them, never polled) would never ring below.
+    paused.store(true, std::memory_order_release);
     auto target = ctx1->create_device();
     target->set_doorbell(bell.get());
+    paused.store(false, std::memory_order_release);
     // Tear down mid-stream: once pushes reach this incarnation, posters are
     // pinned on it while it goes away.
     while (bell->rings.load(std::memory_order_relaxed) < 8)

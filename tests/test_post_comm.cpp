@@ -437,10 +437,14 @@ TEST(ReturnValues, FatalErrorsThrow) {
 // allow_retry=false: the operation lands on the backlog queue and completes
 // through the completion object; the user buffer is immediately reusable for
 // eager-size payloads (*_backlog status). A shallow wire (fabric flow
-// control) forces the retry path deterministically.
+// control) forces the retry path deterministically, as long as the peer is
+// not draining it: a rank already polling in sync_wait empties the wire as
+// fast as a slow (sanitized, oversubscribed) sender fills it. So neither
+// rank polls until both bursts are posted; they meet outside LCI.
 TEST(Backlog, AllowRetryFalseCompletesEventually) {
   lci::net::config_t net_config;
   net_config.wire_depth = 4;  // back-pressure after a handful of messages
+  std::atomic<int> bursts_posted{0};
   lci::sim::spawn(
       2,
       [&](int rank) {
@@ -475,6 +479,9 @@ TEST(Backlog, AllowRetryFalseCompletesEventually) {
           }
         }
         EXPECT_GT(backlogged, 0);  // the wire really did push back
+        bursts_posted.fetch_add(1, std::memory_order_acq_rel);
+        while (bursts_posted.load(std::memory_order_acquire) < 2)
+          std::this_thread::yield();
         // Drain: all receives complete, all owed send signals arrive.
         lci::sync_wait(rsync, nullptr);
         while (signals_owed > 0) {
