@@ -22,11 +22,10 @@ namespace {
 
 // Many-to-one "incast": N-1 sender ranks stream tagged sends at one
 // receiver that keeps wildcard-tag (rank_only policy) receives posted per
-// sender. Wildcard keys steer to the matching engine's shared global
-// segment, so this is the adversarial pattern for shard-steered matching:
-// every arrival serializes on global-segment buckets while the receiver's
-// sharded devices still poll their own MPSC CQs. Returns the receiver-side
-// message rate in Mmsg/s.
+// sender. A wildcard key is one matching bucket per sender whatever tag
+// arrives, so every shard's arrivals from one sender serialize on that
+// bucket's lock while the receiver's shards still poll their own CQs.
+// Returns the receiver-side message rate in Mmsg/s.
 double run_incast(int nranks, std::size_t shards, long iterations,
                   std::size_t msg_size) {
   double rate = 0.0;
@@ -151,7 +150,7 @@ int main() {
     }
   }
 
-  // Many-to-one incast rows: wildcard-tag matching under shard steering.
+  // Many-to-one incast rows: wildcard-tag matching on a sharded device.
   bench::print_header("incast: N-1 senders -> 1 wildcard-tag receiver",
                       "senders  shards  Mmsg/s  (receiver-side)");
   const long incast_iters = bench::iters(1000);

@@ -1,5 +1,6 @@
 #include "baseline/simmpi.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstring>
@@ -371,6 +372,17 @@ bool engine_t::test_nopoll(request_t request, status_t* status) {
   detail::vci_t& vci = *request->vci;
   std::lock_guard<std::mutex> guard(vci.big_lock);
   return finish_test(request, status);
+}
+
+bool engine_t::cancel_recv(request_t request) {
+  detail::vci_t& vci = *request->vci;
+  std::lock_guard<std::mutex> guard(vci.big_lock);
+  auto it = std::find(vci.posted_recvs.begin(), vci.posted_recvs.end(),
+                      request);
+  if (it == vci.posted_recvs.end()) return false;
+  vci.posted_recvs.erase(it);
+  delete request;
+  return true;
 }
 
 void engine_t::wait(request_t request, status_t* status) {

@@ -81,6 +81,10 @@ class engine_t {
   // amortizes one progress pass over many requests.
   bool test_nopoll(request_t request, status_t* status = nullptr);
   void wait(request_t request, status_t* status = nullptr);
+  // MPI_Cancel of a receive: frees a posted receive that nothing has
+  // matched yet and returns true. False means it was matched: test or wait
+  // for it as usual.
+  bool cancel_recv(request_t request);
 
   // Blocking convenience wrappers.
   void send(const void* buffer, std::size_t size, int dst, int tag);

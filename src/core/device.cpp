@@ -60,13 +60,6 @@ device_impl_t::device_impl_t(runtime_impl_t* runtime,
     // Every shard rings the same device doorbell: engine wakeups are a
     // device-level concern, and progress() services all shards anyway.
     shard.net_device->set_doorbell(&doorbell_);
-    // Sharded receive path: each shard's CQ has at most one consumer at a
-    // time (progress() polls a shard only under its dispatch claim, and the
-    // backend claims the consumer role per poll), so backends that support
-    // it may drop their lock-model CQ lock for a lock-free MPSC queue with
-    // an RMW-free idle fast path. Left off at shards=1 so the unsharded
-    // device keeps the exact pre-MPSC locked behavior.
-    if (nshards > 1) shard.net_device->set_single_consumer(true);
   }
   // CQ poll burst: runtime attr, defaulting to the fabric's own burst. The
   // clamp is per shard per progress() call (see the round-robin in

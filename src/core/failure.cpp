@@ -92,18 +92,28 @@ void runtime_impl_t::track_op(std::shared_ptr<op_record_t> record) {
   std::lock_guard<util::spinlock_t> guard(op_lock_);
   // Opportunistic compaction keeps the list bounded even when every op
   // completes normally (terminal records are otherwise only reaped by
-  // deadline sweeps, which cancel-only workloads never trigger).
-  if (tracked_ops_.size() >= 32) {
-    tracked_ops_.erase(
-        std::remove_if(tracked_ops_.begin(), tracked_ops_.end(),
-                       [](const std::shared_ptr<op_record_t>& r) {
-                         return r->state.load(std::memory_order_acquire) ==
-                                op_record_t::st_terminal;
-                       }),
-        tracked_ops_.end());
-  }
+  // deadline sweeps and drains, which cancel-only workloads never trigger).
+  if (tracked_ops_.size() >= 32) prune_terminal_ops();
   tracked_ops_.push_back(std::move(record));
   tracked_count_.store(tracked_ops_.size(), std::memory_order_release);
+}
+
+void runtime_impl_t::prune_terminal_ops() {
+  tracked_ops_.erase(
+      std::remove_if(tracked_ops_.begin(), tracked_ops_.end(),
+                     [](const std::shared_ptr<op_record_t>& r) {
+                       return r->state.load(std::memory_order_acquire) ==
+                              op_record_t::st_terminal;
+                     }),
+      tracked_ops_.end());
+  tracked_count_.store(tracked_ops_.size(), std::memory_order_release);
+}
+
+std::size_t runtime_impl_t::live_tracked_ops() {
+  if (tracked_count_.load(std::memory_order_acquire) == 0) return 0;
+  std::lock_guard<util::spinlock_t> guard(op_lock_);
+  prune_terminal_ops();
+  return tracked_ops_.size();
 }
 
 bool runtime_impl_t::finish_tracked_op(
@@ -377,11 +387,12 @@ std::size_t runtime_impl_t::drain_device(device_impl_t* device,
     // everything on the wire", not "wait for the flush timer".
     device->flush_aggregation();
     const bool advanced = device->progress();
+    // Completed ops leave terminal records behind (a barrier's receives, for
+    // one), so only live records keep the device busy.
     const bool idle = !advanced && device->backlog().size_approx() == 0 &&
                       !device->has_armed_aggregation() &&
                       pending_sends_.size() == 0 &&
-                      pending_recvs_.size() == 0 &&
-                      tracked_count_.load(std::memory_order_acquire) == 0;
+                      pending_recvs_.size() == 0 && live_tracked_ops() == 0;
     quiet = idle ? quiet + 1 : 0;
     if (quiet >= quiet_rounds_needed) {
       quiesced = true;

@@ -331,9 +331,10 @@ struct runtime_attr_t {
   // send locks), pre-posted receives, and aggregation slots. Outgoing traffic
   // is routed to a shard by the calling thread's pin (pin_thread_shard) or,
   // unpinned, by a hash of (rank, tag) — either way a (thread, rank, tag)
-  // stream stays on one shard, so per-key FIFO matching is unaffected.
-  // 1 (default) is bit-identical to an unsharded device. Defaults to
-  // LCI_DEVICE_SHARDS when set.
+  // stream stays on one shard, so per-key FIFO matching is unaffected. The
+  // packet pool and the matching engine are shared by all shards and are
+  // the same at every shard count. 1 (default): one endpoint per device.
+  // Defaults to LCI_DEVICE_SHARDS when set.
   std::size_t device_shards = detail::device_shards_env_default();
   cq_type_t default_cq_type = cq_type_t::lcrq;
   std::size_t cq_default_capacity = 65536;

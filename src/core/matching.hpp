@@ -8,25 +8,11 @@
 // complementary arrival matches instead of queueing). The fast path uses
 // fixed-size arrays — up to 3 queues inline per bucket and up to 2 entries
 // inline per queue — so a low-load-factor insertion costs a single cache
-// miss; overflow spills to heap containers.
-//
-// Shard steering (receive-path sharding): when constructed with
-// num_segments = S > 1, the bucket array is logically partitioned into S
-// shard segments plus one shared "global" segment. A default rank_tag key is
-// bit-identical to the (rank<<32)|tag word that route_shard() hashes for
-// shard routing, and segment selection applies the *same* mix-then-mod — so
-// a pinned thread's receives and the headers arriving on its shard's wire
-// land in the same segment, and bucket spinlocks become shard-private in the
-// common case. Matching is pure key equality (both sides derive identical
-// keys, no multi-key probing), so any pure function of the key is a correct
-// steering function. Wildcard-policy keys (rank_only / tag_only / none) and
-// keys from a custom make_key hook — whose bit layout the engine cannot
-// interpret — go to the global segment, keeping cross-shard and collective
-// traffic correct at the cost of shared locks there. purge_if and size_slow
-// walk every bucket regardless of segment. S <= 1 keeps the flat array
-// bit-identical to the unsegmented engine. Note: set_make_key must be called
-// before any traffic — entries inserted under the default key derivation
-// are steered by policy bits a custom key may not preserve.
+// miss; overflow spills to heap containers. The table is the same flat
+// array at every device shard count: with far more buckets than threads, a
+// shard's keys rarely share a bucket lock with another shard's. Note:
+// set_make_key must be called before any traffic — entries inserted under
+// the default key derivation hash differently from a custom key.
 #pragma once
 
 #include <algorithm>
@@ -54,18 +40,11 @@ class matching_engine_impl_t {
   using make_key_fn_t = std::function<key_t(int rank, tag_t tag,
                                             matching_policy_t policy)>;
 
-  // Unsegmented (num_segments <= 1): one flat power-of-two array,
-  // bit-identical to the pre-sharding engine. Segmented: S same-sized
-  // power-of-two shard segments + 1 global segment, laid out contiguously
-  // [seg 0][seg 1]...[seg S-1][global]. (buckets_ is sized in the
-  // initializer because bucket_t's spinlock makes it non-movable.)
-  explicit matching_engine_impl_t(std::size_t num_buckets,
-                                  std::size_t num_segments = 1)
-      : buckets_(total_buckets(num_buckets, num_segments)),
-        mask_(buckets_.size() - 1),
-        nsegments_(num_segments <= 1 ? 1 : num_segments),
-        seg_size_(segment_size(num_buckets, num_segments)),
-        seg_mask_(seg_size_ - 1) {}
+  // One flat array of num_buckets rounded up to a power of two. (buckets_
+  // is sized in the initializer because bucket_t's spinlock makes it
+  // non-movable.)
+  explicit matching_engine_impl_t(std::size_t num_buckets)
+      : buckets_(round_pow2(num_buckets)), mask_(buckets_.size() - 1) {}
 
   // Default key: [2 bits policy][30 bits rank][32 bits tag] with the wildcard
   // component zeroed, so different policies never collide.
@@ -205,7 +184,6 @@ class matching_engine_impl_t {
   }
 
   std::size_t num_buckets() const noexcept { return buckets_.size(); }
-  std::size_t num_segments() const noexcept { return nsegments_; }
 
   // Engine id within its runtime. Carried in message headers so the target
   // matches in the same engine the sender named; like rcomps, ids agree
@@ -220,21 +198,9 @@ class matching_engine_impl_t {
  private:
   static constexpr std::size_t fast_queues = 3;    // queues inline per bucket
   static constexpr std::size_t fast_entries = 2;   // entries inline per queue
-  static constexpr std::size_t min_segment_buckets = 64;
 
-  // Key -> bucket. Segmented mode picks the segment with the same
-  // mix-then-mod route_shard() uses on its hashed fallback — a rank_tag key
-  // *is* the (rank<<32)|tag word route_shard hashes (policy bits are 00) —
-  // then indexes within the segment using the high hash bits, which are
-  // independent of the low bits the mod consumed. Wildcard-policy keys
-  // (policy bits != 00) and custom-make_key keys steer to the global
-  // segment at index nsegments_.
   std::size_t bucket_index(key_t key) const noexcept {
-    const std::size_t h = hash(key);
-    if (nsegments_ <= 1) return h & mask_;
-    std::size_t seg = nsegments_;  // global segment
-    if (!make_key_fn_ && (key >> 62) == 0) seg = h % nsegments_;
-    return seg * seg_size_ + ((h >> 32) & seg_mask_);
+    return hash(key) & mask_;
   }
 
   // One per-key queue. FIFO; the first `fast_entries` live inline.
@@ -382,19 +348,6 @@ class matching_engine_impl_t {
     return p < 2 ? 2 : p;
   }
 
-  // Buckets per segment / total array size for the constructor.
-  static std::size_t segment_size(std::size_t num_buckets,
-                                  std::size_t num_segments) {
-    if (num_segments <= 1) return round_pow2(num_buckets);
-    return round_pow2(
-        std::max<std::size_t>(num_buckets / num_segments, min_segment_buckets));
-  }
-  static std::size_t total_buckets(std::size_t num_buckets,
-                                   std::size_t num_segments) {
-    if (num_segments <= 1) return round_pow2(num_buckets);
-    return (num_segments + 1) * segment_size(num_buckets, num_segments);
-  }
-
   static std::size_t hash(key_t key) noexcept {
     // Fibonacci-style mixing; keys differ mostly in low tag bits and the
     // rank field, both of which this spreads across buckets.
@@ -405,10 +358,7 @@ class matching_engine_impl_t {
   }
 
   std::vector<bucket_t> buckets_;
-  std::size_t mask_ = 0;       // whole-array mask (unsegmented addressing)
-  std::size_t nsegments_ = 1;  // shard segments (1 = flat/unsegmented)
-  std::size_t seg_size_ = 0;   // buckets per segment (power of two)
-  std::size_t seg_mask_ = 0;   // seg_size_ - 1
+  std::size_t mask_ = 0;  // buckets_.size() - 1
   make_key_fn_t make_key_fn_;
   uint16_t id_ = 0;
 };

@@ -6,16 +6,8 @@
 // tail of its own deque (cache-hot end); when its deque is empty it steals
 // half the packets from the head of a randomly chosen victim. Thread safety
 // is a per-deque spinlock, so there is no contention during normal operation.
-//
-// Sharded mode (receive-path sharding): constructed with nshards > 1 the
-// pool switches to per-shard freelists — indexed by the thread's shard pin
-// (lci::pin_thread_shard), falling back to thread_id % nshards — with batch
-// refill/spill against a global reservoir. A pinned thread's get/put touches
-// only its shard's lock; the reservoir lock is taken once per refill_batch
-// moves, not per packet. Packets are carved from the slab in contiguous
-// per-shard ranges so first-touch page placement keeps a shard's packets
-// local to the NUMA node of the threads that use it. nshards <= 1 keeps the
-// per-thread-deque path byte-identical to the unsharded pool.
+// The pool is the same at every device shard count: a thread's deque is
+// private to it whichever shard it posts through.
 #pragma once
 
 #include <atomic>
@@ -81,8 +73,7 @@ static_assert(sizeof(am_packet_ref_t) == 16);
 
 class packet_pool_impl_t {
  public:
-  packet_pool_impl_t(std::size_t npackets, std::size_t packet_capacity,
-                     std::size_t nshards = 1);
+  packet_pool_impl_t(std::size_t npackets, std::size_t packet_capacity);
   ~packet_pool_impl_t();
   packet_pool_impl_t(const packet_pool_impl_t&) = delete;
   packet_pool_impl_t& operator=(const packet_pool_impl_t&) = delete;
@@ -98,34 +89,16 @@ class packet_pool_impl_t {
   // Packets currently sitting in deques (approximate; excludes in-flight).
   std::size_t pooled_approx() const noexcept;
 
-  std::size_t num_shards() const noexcept { return nshards_; }
-
  private:
   using deque_t = util::steal_deque_t<packet_t*>;
   deque_t* local_deque();
 
-  // Sharded mode: one freelist per shard plus the global reservoir. The
-  // vector-as-stack keeps the most recently freed packet on top (hot end);
-  // spills move the *front* (coldest) packets out.
-  struct alignas(util::cache_line_size) freelist_t {
-    util::spinlock_t lock;
-    std::vector<packet_t*> items;  // guarded by lock
-  };
-  static constexpr std::size_t refill_batch = 32;
-  std::size_t shard_of() const noexcept;
-  packet_t* get_sharded();
-  void put_sharded(packet_t* packet);
-
   const std::size_t npackets_;
   const std::size_t packet_capacity_;
-  const std::size_t nshards_;
-  std::size_t spill_high_ = 0;  // per-shard high-water before spilling
   std::vector<std::unique_ptr<char[]>> slabs_;
   util::mpmc_array_t<deque_t*> deques_{64};
   std::vector<std::unique_ptr<deque_t>> deque_storage_;  // guarded by reg_lock_
   util::spinlock_t reg_lock_;
-  std::unique_ptr<freelist_t[]> shard_lists_;  // size nshards_ when sharded
-  freelist_t reservoir_;
 };
 
 }  // namespace lci::detail

@@ -9,9 +9,6 @@
 
 namespace lci::detail {
 
-// Defined in device.cpp (the lci::pin_thread_shard TLS hint).
-int thread_shard_hint() noexcept;
-
 namespace {
 // Payload stride rounded so every packet header stays cache-line aligned.
 std::size_t packet_stride(std::size_t capacity) {
@@ -21,11 +18,8 @@ std::size_t packet_stride(std::size_t capacity) {
 }  // namespace
 
 packet_pool_impl_t::packet_pool_impl_t(std::size_t npackets,
-                                       std::size_t packet_capacity,
-                                       std::size_t nshards)
-    : npackets_(npackets),
-      packet_capacity_(packet_capacity),
-      nshards_(nshards == 0 ? 1 : nshards) {
+                                       std::size_t packet_capacity)
+    : npackets_(npackets), packet_capacity_(packet_capacity) {
   const std::size_t stride = packet_stride(packet_capacity_);
   // One slab, over-allocated for alignment.
   auto slab = std::make_unique<char[]>(npackets_ * stride +
@@ -35,32 +29,13 @@ packet_pool_impl_t::packet_pool_impl_t(std::size_t npackets,
   if (misalign != 0) base += util::cache_line_size - misalign;
   slabs_.push_back(std::move(slab));
 
-  if (nshards_ <= 1) {
-    // All packets start in the creating thread's deque; work stealing
-    // spreads them to other threads on demand.
-    deque_t* local = local_deque();
-    for (std::size_t i = 0; i < npackets_; ++i) {
-      auto* packet = new (base + i * stride) packet_t;
-      packet->pool = this;
-      local->push_tail(packet);
-    }
-    return;
-  }
-  // Sharded mode: carve the slab into contiguous per-shard ranges (shard s
-  // owns packets [s*per_shard, ...)) so first-touch page placement keeps a
-  // shard's packets on the NUMA node of the threads using it, and seed each
-  // shard's freelist with its range — warm start, empty reservoir. Spill
-  // when a shard holds more than its fair share plus one refill batch, so
-  // balanced traffic never pays the reservoir lock.
-  shard_lists_ = std::make_unique<freelist_t[]>(nshards_);
-  const std::size_t per_shard = npackets_ / nshards_;
-  spill_high_ = std::max<std::size_t>(per_shard, refill_batch) + refill_batch;
+  // All packets start in the creating thread's deque; work stealing spreads
+  // them to other threads on demand.
+  deque_t* local = local_deque();
   for (std::size_t i = 0; i < npackets_; ++i) {
     auto* packet = new (base + i * stride) packet_t;
     packet->pool = this;
-    const std::size_t shard =
-        per_shard == 0 ? i % nshards_ : std::min(i / per_shard, nshards_ - 1);
-    shard_lists_[shard].items.push_back(packet);
+    local->push_tail(packet);
   }
 }
 
@@ -83,85 +58,7 @@ packet_pool_impl_t::deque_t* packet_pool_impl_t::local_deque() {
   return d;
 }
 
-std::size_t packet_pool_impl_t::shard_of() const noexcept {
-  const int pin = thread_shard_hint();
-  if (pin >= 0) return static_cast<std::size_t>(pin) % nshards_;
-  return util::thread_id() % nshards_;
-}
-
-packet_t* packet_pool_impl_t::get_sharded() {
-  const std::size_t s = shard_of();
-  freelist_t& fl = shard_lists_[s];
-  {
-    std::lock_guard<util::spinlock_t> guard(fl.lock);
-    if (!fl.items.empty()) {
-      packet_t* packet = fl.items.back();
-      fl.items.pop_back();
-      return packet;
-    }
-  }
-  // Shard dry: pull a batch from the reservoir (one lock round-trip for up
-  // to refill_batch packets, plus the one we hand out).
-  std::vector<packet_t*> batch;
-  {
-    std::lock_guard<util::spinlock_t> guard(reservoir_.lock);
-    const std::size_t take =
-        std::min<std::size_t>(refill_batch + 1, reservoir_.items.size());
-    batch.assign(reservoir_.items.end() - take, reservoir_.items.end());
-    reservoir_.items.resize(reservoir_.items.size() - take);
-  }
-  if (batch.empty()) {
-    // Reservoir dry too: raid the richest sibling shard for half its list.
-    // Imbalance-rate path — the spill threshold keeps it rare.
-    std::size_t victim = s, best = 0;
-    for (std::size_t i = 0; i < nshards_; ++i) {
-      if (i == s) continue;
-      const std::size_t n = shard_lists_[i].items.size();  // racy peek
-      if (n > best) {
-        best = n;
-        victim = i;
-      }
-    }
-    if (victim == s) return nullptr;
-    freelist_t& vfl = shard_lists_[victim];
-    std::lock_guard<util::spinlock_t> guard(vfl.lock);
-    const std::size_t take = (vfl.items.size() + 1) / 2;
-    if (take == 0) return nullptr;
-    // Take the front (cold) half, leaving the victim its hot tail.
-    batch.assign(vfl.items.begin(), vfl.items.begin() + take);
-    vfl.items.erase(vfl.items.begin(), vfl.items.begin() + take);
-  }
-  packet_t* packet = batch.back();
-  batch.pop_back();
-  if (!batch.empty()) {
-    std::lock_guard<util::spinlock_t> guard(fl.lock);
-    fl.items.insert(fl.items.end(), batch.begin(), batch.end());
-  }
-  return packet;
-}
-
-void packet_pool_impl_t::put_sharded(packet_t* packet) {
-  freelist_t& fl = shard_lists_[shard_of()];
-  std::vector<packet_t*> spill;
-  {
-    std::lock_guard<util::spinlock_t> guard(fl.lock);
-    fl.items.push_back(packet);
-    if (fl.items.size() > spill_high_) {
-      // Over high-water: move the front (coldest) refill_batch packets out
-      // while holding only our own lock; hand them to the reservoir after.
-      spill.assign(fl.items.begin(), fl.items.begin() + refill_batch);
-      fl.items.erase(fl.items.begin(), fl.items.begin() + refill_batch);
-    }
-  }
-  if (!spill.empty()) {
-    std::lock_guard<util::spinlock_t> guard(reservoir_.lock);
-    reservoir_.items.insert(reservoir_.items.end(), spill.begin(),
-                            spill.end());
-  }
-}
-
 packet_t* packet_pool_impl_t::get() {
-  if (nshards_ > 1) return get_sharded();
   deque_t* local = local_deque();
   packet_t* packet = nullptr;
   if (local->pop_tail(&packet)) return packet;
@@ -196,20 +93,11 @@ void packet_pool_impl_t::put(packet_t* packet) {
     ::operator delete(packet, std::align_val_t{util::cache_line_size});
     return;
   }
-  if (nshards_ > 1) {
-    put_sharded(packet);
-    return;
-  }
   local_deque()->push_tail(packet);
 }
 
 std::size_t packet_pool_impl_t::pooled_approx() const noexcept {
   std::size_t total = 0;
-  if (nshards_ > 1) {
-    for (std::size_t i = 0; i < nshards_; ++i)
-      total += shard_lists_[i].items.size();  // racy peek, approximate
-    return total + reservoir_.items.size();
-  }
   const std::size_t n = deques_.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (const deque_t* d = deques_.get(i)) total += d->size_approx();

@@ -46,16 +46,10 @@ runtime_impl_t::runtime_impl_t(std::shared_ptr<net::fabric_t> fabric, int rank,
   if (attr_.reg_cache_entries > 0)
     reg_cache_ = std::make_unique<net::reg_cache_t>(net_context_.get(),
                                                     attr_.reg_cache_entries);
-  // Receive-path sharding: the default pool and engine are partitioned by
-  // the same shard count the devices use, so a pinned thread's packet draws
-  // and matching-bucket traffic stay on its shard's freelist/segment. The
-  // collective engine stays unsegmented: collective keys use wildcard-ish
-  // derivations and see purge-rate traffic, not the per-message fast path.
-  const std::size_t nshards = std::max<std::size_t>(1, attr_.device_shards);
-  default_pool_ = std::make_unique<packet_pool_impl_t>(
-      attr_.npackets, attr_.packet_size, nshards);
+  default_pool_ = std::make_unique<packet_pool_impl_t>(attr_.npackets,
+                                                       attr_.packet_size);
   default_engine_ = std::make_unique<matching_engine_impl_t>(
-      attr_.matching_engine_buckets, nshards);
+      attr_.matching_engine_buckets);
   coll_engine_ = std::make_unique<matching_engine_impl_t>(1024);
   register_engine(default_engine_.get());  // id 0
   register_engine(coll_engine_.get());     // id 1

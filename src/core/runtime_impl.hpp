@@ -702,6 +702,10 @@ class runtime_impl_t {
  private:
   std::size_t purge_dead_peer(int peer, bool everything);
   std::size_t force_kill_tracked(errorcode_t code);
+  // Drops terminal records from tracked_ops_; op_lock_ held.
+  void prune_terminal_ops();
+  // Tracked ops not yet terminal (prunes the terminal ones).
+  std::size_t live_tracked_ops();
 
  public:
   const runtime_attr_t attr_;

@@ -37,6 +37,14 @@ class mpi_device_t final : public device_t {
 
   ~mpi_device_t() override {
     // Outstanding requests reference engine state; callers quiesce first.
+    // The AM preposts are always outstanding: cancel the unmatched ones and
+    // retire any that completed since the last sweep.
+    std::lock_guard<lci::util::spinlock_t> guard(am_lock_);
+    for (const tracked_t& prepost : am_preposts_) {
+      if (engine_->cancel_recv(prepost.request)) continue;
+      simmpi::status_t status;
+      engine_->test_nopoll(prepost.request, &status);
+    }
   }
 
   post_t post_am(int dst, void* buffer, std::size_t size, int tag) override {

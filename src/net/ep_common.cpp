@@ -68,42 +68,7 @@ bool ep_device_t::is_peer_down(int rank) const {
 
 uint64_t ep_device_t::death_epoch() const { return fabric_->death_epoch(); }
 
-void ep_device_t::set_single_consumer(bool enable) {
-  if (!enable) {
-    mpsc_cq_.reset();
-    return;
-  }
-  if (mpsc_cq_) return;
-  const std::size_t cap = std::min<std::size_t>(
-      std::max<std::size_t>(fabric_->config().cq_depth, 1024), 8192);
-  mpsc_cq_ = std::make_unique<util::mpsc_queue_t<cqe_t>>(cap);
-}
-
 void ep_device_t::push_cqe(const cqe_t& cqe) {
-  if (mpsc_cq_) {
-    // Fast path: one Vyukov push, no lock. The spill opens only when the
-    // ring fills; once open, every push detours through it (under cq_lock_)
-    // until the consumer drains it — that keeps per-producer FIFO intact,
-    // which is the order non-overtaking needs (one sender's frames are
-    // always dispatched by one thread).
-    if (!spilled_.load(std::memory_order_relaxed) && mpsc_cq_->try_push(cqe)) {
-      ring_doorbell();
-      return;
-    }
-    {
-      std::lock_guard<util::spinlock_t> guard(cq_lock_);
-      // Re-check under the lock: the consumer clears spilled_ under
-      // cq_lock_, so the flag is authoritative here. A racing ring slot may
-      // also have freed up.
-      if (spilled_.load(std::memory_order_relaxed) ||
-          !mpsc_cq_->try_push(cqe)) {
-        spilled_.store(true, std::memory_order_relaxed);
-        cq_.push_back(cqe);
-      }
-    }
-    ring_doorbell();
-    return;
-  }
   {
     std::lock_guard<util::spinlock_t> guard(cq_lock_);
     cq_.push_back(cqe);
@@ -367,32 +332,6 @@ poll_result_t ep_device_t::poll_cq(cqe_t* out, std::size_t max) {
   fabric_->pump_once();
   drain_all_pending();
   poll_result_t result;
-  if (mpsc_cq_) {
-    // Empty fast path after the pump: two relaxed loads, no claim CAS —
-    // this is what makes a progress loop over N mostly-idle shards cheap.
-    if (mpsc_cq_->empty_approx() && !spilled_.load(std::memory_order_relaxed))
-      return result;
-    auto claim = mpsc_cq_->try_claim_consumer();
-    if (!claim) return result;  // another thread is consuming this round
-    while (result.count < max) {
-      auto cqe = mpsc_cq_->try_pop();
-      if (!cqe) break;
-      out[result.count++] = *cqe;
-    }
-    // Ring drained to empty (all ring entries predate all spill entries, so
-    // this order preserves FIFO): now serve the spill. While spilled_ is
-    // set no producer pushes the ring, so it stays empty across this drain;
-    // clearing the flag under cq_lock_ hands producers the ring back.
-    if (result.count < max && spilled_.load(std::memory_order_relaxed)) {
-      std::lock_guard<util::spinlock_t> guard(cq_lock_);
-      while (result.count < max && !cq_.empty()) {
-        out[result.count++] = cq_.front();
-        cq_.pop_front();
-      }
-      if (cq_.empty()) spilled_.store(false, std::memory_order_relaxed);
-    }
-    return result;
-  }
   std::lock_guard<util::spinlock_t> guard(cq_lock_);
   while (result.count < max && !cq_.empty()) {
     out[result.count++] = cq_.front();

@@ -47,7 +47,6 @@
 
 #include "net/net.hpp"
 #include "util/mpmc_array.hpp"
-#include "util/mpsc_queue.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
 
@@ -145,15 +144,6 @@ class ep_device_t final : public device_t {
 
   int context() const { return context_; }
 
-  // Single-consumer CQ mode (receive-path sharding; see net.hpp). Setup-time
-  // only — call before any traffic reaches the device. The lock-model CQ
-  // deque becomes an overflow spill behind a bounded lock-free MPSC ring:
-  // producers never spin (the CQ stays logically unbounded) and per-producer
-  // FIFO — the order that matters for non-overtaking, since one sender's
-  // frames are always dispatched by one thread — is preserved by routing
-  // *every* push to the spill once it opens, until the consumer drains it.
-  void set_single_consumer(bool enable) override;
-
  private:
   struct prepost_t {
     void* buffer = nullptr;
@@ -209,13 +199,10 @@ class ep_device_t final : public device_t {
   const int context_;
   int index_ = -1;
 
-  // Legacy mode: cq_ is the CQ (cq_lock_ per push/poll). MPSC mode
-  // (mpsc_cq_ != null): cq_ is the overflow spill, spilled_ tells producers
-  // the spill is open and consumers that it needs draining.
+  // The CQ: a locked deque, unbounded because it also carries inbound
+  // frames, which a producer can neither refuse nor spin on.
   mutable util::spinlock_t cq_lock_;
   std::deque<cqe_t> cq_;
-  std::unique_ptr<util::mpsc_queue_t<cqe_t>> mpsc_cq_;
-  std::atomic<bool> spilled_{false};
 
   mutable util::spinlock_t srq_lock_;
   std::deque<prepost_t> srq_;

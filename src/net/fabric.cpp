@@ -73,16 +73,17 @@ void sim_fabric_t::unregister_device(int rank, int context, int index) {
       state.contexts.get(static_cast<std::size_t>(context));
   slot->devices.put(static_cast<std::size_t>(index), nullptr);
   // Drain peers still pinned inside route() -> wire_push() -> doorbell ring:
-  // they routed before the slot was cleared and may hold a pointer to this
-  // device. Once every cell has been seen at zero no such pointer survives.
-  // Pins span a single post call, so this wait is short and cannot deadlock
-  // (a pinned thread never unregisters or blocks on teardown).
+  // their pin's re-check of the slot may have run before the clear, so they
+  // may hold a pointer to this device. Once every cell has been seen at zero
+  // no such pointer survives. Pins span a single post call, so this wait is
+  // short and cannot deadlock (a pinned thread never unregisters or blocks
+  // on teardown).
   //
   // Each cell is read with an RMW, not a load: the RMW lands in the cell's
   // modification order after the slot clear, so a pin taken after it
-  // acquires the clear (route() skips this device) and a pin taken before it
-  // is counted. A plain load could be satisfied before the clear is visible
-  // to a concurrent poster (store-load reordering).
+  // acquires the clear (route()'s re-check rejects this device) and a pin
+  // taken before it is counted. A plain load could be satisfied before the
+  // clear is visible to a concurrent poster (store-load reordering).
   for (route_pin_cell_t& cell : state.route_pins) {
     util::backoff_t backoff;
     while (cell.count.fetch_add(0, std::memory_order_acq_rel) != 0)
@@ -90,27 +91,53 @@ void sim_fabric_t::unregister_device(int rank, int context, int index) {
   }
 }
 
-sim_device_t* sim_fabric_t::route(int rank, int context,
-                                  int src_index) const {
+const sim_fabric_t::context_devices_t* sim_fabric_t::devices_of(
+    int rank, int context) const {
   const rank_state_t& state = *ranks_[static_cast<std::size_t>(rank)];
   if (static_cast<std::size_t>(context) >= state.contexts.size())
     return nullptr;  // the peer has not created this context yet
-  const context_devices_t* slot =
-      state.contexts.get(static_cast<std::size_t>(context));
-  if (slot == nullptr) return nullptr;
-  const auto& devices = slot->devices;
+  return state.contexts.get(static_cast<std::size_t>(context));
+}
+
+sim_device_t* sim_fabric_t::find_route(const context_devices_t& slots,
+                                       int src_index,
+                                       std::size_t* slot) const {
+  const auto& devices = slots.devices;
   const std::size_t n = devices.size();
   const auto paired = static_cast<std::size_t>(src_index);
   if (paired >= n) return nullptr;  // not created yet
   sim_device_t* d = devices.get(paired);
   if (d == reserved_slot()) return nullptr;  // still under construction
+  *slot = paired;
   if (d != nullptr) return d;
   // The paired device was freed: any live one will do.
   for (std::size_t k = 1; k < n; ++k) {
-    sim_device_t* other = devices.get((paired + k) % n);
+    *slot = (paired + k) % n;
+    sim_device_t* other = devices.get(*slot);
     if (is_live(other)) return other;
   }
   return nullptr;
+}
+
+sim_fabric_t::route_t sim_fabric_t::route(int rank, int context,
+                                          int src_index) {
+  const context_devices_t* slots = devices_of(rank, context);
+  if (slots == nullptr) return {};
+  // Look up first, pin after, then re-check the slot. The lookup reads only
+  // registry slots, never a device, so it needs no pin; and once paired
+  // devices are freed it scans every freed slot, which under a held pin
+  // would keep unregister_device's drain from seeing a zero. The re-check
+  // makes the late pin safe: a pin taken after the drain's RMW on its cell
+  // acquires the slot clear, so the re-read sees the slot emptied (slots are
+  // never reused) and the lookup runs again; a pin taken before it is
+  // counted, and the drain waits for it.
+  while (true) {
+    std::size_t slot = 0;
+    sim_device_t* d = find_route(*slots, src_index, &slot);
+    if (d == nullptr) return {};
+    route_t routed{d, pin_route(rank)};
+    if (slots->devices.get(slot) == d) return routed;
+  }
 }
 
 bool sim_fabric_t::kill_rank(int rank) {

@@ -137,7 +137,9 @@ struct fault_config_t {
 struct config_t {
   lock_model_t lock_model = lock_model_t::ibv;
   td_strategy_t td_strategy = td_strategy_t::per_qp;
-  // Per-device completion-queue depth; a full CQ back-pressures sends.
+  // Per-device completion-queue depth; a full CQ back-pressures sends. The
+  // sim's CQ ring clamps it to 1024..8192 entries, and its posts stop at
+  // half the ring.
   std::size_t cq_depth = 65536;
   // Per-device wire-mailbox depth; a full mailbox back-pressures senders
   // (models NIC flow control / RNR).
@@ -249,16 +251,6 @@ class device_t {
   // outlive the device or be cleared before it dies; backends without wakeup
   // support may ignore it (owners fall back to bounded sleeps).
   virtual void set_doorbell(doorbell_t* doorbell) { (void)doorbell; }
-
-  // Single-consumer completion-queue mode (opt-in). An owner that guarantees
-  // at most one thread drains this device's CQ at a time — e.g. a sharded
-  // device whose progress loop claims each shard's CQ through a cursor — may
-  // enable this during setup, before any traffic flows. Backends that honour
-  // it replace the lock-model CQ lock with a bounded lock-free MPSC queue: a
-  // CAS-claimed consumer, lock-free producers, and an RMW-free empty fast
-  // path for idle polls. Backends without such a mode ignore the call, and
-  // the default-off state is bit-identical to the pre-MPSC behavior.
-  virtual void set_single_consumer(bool enable) { (void)enable; }
 };
 
 class context_t {

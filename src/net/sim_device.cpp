@@ -21,10 +21,21 @@ inline void end_wire_span(uint64_t trace_id, uint8_t err, int rank = -1,
   lci::trace::end(lci::trace::span_t{trace_id, 0}, lci::trace::kind_t::wire,
                   err, rank, 0, size);
 }
+
+// The CQ ring's capacity: the configured cq_depth, clamped so a deep one
+// does not turn into megabytes of ring per endpoint. Only local completions
+// enter it (wire deliveries go straight into the poll batch), so
+// send_depth_limit() on the posts is its whole overflow protection.
+std::size_t cq_capacity(const config_t& config) {
+  return std::clamp<std::size_t>(config.cq_depth, 1024, 8192);
+}
 }  // namespace
 
 sim_device_t::sim_device_t(sim_fabric_t* fabric, int rank, int context)
-    : fabric_(fabric), rank_(rank), context_(context) {
+    : fabric_(fabric),
+      rank_(rank),
+      context_(context),
+      cq_(cq_capacity(fabric->config())) {
   if (fabric_->config().lock_model == lock_model_t::ibv &&
       fabric_->config().td_strategy == td_strategy_t::per_qp) {
     qp_locks_ = std::make_unique<util::try_lock_wrapper_t[]>(
@@ -50,40 +61,19 @@ sim_device_t::~sim_device_t() {
   fabric_->unregister_device(rank_, context_, index_);
 }
 
-void sim_device_t::set_single_consumer(bool enable) {
-  if (!enable) {
-    mpsc_cq_.reset();
-    return;
-  }
-  if (mpsc_cq_) return;
-  // Bounded by design; clamped so a deep configured cq_depth does not turn
-  // into megabytes of ring per shard. Only local completions enter it (wire
-  // deliveries go straight into the poll batch), so send_depth_limit() on
-  // the posts is its whole overflow protection.
-  const std::size_t cap =
-      std::min<std::size_t>(std::max<std::size_t>(fabric_->config().cq_depth,
-                                                  1024),
-                            8192);
-  mpsc_cq_ = std::make_unique<util::mpsc_queue_t<cqe_t>>(cap);
-}
-
 void sim_device_t::push_cqe(cqe_t cqe) {
-  if (mpsc_cq_) {
-    // Unreachable in practice: every producer is a post that stopped at
-    // send_depth_limit() (half the ring), so full here needs more
-    // simultaneous posters than capacity/2. Spin rather than lose a
-    // completion; some poller drains the ring in any such scenario.
-    while (!mpsc_cq_->try_push(cqe)) {
-    }
-    return;
+  // Unreachable in practice: every producer is a post that stopped at
+  // send_depth_limit() (half the ring), so full here needs more simultaneous
+  // posters than capacity/2. Spin rather than lose a completion; some poller
+  // drains the ring in any such scenario.
+  while (!cq_.try_push(cqe)) {
   }
-  cq_.push(std::move(cqe));
 }
 
 std::size_t sim_device_t::pop_cqes(cqe_t* out, std::size_t max) {
   std::size_t count = 0;
   while (count < max) {
-    auto cqe = mpsc_cq_ ? mpsc_cq_->try_pop() : cq_.try_pop();
+    auto cqe = cq_.try_pop();
     if (!cqe) break;
     out[count++] = *cqe;
   }
@@ -91,9 +81,7 @@ std::size_t sim_device_t::pop_cqes(cqe_t* out, std::size_t max) {
 }
 
 std::size_t sim_device_t::send_depth_limit() const {
-  const std::size_t depth = effective_send_depth();
-  if (!mpsc_cq_) return depth;
-  return std::min(depth, mpsc_cq_->capacity() / 2);
+  return std::min(effective_send_depth(), cq_.capacity() / 2);
 }
 
 post_result_t sim_device_t::maybe_inject_fault() {
@@ -168,13 +156,12 @@ post_result_t sim_device_t::post_send(int peer_rank, const void* buffer,
       fabric_->config().td_strategy == td_strategy_t::none) {
     uuar = std::unique_lock<util::spinlock_t>(fabric_->uuar_lock());
   }
-  if (cq_size_approx() >= send_depth_limit())
+  if (cq_.size_approx() >= send_depth_limit())
     return post_result_t::retry_full;  // send queue full
   // Pinned until return: wire_push rings the target's doorbell after the
   // push, and the pin keeps the routed device (and doorbell) alive for it.
-  auto pin = fabric_->pin_route(peer_rank);
-  sim_device_t* target = fabric_->route(peer_rank, context_, index_);
-  if (target == nullptr) return post_result_t::retry_full;
+  const auto route = fabric_->route(peer_rank, context_, index_);
+  if (route.target == nullptr) return post_result_t::retry_full;
 
   wire_msg_t msg;
   msg.kind = op_t::send;
@@ -191,7 +178,7 @@ post_result_t sim_device_t::post_send(int peer_rank, const void* buffer,
       trace::begin(trace::kind_t::wire, peer_rank,
                    static_cast<uint32_t>(index_), size);
   msg.trace_id = wire_span.id;
-  if (!target->wire_push(std::move(msg))) {
+  if (!route.target->wire_push(std::move(msg))) {
     trace::end(wire_span, trace::kind_t::wire, wire_err_rejected, peer_rank);
     return post_result_t::retry_full;
   }
@@ -218,16 +205,15 @@ post_result_t sim_device_t::post_write(int peer_rank, const void* local,
       fabric_->config().td_strategy == td_strategy_t::none) {
     uuar = std::unique_lock<util::spinlock_t>(fabric_->uuar_lock());
   }
-  if (cq_size_approx() >= send_depth_limit())
+  if (cq_.size_approx() >= send_depth_limit())
     return post_result_t::retry_full;
 
   // Pinned until return: keeps the routed device (and its doorbell, rung by
   // wire_push after the push) alive across the notify delivery.
-  auto pin = fabric_->pin_route(peer_rank);
-  sim_device_t* target = nullptr;
+  sim_fabric_t::route_t route;
   if (notify) {
-    target = fabric_->route(peer_rank, context_, index_);
-    if (target == nullptr) return post_result_t::retry_full;
+    route = fabric_->route(peer_rank, context_, index_);
+    if (route.target == nullptr) return post_result_t::retry_full;
   }
   char* remote = fabric_->resolve_remote(peer_rank, remote_mr, remote_offset,
                                          size);  // throws on violation
@@ -243,7 +229,7 @@ post_result_t sim_device_t::post_write(int peer_rank, const void* local,
         trace::begin(trace::kind_t::wire, peer_rank,
                      static_cast<uint32_t>(index_), size);
     msg.trace_id = wire_span.id;
-    if (!target->wire_push(std::move(msg))) {
+    if (!route.target->wire_push(std::move(msg))) {
       trace::end(wire_span, trace::kind_t::wire, wire_err_rejected, peer_rank);
       return post_result_t::retry_full;
     }
@@ -272,16 +258,15 @@ post_result_t sim_device_t::post_read(int peer_rank, void* local,
       fabric_->config().td_strategy == td_strategy_t::none) {
     uuar = std::unique_lock<util::spinlock_t>(fabric_->uuar_lock());
   }
-  if (cq_size_approx() >= send_depth_limit())
+  if (cq_.size_approx() >= send_depth_limit())
     return post_result_t::retry_full;
 
   // Pinned until return: keeps the routed device (and its doorbell, rung by
   // wire_push after the push) alive across the notify delivery.
-  auto pin = fabric_->pin_route(peer_rank);
-  sim_device_t* target = nullptr;
+  sim_fabric_t::route_t route;
   if (notify) {
-    target = fabric_->route(peer_rank, context_, index_);
-    if (target == nullptr) return post_result_t::retry_full;
+    route = fabric_->route(peer_rank, context_, index_);
+    if (route.target == nullptr) return post_result_t::retry_full;
   }
   const char* remote =
       fabric_->resolve_remote(peer_rank, remote_mr, remote_offset, size);
@@ -299,7 +284,7 @@ post_result_t sim_device_t::post_read(int peer_rank, void* local,
         trace::begin(trace::kind_t::wire, peer_rank,
                      static_cast<uint32_t>(index_), size);
     msg.trace_id = wire_span.id;
-    if (!target->wire_push(std::move(msg))) {
+    if (!route.target->wire_push(std::move(msg))) {
       trace::end(wire_span, trace::kind_t::wire, wire_err_rejected, peer_rank);
       return post_result_t::retry_full;
     }
@@ -482,24 +467,17 @@ std::size_t sim_device_t::poll_owned(cqe_t* out, std::size_t max) {
 }
 
 poll_result_t sim_device_t::poll_cq(cqe_t* out, std::size_t max) {
-  if (mpsc_cq_) {
-    // Single-consumer mode: no lock-model lock on the poll path at all. The
-    // consumer role is claimed per poll with one CAS, and an idle poll —
-    // nothing completed, nothing on the wire, nothing stalled — returns
-    // after three relaxed loads without even the claim. A push racing past
-    // these loads is caught by the next poll, exactly the eventual-
-    // visibility contract poll loops already live with. A dead rank with
-    // nothing queued needs no purge.
-    if (mpsc_cq_->empty_approx() &&
-        rnr_depth_.load(std::memory_order_relaxed) == 0 &&
-        wire_.empty_approx())
-      return poll_result_t{0, false};
-    auto claim = mpsc_cq_->try_claim_consumer();
-    // Another thread is consuming; it is making the progress this poll would
-    // have made. Not a lock miss: the lock-model locks were never touched.
-    if (!claim) return poll_result_t{0, false};
-    return poll_result_t{poll_owned(out, max), false};
-  }
+  // An idle poll — nothing completed, nothing on the wire, nothing stalled —
+  // returns after three relaxed loads, without an RMW on any lock. A push
+  // racing past these loads is caught by the next poll, exactly the
+  // eventual-visibility contract poll loops already live with. A dead rank
+  // with nothing queued needs no purge.
+  if (cq_.empty_approx() && rnr_depth_.load(std::memory_order_relaxed) == 0 &&
+      wire_.empty_approx())
+    return poll_result_t{0, false};
+  // The lock model's CQ try-lock makes this poller the single consumer of
+  // the CQ and SRQ rings; its release/acquire pair hands one poller's
+  // cursors to the next.
   const bool ofi = fabric_->config().lock_model == lock_model_t::ofi;
   auto guard = ofi ? ep_lock_.guard() : cq_lock_.guard();
   if (!guard) return poll_result_t{0, true};

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/net.hpp"
@@ -100,11 +101,6 @@ class sim_device_t final : public device_t {
   void set_doorbell(doorbell_t* doorbell) override {
     doorbell_.store(doorbell, std::memory_order_release);
   }
-  // Swaps the lock-model CQ lock for the bounded lock-free MPSC queue (see
-  // poll_cq). Setup-time only: the caller must enable it before any traffic
-  // flows on this device, and before any thread other than the constructing
-  // one touches it.
-  void set_single_consumer(bool enable) override;
 
   // Wire-side entry point used by peer devices ("the NIC DMA engine").
   bool wire_push(wire_msg_t msg);
@@ -124,10 +120,10 @@ class sim_device_t final : public device_t {
   std::size_t effective_send_depth() const;
   std::size_t effective_wire_depth() const;
 
-  // The body of poll_cq, run under the polling lock or consumer claim: fills
-  // out[] with local completions and inbound deliveries (see poll_cq).
+  // The body of poll_cq, run under the polling lock: fills out[] with local
+  // completions and inbound deliveries (see poll_cq).
   std::size_t poll_owned(cqe_t* out, std::size_t max);
-  // Under the polling lock or claim: writes up to `max` deliverable wire
+  // Under the polling lock: writes up to `max` deliverable wire
   // messages (RNR stash first) as CQEs straight into out[]; they never pass
   // through the CQ. now_cache amortizes the clock read across a poll: 0 =
   // not read yet, filled on the first timed message.
@@ -136,21 +132,17 @@ class sim_device_t final : public device_t {
   // false: not deliverable yet (deferred, not ready, or RNR: no pre-posted
   // recv).
   bool deliver_one(wire_msg_t& msg, uint64_t& now_cache, cqe_t& out);
-  // Under the polling lock or claim: a dead rank observes nothing, so
-  // everything queued at it evaporates.
+  // Under the polling lock: a dead rank observes nothing, so everything
+  // queued at it evaporates.
   void purge_dead();
 
-  // CQ access shims: the MPSC queue when single-consumer mode is on, the
-  // legacy LCRQ otherwise. The CQ holds local completions only.
+  // The CQ holds local completions only.
   void push_cqe(cqe_t cqe);
   std::size_t pop_cqes(cqe_t* out, std::size_t max);
-  std::size_t cq_size_approx() const noexcept {
-    return mpsc_cq_ ? mpsc_cq_->size_approx() : cq_.size_approx();
-  }
-  // Send-side backpressure threshold. In MPSC mode the queue is bounded, so
-  // posts additionally stop at half the ring: each in-flight poster adds at
-  // most one element past its own threshold check, so the ring cannot
-  // overflow unless more than capacity/2 threads post simultaneously.
+  // Send-side backpressure threshold. The CQ ring is bounded, so posts stop
+  // at half of it: each in-flight poster adds at most one element past its
+  // own threshold check, so the ring cannot overflow unless more than
+  // capacity/2 threads post simultaneously.
   std::size_t send_depth_limit() const;
 
   // Rings the registered doorbell (if any): new work is observable on this
@@ -166,18 +158,16 @@ class sim_device_t final : public device_t {
   int index_ = -1;
 
   util::lcrq_t<wire_msg_t> wire_{1024};
-  util::lcrq_t<cqe_t> cq_{1024};
-  // Single-consumer mode (set_single_consumer): local completions flow
-  // through this bounded lock-free MPSC ring instead of cq_, and poll_cq
-  // claims the consumer role per poll instead of taking the lock-model CQ
-  // lock.
-  std::unique_ptr<util::mpsc_queue_t<cqe_t>> mpsc_cq_;
-  std::deque<wire_msg_t> rnr_stash_;  // guarded by the polling lock / claim
-  // Mirror of rnr_stash_.size(), readable without the polling lock: the MPSC
-  // empty fast path must see stalled messages without claiming the consumer.
+  // The completion queue: a bounded lock-free MPSC ring of local
+  // completions. Posts on any thread produce; its single consumer is whoever
+  // holds the polling lock (see poll_cq).
+  util::mpsc_queue_t<cqe_t> cq_;
+  std::deque<wire_msg_t> rnr_stash_;  // guarded by the polling lock
+  // Mirror of rnr_stash_.size(), readable without the polling lock: the
+  // empty fast path must see stalled messages without taking the lock.
   std::atomic<std::size_t> rnr_depth_{0};
   // Which source leads the next poll's batch (see poll_owned). Guarded by
-  // the polling lock / claim.
+  // the polling lock.
   bool inbound_first_ = false;
   std::atomic<doorbell_t*> doorbell_{nullptr};
 
@@ -191,8 +181,8 @@ class sim_device_t final : public device_t {
 
   // The shared receive queue: a bounded lock-free ring. Its producers are
   // post_recv callers, which keep the lock model's try-lock (srq_lock_ or
-  // ep_lock_); its single consumer is whoever holds the polling lock or
-  // consumer claim, which also orders one consumer's pops before the next's.
+  // ep_lock_); its single consumer is whoever holds the polling lock, which
+  // also orders one consumer's pops before the next's.
   // 1024 entries cover every caller's prepost budget (LCI devices 128,
   // simgex 512, simmpi 256); a post beyond it returns retry_full, like a
   // post past a hardware SRQ's max_wr.
@@ -200,7 +190,8 @@ class sim_device_t final : public device_t {
   util::mpsc_queue_t<prepost_t> srq_{srq_capacity};
 
   // Lock layout (paper Sec. 4.2.3/4.2.4). ibv: per-object locks; ofi: one
-  // endpoint lock used for every operation.
+  // endpoint lock used for every operation. The polling lock is cq_lock_
+  // (ibv) or ep_lock_ (ofi).
   util::try_lock_wrapper_t cq_lock_;
   util::try_lock_wrapper_t srq_lock_;
   util::try_lock_wrapper_t ep_lock_;
@@ -261,13 +252,13 @@ class sim_fabric_t final : public fabric_t,
   int register_device(int rank, int context, sim_device_t* device);
   void publish_device(int rank, int context, int index, sim_device_t* device);
   void unregister_device(int rank, int context, int index);
-  // RAII pin on a target rank's device registry: while held, a pointer
-  // returned by route() (and the doorbell it rings) stays valid —
-  // unregister_device drains all pins before the device memory can go away.
-  // Take it before route() and hold it across wire_push(), which rings the
-  // target's doorbell *after* the push: without the pin the receiver can
-  // consume the message, complete and tear down between the push and the
-  // ring.
+  // RAII pin on a target rank's device registry: while held, a device
+  // pointer read from a registry slot that still held it *after* the pin
+  // was taken (and the doorbell it rings) stays valid — unregister_device
+  // drains all pins before the device memory can go away. route() takes it
+  // and the caller holds it across wire_push(), which rings the target's
+  // doorbell *after* the push: without the pin the receiver can consume the
+  // message, complete and tear down between the push and the ring.
   //
   // A pin is one RMW pair on every post, so it counts in a padded cell keyed
   // by the posting thread: concurrent senders to one rank write different
@@ -284,21 +275,40 @@ class sim_fabric_t final : public fabric_t,
 
   class route_pin_t {
    public:
+    route_pin_t() = default;
     explicit route_pin_t(route_pin_cell_t& cell) : cell_(&cell) {
       cell_->count.fetch_add(1, std::memory_order_acquire);
     }
-    route_pin_t(const route_pin_t&) = delete;
-    route_pin_t& operator=(const route_pin_t&) = delete;
-    ~route_pin_t() { cell_->count.fetch_sub(1, std::memory_order_release); }
+    route_pin_t(route_pin_t&& other) noexcept
+        : cell_(std::exchange(other.cell_, nullptr)) {}
+    route_pin_t& operator=(route_pin_t&& other) noexcept {
+      if (this != &other) {
+        release();
+        cell_ = std::exchange(other.cell_, nullptr);
+      }
+      return *this;
+    }
+    ~route_pin_t() { release(); }
 
    private:
-    route_pin_cell_t* const cell_;
+    void release() noexcept {
+      if (cell_ != nullptr)
+        cell_->count.fetch_sub(1, std::memory_order_release);
+      cell_ = nullptr;
+    }
+    route_pin_cell_t* cell_ = nullptr;
   };
   route_pin_t pin_route(int rank) {
     return route_pin_t(
         ranks_[static_cast<std::size_t>(rank)]
             ->route_pins[util::thread_id() & (route_pin_cells - 1)]);
   }
+  // A routed target device (nullptr: no route, the post retries) and the
+  // pin that keeps it alive while this object lives.
+  struct route_t {
+    sim_device_t* target = nullptr;
+    route_pin_t pin;
+  };
   // Routing: messages from device `src_index` of context `context` arrive at
   // the target rank's same-context device `src_index` — devices are
   // replicated resources, created in the same order on every rank. Until
@@ -306,7 +316,7 @@ class sim_fabric_t final : public fabric_t,
   // falling over to a sibling would split one source endpoint's stream over
   // two target endpoints and lose its FIFO order. Only a freed paired
   // device falls over to another live one (teardown).
-  sim_device_t* route(int rank, int context, int src_index) const;
+  route_t route(int rank, int context, int src_index);
   // Context index allocation (monotonic per rank).
   int next_context_index(int rank);
 
@@ -336,6 +346,11 @@ class sim_fabric_t final : public fabric_t,
   static bool is_live(const sim_device_t* d) noexcept {
     return d != nullptr && d != reserved_slot();
   }
+  // The registry of (rank, context), or nullptr before the rank creates it.
+  const context_devices_t* devices_of(int rank, int context) const;
+  // route()'s unpinned lookup: the target device and the slot it sits in.
+  sim_device_t* find_route(const context_devices_t& slots, int src_index,
+                           std::size_t* slot) const;
   // Lock layout: `dead` is read several times per message by both sides
   // (is_dead), so it sits alone on its line and is written once; the pins
   // every post writes live in their own cells; route()'s registry follows

@@ -1,26 +1,21 @@
-// Bounded lock-free MPSC queue with an explicit consumer-claim protocol.
+// Bounded lock-free MPSC queue.
 //
-// The receive-path completion queue (paper Sec. 4.1.4 / 4.2.3): many
-// producers — wire delivery and local completions posted from any thread —
-// and exactly one consumer at a time, the polling thread that currently
-// holds the claim. Producers use the Vyukov sequence-cell protocol (one CAS
-// on the shared tail plus one cell handoff, producers on different cells
-// never interfere). The consumer side exploits single-consumership: pop is
-// a plain load of the head cursor, one acquire load of the cell sequence,
-// and two relaxed/release stores — no CAS, no RMW on shared state.
+// The sim fabric's completion queue and shared receive queue (paper Sec.
+// 4.1.4 / 4.2.3): many producers — posts from any thread — and exactly one
+// consumer at a time. Producers use the Vyukov sequence-cell protocol (one
+// CAS on the shared tail plus one cell handoff, producers on different
+// cells never interfere). The consumer side exploits single-consumership:
+// pop is a plain load of the head cursor, one acquire load of the cell
+// sequence, and two relaxed/release stores — no CAS, no RMW on shared
+// state.
 //
-// Single-consumership is not assumed, it is enforced: consumers must take
-// the claim (one CAS on an otherwise-uncontended flag) via
-// try_claim_consumer() and pop only while holding the guard. The claim
-// release-stores the flag so the head cursor and cell states written by one
-// consumer happen-before the next claimant's pops — consumer *rotation*
-// (different progress threads claiming in turn) is safe, concurrent
-// consumption is not. An owner that already serializes its consumers under
-// a lock or claim of its own (the sim SRQ, popped by whoever holds its
-// device's poll) may skip this queue's claim; that lock gives the same
-// ordering. empty_approx() is designed to be called without the claim: an
-// empty poll costs two relaxed loads and zero RMWs, which is what makes
-// polling N idle shards cheap.
+// The queue does not serialize its consumers itself: the owner pops only
+// under a lock of its own (the sim device's lock-model try-lock), whose
+// release/acquire pair orders one consumer's head cursor and cell writes
+// before the next consumer's pops — consumer *rotation* is safe, concurrent
+// consumption is not. empty_approx() needs no lock: an empty poll costs two
+// relaxed loads and zero RMWs, which is what makes polling N idle shards
+// cheap.
 #pragma once
 
 #include <atomic>
@@ -89,58 +84,9 @@ class mpsc_queue_t {
     return true;
   }
 
-  // RAII consumer claim. Exactly one guard is live at a time; pops require
-  // a live guard. Movable so a poll function can return early.
-  class consumer_guard_t {
-   public:
-    consumer_guard_t() = default;
-    explicit consumer_guard_t(mpsc_queue_t* owner) : owner_(owner) {}
-    consumer_guard_t(consumer_guard_t&& other) noexcept
-        : owner_(other.owner_) {
-      other.owner_ = nullptr;
-    }
-    consumer_guard_t& operator=(consumer_guard_t&& other) noexcept {
-      if (this != &other) {
-        release();
-        owner_ = other.owner_;
-        other.owner_ = nullptr;
-      }
-      return *this;
-    }
-    consumer_guard_t(const consumer_guard_t&) = delete;
-    consumer_guard_t& operator=(const consumer_guard_t&) = delete;
-    ~consumer_guard_t() { release(); }
-
-    explicit operator bool() const noexcept { return owner_ != nullptr; }
-
-    void release() {
-      if (owner_ != nullptr) {
-        // Publishes this consumer's head/cell writes to the next claimant.
-        owner_->consumer_busy_.value.store(false, std::memory_order_release);
-        owner_ = nullptr;
-      }
-    }
-
-   private:
-    mpsc_queue_t* owner_ = nullptr;
-  };
-
-  // One CAS when the queue is unclaimed; a single relaxed load (no RMW, no
-  // cache-line ownership transfer) when another thread already holds it.
-  consumer_guard_t try_claim_consumer() {
-    if (consumer_busy_.value.load(std::memory_order_relaxed))
-      return consumer_guard_t{};
-    bool expected = false;
-    if (!consumer_busy_.value.compare_exchange_strong(
-            expected, true, std::memory_order_acquire))
-      return consumer_guard_t{};
-    return consumer_guard_t{this};
-  }
-
-  // Non-blocking pop. The caller must be the only consumer: it holds the
-  // consumer claim, or its owner serializes consumers by other means that
-  // also order one consumer's pops before the next's (the sim SRQ pops
-  // under its device's polling lock or CQ claim).
+  // Non-blocking pop. The caller must be the only consumer: its owner
+  // serializes consumers under a lock that also orders one consumer's pops
+  // before the next's.
   std::optional<T> try_pop() {
     const std::size_t pos = head_.value.load(std::memory_order_relaxed);
     cell_t* cell = &cells_[pos & mask_];
@@ -179,7 +125,6 @@ class mpsc_queue_t {
   cell_t* cells_ = nullptr;
   padded<std::atomic<std::size_t>> head_{};
   padded<std::atomic<std::size_t>> tail_{};
-  padded<std::atomic<bool>> consumer_busy_{};
 };
 
 }  // namespace lci::util

@@ -128,6 +128,15 @@ TEST(Attrs, EngineEntriesCountQueuedMessages) {
       (void)lci::post_recv_x(0, &buf, sizeof(buf), tag, {})
           .matching_engine(engine)();
     EXPECT_EQ(lci::get_attr(engine).entries, 3u);
+    // Consume the receives so the engine can be freed empty.
+    for (lci::tag_t tag = 100; tag < 103; ++tag) {
+      while (lci::post_send_x(0, &buf, sizeof(buf), tag, {})
+                 .matching_engine(engine)()
+                 .error.is_retry())
+        lci::progress();
+    }
+    while (lci::get_attr(engine).entries != 0) lci::progress();
+    lci::free_matching_engine(&engine);
     lci::g_runtime_fina();
   });
 }

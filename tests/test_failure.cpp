@@ -9,10 +9,12 @@
 //    hangs, no double completions,
 //  * kill_peer(): the runtime hook behaves like the schedule, and posts
 //    naming a dead rank fail fast with a returned (not thrown) fatal status,
-//  * drain(): force-cancels parked tracked operations and reports the count.
+//  * drain(): force-cancels parked tracked operations and reports the count,
+//    and returns at once when nothing is live (right after a barrier).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <tuple>
@@ -358,6 +360,22 @@ TEST(Drain, QuiescedDeviceDrainsClean) {
   lci::sim::spawn(1, [](int) {
     lci::g_runtime_init(small_attr());
     EXPECT_EQ(lci::drain(lci::device_t{}, 5000), 0u);
+    lci::g_runtime_fina();
+  });
+}
+
+// A barrier's receives are tracked ops, and they are all terminal once it
+// returns: the drain after it finds the device quiet in its cooperative
+// phase instead of running to its 2 s timeout.
+TEST(Drain, QuiescesRightAfterBarrier) {
+  lci::sim::spawn(2, [](int) {
+    lci::g_runtime_init(small_attr());
+    lci::barrier();
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(lci::drain(lci::device_t{}, 2000000), 0u);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(200));
+    lci::barrier();
     lci::g_runtime_fina();
   });
 }

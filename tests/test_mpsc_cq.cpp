@@ -1,12 +1,12 @@
 // Torture tests for the lock-free receive path (docs/INTERNALS.md "Lock
 // layout"): the bounded MPSC completion queue — producers on every thread,
-// consumer rotation through the claim protocol, wraparound and full/empty
-// ring edges — the shard-steered matching engine racing a dead-peer purge
-// with device_shards = 4, and the receive-packet cycle: consumed packets
-// reposted on their own endpoint, with the pool as the fallback. Runs in
-// the tsan tier-1 leg: every test here must stay race-free under concurrent
-// producers, rotating consumers, and a purge walking all bucket segments
-// mid-traffic.
+// consumers rotating under a try-lock as the sim device's pollers do,
+// wraparound and full/empty ring edges — the matching engine racing a
+// dead-peer purge with device_shards = 4, and the receive-packet cycle:
+// consumed packets reposted on their own endpoint, with the pool as the
+// fallback. Runs in the tsan tier-1 leg: every test here must stay
+// race-free under concurrent producers, rotating consumers, and a purge
+// walking every bucket mid-traffic.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,12 +15,14 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/lci.hpp"
 #include "core/runtime_impl.hpp"
 #include "util/mpsc_queue.hpp"
+#include "util/spinlock.hpp"
 
 namespace {
 
@@ -31,8 +33,6 @@ namespace {
 TEST(MpscQueue, WraparoundFullEmptyEdges) {
   lci::util::mpsc_queue_t<int> q(3);  // rounds up to 4
   ASSERT_EQ(q.capacity(), 4u);
-  auto guard = q.try_claim_consumer();
-  ASSERT_TRUE(static_cast<bool>(guard));
   int next_push = 0;
   int next_pop = 0;
   // Five full fill/drain cycles walk the cursors well past one lap of the
@@ -63,38 +63,22 @@ TEST(MpscQueue, WraparoundFullEmptyEdges) {
 }
 
 // ---------------------------------------------------------------------------
-// Claim protocol: exactly one live consumer, release hands over cleanly.
-// ---------------------------------------------------------------------------
-
-TEST(MpscQueue, ConsumerClaimIsExclusive) {
-  lci::util::mpsc_queue_t<int> q(8);
-  auto first = q.try_claim_consumer();
-  ASSERT_TRUE(static_cast<bool>(first));
-  EXPECT_FALSE(static_cast<bool>(q.try_claim_consumer()));  // held
-  // Moving the guard moves the claim, it does not release it.
-  auto moved = std::move(first);
-  EXPECT_TRUE(static_cast<bool>(moved));
-  EXPECT_FALSE(static_cast<bool>(q.try_claim_consumer()));
-  moved.release();
-  auto second = q.try_claim_consumer();  // free again after release
-  EXPECT_TRUE(static_cast<bool>(second));
-}
-
-// ---------------------------------------------------------------------------
-// MPSC torture: producers on every thread, consumers rotating the claim.
+// MPSC torture: producers on every thread, consumers rotating a try-lock.
 // ---------------------------------------------------------------------------
 
 // Four producers hammer a deliberately tiny ring (capacity 64, so the full
 // edge and wraparound fire constantly) while three consumer threads rotate
-// the claim, each popping a small batch per tenure. Checked invariants:
+// a spinlock try-lock — the sim device's lock-model poll lock — each
+// popping a small batch per tenure. Checked invariants:
 //  * exactly-once delivery — every pushed value is popped exactly once;
 //  * per-producer FIFO — values from one producer arrive in push order
 //    (the ring is MPSC: producers interleave, but never reorder
 //    themselves);
-//  * single consumership — the claim admits one popper at a time, and the
-//    release/acquire handoff publishes the previous tenure's cursor so the
-//    per-producer sequence log needs no locking of its own (TSan verifies
-//    exactly that happens-before edge).
+//  * single consumership — the try-lock admits one popper at a time, and
+//    its release/acquire handoff publishes the previous tenure's head
+//    cursor, which the ring itself does not order between consumers, and
+//    the per-producer sequence log (TSan verifies exactly that
+//    happens-before edge).
 TEST(MpscQueue, ProducersEverywhereConsumerRotation) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 3;
@@ -102,12 +86,12 @@ TEST(MpscQueue, ProducersEverywhereConsumerRotation) {
   constexpr long kTotal = kProducers * kPerProducer;
 
   lci::util::mpsc_queue_t<uint64_t> q(64);
+  lci::util::spinlock_t consumer_lock;
   std::atomic<long> popped{0};
   std::atomic<int> live_consumers{0};
   std::atomic<bool> overlap{false};
   std::atomic<bool> misorder{false};
-  // Guarded by the consumer claim (not a lock): only the claim holder
-  // touches it, and the claim handoff publishes it to the next holder.
+  // Guarded by consumer_lock, like the ring's consumer side.
   long last_seq[kProducers];
   for (long& s : last_seq) s = -1;
 
@@ -125,8 +109,7 @@ TEST(MpscQueue, ProducersEverywhereConsumerRotation) {
   for (int c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&] {
       while (popped.load(std::memory_order_relaxed) < kTotal) {
-        auto guard = q.try_claim_consumer();
-        if (!guard) {
+        if (!consumer_lock.try_lock()) {
           std::this_thread::yield();
           continue;
         }
@@ -145,13 +128,14 @@ TEST(MpscQueue, ProducersEverywhereConsumerRotation) {
           popped.fetch_add(1, std::memory_order_relaxed);
         }
         live_consumers.fetch_sub(1, std::memory_order_relaxed);
+        consumer_lock.unlock();
       }
     });
   }
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(popped.load(), kTotal);
-  EXPECT_FALSE(overlap.load()) << "two consumers held the claim at once";
+  EXPECT_FALSE(overlap.load()) << "two consumers held the lock at once";
   EXPECT_FALSE(misorder.load()) << "per-producer FIFO violated";
   for (int p = 0; p < kProducers; ++p)
     EXPECT_EQ(last_seq[p], kPerProducer - 1);
@@ -159,15 +143,13 @@ TEST(MpscQueue, ProducersEverywhereConsumerRotation) {
 }
 
 // ---------------------------------------------------------------------------
-// Purge racing steered inserts at device_shards = 4.
+// Purge racing shard-pinned inserts at device_shards = 4.
 // ---------------------------------------------------------------------------
 
 // Four posters, each pinned to its own shard, stream receives naming rank 1
-// into the segmented matching engine — rank_tag keys steer to per-shard
-// segments, every eighth post uses rank_only (a wildcard key) and lands in
-// the shared global segment. Mid-stream, poster 0 kills the peer: the purge
-// walks every bucket of every segment while the other three posters are
-// still inserting. The accounting invariant is exact: every post either
+// into the matching engine — every eighth post uses rank_only (a wildcard
+// key) instead of rank_tag. Mid-stream, poster 0 kills the peer: the purge
+// walks every bucket while the other three posters are still inserting. The accounting invariant is exact: every post either
 // fails inline with fatal_peer_down (posted after the death was visible) or
 // is queued and must surface exactly once through the CQ as
 // fatal_peer_down — the insert-vs-purge race in post_receive re-removes
@@ -282,6 +264,12 @@ struct packet_census_t {
   std::size_t pooled = 0;
   std::size_t budget = 0;  // per shard
 
+  std::size_t total_preposted() const {
+    std::size_t total = 0;
+    for (std::size_t depth : preposted) total += depth;
+    return total;
+  }
+
   static packet_census_t take() {
     lci::detail::runtime_impl_t* rt = lci::detail::resolve_runtime({});
     lci::detail::device_impl_t& device = rt->default_device();
@@ -353,12 +341,16 @@ TEST(RecvPath, RepostRestoresBudgetAndPool) {
   });
 }
 
-// Under the ofi lock model one endpoint lock serializes a device's posts,
-// its polls and its reposts. Two sender threads per rank keep that lock
-// busy while the rank's main thread dispatches, so reposts miss it and
-// hand their packets to the pool; replenish_preposts() refills from there.
-// Every packet is accounted for afterwards.
-TEST(RecvPath, OfiRepostMissKeepsEveryPacket) {
+// Under the ofi lock model one endpoint lock serializes an endpoint's
+// posts, its polls and its reposts, at every shard count. Two sender
+// threads per rank keep that lock busy while the rank's main thread
+// dispatches, so reposts miss it and hand their packets to the pool;
+// replenish_preposts() refills from there. Every packet is accounted for
+// afterwards. The parameter is the device shard count.
+class OfiRepostMiss : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(OfiRepostMiss, KeepsEveryPacket) {
+  const std::size_t shards = GetParam();
   constexpr int senders = 2;
   constexpr int per_sender = 4000;
   lci::net::config_t fabric;
@@ -368,7 +360,7 @@ TEST(RecvPath, OfiRepostMissKeepsEveryPacket) {
       2,
       [&](int rank) {
         lci::runtime_attr_t attr;
-        attr.device_shards = 1;
+        attr.device_shards = shards;
         lci::g_runtime_init(attr);
         const int peer = 1 - rank;
         lci::comp_t rcq = lci::alloc_cq();
@@ -379,9 +371,12 @@ TEST(RecvPath, OfiRepostMissKeepsEveryPacket) {
         meeting.meet(2);
 
         // The senders only post; this thread alone progresses, so the
-        // prepost count cannot overshoot its budget.
+        // prepost count cannot overshoot its budget. It progresses until its
+        // own senders are done too: their posts stop at a full send queue,
+        // which only this thread's polls drain.
         auto binding = lci::sim::current_binding();
         std::vector<std::thread> threads;
+        std::atomic<int> senders_done{0};
         for (int t = 0; t < senders; ++t) {
           threads.emplace_back([&] {
             lci::sim::scoped_binding_t bound(binding);
@@ -392,10 +387,12 @@ TEST(RecvPath, OfiRepostMissKeepsEveryPacket) {
                          .error.is_retry())
                 std::this_thread::yield();
             }
+            senders_done.fetch_add(1, std::memory_order_release);
           });
         }
         int received = 0;
-        while (received < senders * per_sender) {
+        while (received < senders * per_sender ||
+               senders_done.load(std::memory_order_acquire) < senders) {
           lci::progress();
           const lci::status_t st = lci::cq_pop(rcq);
           if (st.error.is_done()) {
@@ -407,10 +404,11 @@ TEST(RecvPath, OfiRepostMissKeepsEveryPacket) {
         meeting.meet(3);
         for (int i = 0; i < 10; ++i) lci::progress();
         const packet_census_t after = packet_census_t::take();
-        ASSERT_EQ(after.preposted.size(), 1u);
-        EXPECT_EQ(after.preposted[0], after.budget);
-        EXPECT_EQ(after.pooled + after.preposted[0],
-                  before.pooled + before.preposted[0]);
+        ASSERT_EQ(after.preposted.size(), shards);
+        for (std::size_t s = 0; s < shards; ++s)
+          EXPECT_EQ(after.preposted[s], after.budget) << "shard " << s;
+        EXPECT_EQ(after.pooled + after.total_preposted(),
+                  before.pooled + before.total_preposted());
         meeting.meet(4);
 
         lci::barrier();
@@ -420,6 +418,12 @@ TEST(RecvPath, OfiRepostMissKeepsEveryPacket) {
       },
       fabric);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    RecvPath, OfiRepostMiss, ::testing::Values(std::size_t{1}, std::size_t{2}),
+    [](const ::testing::TestParamInfo<std::size_t>& p) {
+      return std::to_string(p.param) + "shards";
+    });
 
 // cq_poll_burst = 1 with traffic both ways: each poll returns one entry,
 // and local send completions and inbound deliveries take turns. A shrunk
