@@ -83,8 +83,14 @@ void announce_self() {
   int& fd = announce_fd();
   if (fd >= 0) return;
   const std::string path = dir + "/boot-" + std::to_string(rank());
-  fd = ::open(path.c_str(), O_CREAT | O_RDWR, 0600);
-  if (fd < 0 || ::flock(fd, LOCK_EX | LOCK_NB) != 0)
+  // Lock first, publish after: the marker appears under its name already
+  // locked. Creating it in place would let a peer's probe open it and take
+  // the free lock in between, declaring this rank dead (and making this
+  // rank's own flock fail).
+  const std::string tmp = path + ".tmp";
+  fd = ::open(tmp.c_str(), O_CREAT | O_RDWR, 0600);
+  if (fd < 0 || ::flock(fd, LOCK_EX | LOCK_NB) != 0 ||
+      ::rename(tmp.c_str(), path.c_str()) != 0)
     throw std::runtime_error("bootstrap: cannot take liveness marker " + path);
 }
 

@@ -10,11 +10,33 @@
 namespace lci::net::detail {
 
 namespace {
-// Wire-span error codes shared with the sim backend (core/trace.hpp renders
-// them): 0 = handed to the transport, 1 = rejected (backpressure bounce),
-// 2 = dropped (peer death).
-constexpr uint8_t wire_err_rejected = 1;
-constexpr uint8_t wire_err_dropped = 2;
+// A target-side notification (remote_write / remote_read) for the device
+// core's inbound queue.
+wire_msg_t notification(op_t kind, const frame_header_t& header,
+                        std::size_t size) {
+  wire_msg_t msg;
+  msg.kind = kind;
+  msg.src_rank = header.src_rank;
+  msg.imm = header.imm;
+  msg.size = static_cast<uint32_t>(size);
+  return msg;
+}
+
+// A post whose frame the transport refused: peer_down when the peer (or
+// this rank) is gone, else retry_full (ring or staging full).
+post_result_t refused(push_status_t status, const trace::span_t& wire_span,
+                      int peer_rank) {
+  const bool down = status == push_status_t::down;
+  trace::end(wire_span, trace::kind_t::wire,
+             down ? wire_err_dropped : wire_err_rejected, peer_rank);
+  return down ? post_result_t::peer_down : post_result_t::retry_full;
+}
+
+// Frames of one stream: same sender, same source device, same context.
+bool same_stream(const frame_header_t& a, const frame_header_t& b) {
+  return a.src_rank == b.src_rank && a.context == b.context &&
+         a.src_device == b.src_device;
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -22,121 +44,56 @@ constexpr uint8_t wire_err_dropped = 2;
 // ---------------------------------------------------------------------------
 
 ep_device_t::ep_device_t(ep_fabric_t* fabric, int context)
-    : fabric_(fabric), context_(context) {
-  index_ = fabric_->add_device(context_, this);
-  // Same seed mix as the sim device: a given (seed, rank, context, device)
-  // replays the same fault schedule regardless of backend.
-  uint64_t mix = fabric_->config().fault.seed;
-  mix ^= util::splitmix64(mix) + static_cast<uint64_t>(fabric_->self_rank());
-  mix ^= util::splitmix64(mix) + static_cast<uint64_t>(context_);
-  mix ^= util::splitmix64(mix) + static_cast<uint64_t>(index_);
-  fault_rng_ = util::xoshiro256_t(mix);
-}
-
-post_result_t ep_device_t::maybe_inject_fault() {
-  const fault_config_t& fault = fabric_->config().fault;
-  if (fault.retry_rate <= 0.0) return post_result_t::ok;
-  if (fault.max_faults != 0 &&
-      injected_faults_.load(std::memory_order_relaxed) >= fault.max_faults)
-    return post_result_t::ok;
-  std::lock_guard<util::spinlock_t> guard(fault_lock_);
-  if (fault_rng_.uniform() >= fault.retry_rate) return post_result_t::ok;
-  injected_faults_.fetch_add(1, std::memory_order_relaxed);
-  return fault_rng_.uniform() < fault.lock_fraction
-             ? post_result_t::retry_lock
-             : post_result_t::retry_full;
-}
-
-bool ep_device_t::draw_loss() {
-  const fault_config_t& fault = fabric_->config().fault;
-  if (fault.loss_rate <= 0.0) return false;
-  std::lock_guard<util::spinlock_t> guard(fault_lock_);
-  return fault_rng_.uniform() < fault.loss_rate;
+    : device_core_t(fabric, &fabric->registry(), fabric->self_rank(), context,
+                    /*inbound_is_wire=*/false),
+      ep_(fabric) {
+  publish();
 }
 
 ep_device_t::~ep_device_t() {
-  fabric_->remove_device(context_, index_);
+  withdraw();
+  ep_->flush_egress();
 }
 
-void ep_device_t::set_doorbell(doorbell_t* doorbell) {
-  doorbell_.store(doorbell, std::memory_order_release);
+frame_header_t ep_device_t::make_header(frame_kind_t kind) const {
+  frame_header_t header;
+  header.kind = static_cast<uint8_t>(kind);
+  header.context = static_cast<uint16_t>(context_);
+  header.src_device = static_cast<uint32_t>(index_);
+  header.src_rank = rank_;
+  return header;
 }
 
-bool ep_device_t::is_peer_down(int rank) const {
-  return fabric_->is_dead(rank);
-}
-
-uint64_t ep_device_t::death_epoch() const { return fabric_->death_epoch(); }
-
-void ep_device_t::push_cqe(const cqe_t& cqe) {
-  {
-    std::lock_guard<util::spinlock_t> guard(cq_lock_);
-    cq_.push_back(cqe);
-  }
-  ring_doorbell();
-}
-
-post_result_t ep_device_t::post_recv(void* buffer, std::size_t size,
-                                     void* user_context) {
-  std::lock_guard<util::spinlock_t> guard(srq_lock_);
-  if (!rnr_stash_.empty()) {
-    // An already-arrived send was waiting for this receive.
-    stash_t msg = std::move(rnr_stash_.front());
-    rnr_stash_.pop_front();
-    std::memcpy(buffer, msg.data.get(), std::min(size, msg.size));
-    // Like the sim, the CQE reports the full wire length so the owner can
-    // detect truncation.
-    push_cqe(cqe_t{op_t::recv, msg.src_rank, msg.imm, msg.size, buffer,
-                   user_context});
-    return post_result_t::ok;
-  }
-  srq_.push_back(prepost_t{buffer, size, user_context});
-  srq_count_.fetch_add(1, std::memory_order_relaxed);
-  return post_result_t::ok;
+push_status_t ep_device_t::push(int peer, const frame_header_t& header,
+                                const char* payload) {
+  if (fabric_->is_dead(peer) || fabric_->is_dead(rank_))
+    return push_status_t::down;
+  if (peer != rank_) return ep_->push_frame(peer, header, payload);
+  accept_frame(header, payload);
+  return push_status_t::ok;
 }
 
 post_result_t ep_device_t::post_send(int peer_rank, const void* buffer,
                                      std::size_t size, uint32_t imm,
                                      void* user_context) {
-  if (fabric_->is_dead(peer_rank) || fabric_->is_dead(fabric_->self_rank()))
-    return post_result_t::peer_down;
-  if (const auto fault = maybe_inject_fault(); fault != post_result_t::ok)
-    return fault;
+  const auto gate = open_post(peer_rank);
+  if (gate.result != post_result_t::ok) return gate.result;
   if (!drain_pending(peer_rank)) return post_result_t::retry_full;
 
   const trace::span_t wire_span =
-      trace::begin(trace::kind_t::wire, peer_rank, 0, size);
-  if (draw_loss()) {
-    // The message evaporates on the wire: the local completion still fires
-    // (the data left our hands — sim loss_rate drops behave the same).
-    trace::end(wire_span, trace::kind_t::wire, wire_err_dropped, peer_rank);
-    wire_dropped_.fetch_add(1, std::memory_order_relaxed);
-    push_cqe(cqe_t{op_t::send, peer_rank, imm, size, nullptr, user_context});
-    fabric_->note_post();
-    return post_result_t::ok;
-  }
-  frame_header_t header;
+      trace::begin(trace::kind_t::wire, peer_rank,
+                   static_cast<uint32_t>(index_), size);
+  frame_header_t header = make_header(frame_kind_t::send);
   header.payload_size = static_cast<uint32_t>(size);
-  header.kind = static_cast<uint8_t>(frame_kind_t::send);
   header.flags = frame_flag_last;
-  header.src_device = static_cast<uint8_t>(index_ & 0xff);
-  header.context = static_cast<uint8_t>(context_ & 0xff);
-  header.src_rank = fabric_->self_rank();
   header.imm = imm;
   header.trace_id = wire_span.id;
-  const auto status = fabric_->push_frame_any(
-      peer_rank, header, static_cast<const char*>(buffer));
-  if (status == ep_fabric_t::push_status_t::full) {
-    trace::end(wire_span, trace::kind_t::wire, wire_err_rejected, peer_rank);
-    return post_result_t::retry_full;
-  }
-  if (status == ep_fabric_t::push_status_t::down) {
-    trace::end(wire_span, trace::kind_t::wire, wire_err_dropped, peer_rank);
-    return post_result_t::peer_down;
-  }
+  const auto status =
+      push(peer_rank, header, static_cast<const char*>(buffer));
+  if (status != push_status_t::ok) return refused(status, wire_span, peer_rank);
   trace::end(wire_span, trace::kind_t::wire, 0, peer_rank);
   push_cqe(cqe_t{op_t::send, peer_rank, imm, size, nullptr, user_context});
-  fabric_->note_post();
+  note_post();
   return post_result_t::ok;
 }
 
@@ -144,32 +101,21 @@ post_result_t ep_device_t::post_write(int peer_rank, const void* local,
                                       std::size_t size, mr_id_t remote_mr,
                                       std::size_t remote_offset, bool notify,
                                       uint32_t imm, void* user_context) {
-  if (fabric_->is_dead(peer_rank) || fabric_->is_dead(fabric_->self_rank()))
-    return post_result_t::peer_down;
-  if (const auto fault = maybe_inject_fault(); fault != post_result_t::ok)
-    return fault;
+  const auto gate = open_post(peer_rank);
+  if (gate.result != post_result_t::ok) return gate.result;
   if (!drain_pending(peer_rank)) return post_result_t::retry_full;
 
   const trace::span_t wire_span =
-      trace::begin(trace::kind_t::wire, peer_rank, 0, size);
-  if (draw_loss()) {
-    trace::end(wire_span, trace::kind_t::wire, wire_err_dropped, peer_rank);
-    wire_dropped_.fetch_add(1, std::memory_order_relaxed);
-    push_cqe(cqe_t{op_t::write, peer_rank, imm, size, nullptr, user_context});
-    fabric_->note_post();
-    return post_result_t::ok;
-  }
-  const std::size_t chunk = fabric_->max_chunk_bytes();
+      trace::begin(trace::kind_t::wire, peer_rank,
+                   static_cast<uint32_t>(index_), size);
+  const std::size_t chunk = ep_->max_chunk_bytes();
   std::vector<pending_tx_t> frames;
   std::size_t done = 0;
   do {
     const std::size_t n = std::min(chunk, size - done);
     pending_tx_t tx;
+    tx.header = make_header(frame_kind_t::write);
     tx.header.payload_size = static_cast<uint32_t>(n);
-    tx.header.kind = static_cast<uint8_t>(frame_kind_t::write);
-    tx.header.src_device = static_cast<uint8_t>(index_ & 0xff);
-    tx.header.context = static_cast<uint8_t>(context_ & 0xff);
-    tx.header.src_rank = fabric_->self_rank();
     tx.header.mr = remote_mr;
     tx.header.offset = remote_offset + done;
     tx.header.aux = size;  // full message size (remote_write CQE length)
@@ -188,7 +134,7 @@ post_result_t ep_device_t::post_write(int peer_rank, const void* local,
   } while (done < size);
   submit_frames(peer_rank, std::move(frames));
   trace::end(wire_span, trace::kind_t::wire, 0, peer_rank);
-  fabric_->note_post();
+  note_post();
   return post_result_t::ok;
 }
 
@@ -196,10 +142,8 @@ post_result_t ep_device_t::post_read(int peer_rank, void* local,
                                      std::size_t size, mr_id_t remote_mr,
                                      std::size_t remote_offset, bool notify,
                                      uint32_t imm, void* user_context) {
-  if (fabric_->is_dead(peer_rank) || fabric_->is_dead(fabric_->self_rank()))
-    return post_result_t::peer_down;
-  if (const auto fault = maybe_inject_fault(); fault != post_result_t::ok)
-    return fault;
+  const auto gate = open_post(peer_rank);
+  if (gate.result != post_result_t::ok) return gate.result;
   if (!drain_pending(peer_rank)) return post_result_t::retry_full;
 
   uint64_t cookie;
@@ -210,58 +154,31 @@ post_result_t ep_device_t::post_read(int peer_rank, void* local,
         pending_read_t{peer_rank, local, size, 0, user_context};
   }
   const trace::span_t wire_span =
-      trace::begin(trace::kind_t::wire, peer_rank, 0, size);
-  if (draw_loss()) {
-    // The request evaporates mid-wire. The pending-read entry stays: the op
-    // finishes through its deadline/cancel path or when the peer dies (the
-    // purge completes outstanding reads), never silently.
-    trace::end(wire_span, trace::kind_t::wire, wire_err_dropped, peer_rank);
-    wire_dropped_.fetch_add(1, std::memory_order_relaxed);
-    fabric_->note_post();
-    return post_result_t::ok;
-  }
-  frame_header_t header;
-  header.payload_size = 0;
-  header.kind = static_cast<uint8_t>(frame_kind_t::read_req);
+      trace::begin(trace::kind_t::wire, peer_rank,
+                   static_cast<uint32_t>(index_), size);
+  frame_header_t header = make_header(frame_kind_t::read_req);
   header.flags = notify ? frame_flag_notify : uint8_t{0};
-  header.src_device = static_cast<uint8_t>(index_ & 0xff);
-  header.context = static_cast<uint8_t>(context_ & 0xff);
-  header.src_rank = fabric_->self_rank();
   header.imm = imm;
   header.mr = remote_mr;
   header.offset = remote_offset;
   header.cookie = cookie;
   header.aux = size;
   header.trace_id = wire_span.id;
-  const auto status = fabric_->push_frame_any(peer_rank, header, nullptr);
-  if (status != ep_fabric_t::push_status_t::ok) {
-    {
-      std::lock_guard<util::spinlock_t> guard(read_lock_);
-      pending_reads_.erase(cookie);
-    }
-    trace::end(wire_span, trace::kind_t::wire,
-               status == ep_fabric_t::push_status_t::down ? wire_err_dropped
-                                                          : wire_err_rejected,
-               peer_rank);
-    return status == ep_fabric_t::push_status_t::down
-               ? post_result_t::peer_down
-               : post_result_t::retry_full;
+  const auto status = push(peer_rank, header, nullptr);
+  if (status != push_status_t::ok) {
+    std::lock_guard<util::spinlock_t> guard(read_lock_);
+    pending_reads_.erase(cookie);
+    return refused(status, wire_span, peer_rank);
   }
   trace::end(wire_span, trace::kind_t::wire, 0, peer_rank);
-  fabric_->note_post();
+  note_post();
   return post_result_t::ok;
-}
-
-bool ep_device_t::pending_empty(int peer_rank) {
-  std::lock_guard<util::spinlock_t> guard(tx_lock_);
-  auto it = pending_tx_.find(peer_rank);
-  return it == pending_tx_.end() || it->second.empty();
 }
 
 void ep_device_t::submit_frames(int peer_rank,
                                 std::vector<pending_tx_t> frames) {
   // Queue first, then drain: keeps the push outside tx_lock_ (a loopback
-  // push re-enters dispatch) while preserving per-peer FIFO.
+  // push re-enters accept_frame) while preserving per-peer FIFO.
   {
     std::lock_guard<util::spinlock_t> guard(tx_lock_);
     auto& queue = pending_tx_[peer_rank];
@@ -273,9 +190,9 @@ void ep_device_t::submit_frames(int peer_rank,
 bool ep_device_t::drain_pending(int peer_rank) {
   for (;;) {
     // Claim the head under the lock, push outside it (a loopback push
-    // re-enters dispatch). A second drainer backs off a claimed head; the
-    // pop / un-claim happens back under the lock, rechecking that the purge
-    // has not swept the queue away meanwhile.
+    // re-enters accept_frame). A second drainer backs off a claimed head;
+    // the pop / un-claim happens back under the lock, rechecking that the
+    // purge has not swept the queue away meanwhile.
     frame_header_t header;
     const char* payload = nullptr;
     {
@@ -288,7 +205,7 @@ bool ep_device_t::drain_pending(int peer_rank) {
       header = head.header;
       payload = head.owned != nullptr ? head.owned.get() : head.payload;
     }
-    const auto status = fabric_->push_frame_any(peer_rank, header, payload);
+    const auto status = push(peer_rank, header, payload);
     bool complete_local = false;
     cqe_t local_cqe{};
     {
@@ -298,7 +215,7 @@ bool ep_device_t::drain_pending(int peer_rank) {
                               !it->second.empty() &&
                               it->second.front().in_flight;
       if (!head_alive) return true;  // purge swept the queue (and completed)
-      if (status == ep_fabric_t::push_status_t::full) {
+      if (status == push_status_t::full) {
         it->second.front().in_flight = false;
         return false;
       }
@@ -306,15 +223,15 @@ bool ep_device_t::drain_pending(int peer_rank) {
       local_cqe = it->second.front().local_cqe;
       it->second.pop_front();
     }
-    if (status == ep_fabric_t::push_status_t::down) {
+    if (status == push_status_t::down) {
       // The rest of the message evaporates; the local completion still
       // fires (the data left our hands — sim wire drops behave the same).
-      wire_dropped_.fetch_add(1, std::memory_order_relaxed);
-      if (complete_local) push_cqe(local_cqe);
+      count_wire_drop();
+      if (complete_local) complete_late(local_cqe);
       purge_peer(peer_rank);
       return true;
     }
-    if (complete_local) push_cqe(local_cqe);
+    if (complete_local) complete_late(local_cqe);
   }
 }
 
@@ -329,70 +246,47 @@ void ep_device_t::drain_all_pending() {
 }
 
 poll_result_t ep_device_t::poll_cq(cqe_t* out, std::size_t max) {
-  fabric_->pump_once();
+  ep_->pump_once();
   drain_all_pending();
-  poll_result_t result;
-  std::lock_guard<util::spinlock_t> guard(cq_lock_);
-  while (result.count < max && !cq_.empty()) {
-    out[result.count++] = cq_.front();
-    cq_.pop_front();
-  }
-  return result;
+  return device_core_t::poll_cq(out, max);
 }
 
 void ep_device_t::accept_frame(const frame_header_t& header,
                                const char* payload) {
   switch (static_cast<frame_kind_t>(header.kind)) {
     case frame_kind_t::send: {
-      std::lock_guard<util::spinlock_t> guard(srq_lock_);
-      if (srq_.empty()) {
-        stash_t stash;
-        stash.src_rank = header.src_rank;
-        stash.imm = header.imm;
-        stash.size = header.payload_size;
-        if (header.payload_size != 0) {
-          stash.data.reset(new char[header.payload_size]);
-          std::memcpy(stash.data.get(), payload, header.payload_size);
-        }
-        rnr_stash_.push_back(std::move(stash));
-        ring_doorbell();
-        return;
-      }
-      prepost_t prepost = srq_.front();
-      srq_.pop_front();
-      srq_count_.fetch_sub(1, std::memory_order_relaxed);
-      std::memcpy(prepost.buffer, payload,
-                  std::min<std::size_t>(prepost.size, header.payload_size));
-      push_cqe(cqe_t{op_t::recv, header.src_rank, header.imm,
-                     header.payload_size, prepost.buffer,
-                     prepost.user_context});
+      wire_msg_t msg;
+      msg.kind = op_t::send;
+      msg.src_rank = header.src_rank;
+      msg.imm = header.imm;
+      msg.set_payload(payload, header.payload_size);
+      wire_push(std::move(msg));
       return;
     }
     case frame_kind_t::write: {
       char* target =
-          fabric_->resolve_mr(header.mr, header.offset, header.payload_size);
+          ep_->resolve_mr(header.mr, header.offset, header.payload_size);
       if (target == nullptr) {
-        wire_dropped_.fetch_add(1, std::memory_order_relaxed);
+        count_wire_drop();
         return;
       }
       std::memcpy(target, payload, header.payload_size);
       if (header.flags & frame_flag_notify)
-        push_cqe(cqe_t{op_t::remote_write, header.src_rank, header.imm,
-                       static_cast<std::size_t>(header.aux), nullptr,
-                       nullptr});
+        wire_push(notification(op_t::remote_write, header,
+                               static_cast<std::size_t>(header.aux)));
       return;
     }
     case frame_kind_t::read_req: {
       const std::size_t size = static_cast<std::size_t>(header.aux);
-      char* source = fabric_->resolve_mr(header.mr, header.offset, size);
+      char* source = ep_->resolve_mr(header.mr, header.offset, size);
       if (source == nullptr) {
-        wire_dropped_.fetch_add(1, std::memory_order_relaxed);
+        count_wire_drop();
         return;
       }
       // Snapshot the region now (read semantics) and answer in owned
-      // chunks. The frames are queued, not pushed — a direct push could
-      // loop back into dispatch while the registry lock is held.
-      const std::size_t chunk = fabric_->max_chunk_bytes();
+      // chunks. The frames are queued, not pushed: the pump that steered
+      // this frame here must not block on the transport.
+      const std::size_t chunk = ep_->max_chunk_bytes();
       std::vector<pending_tx_t> frames;
       std::size_t done = 0;
       do {
@@ -400,9 +294,10 @@ void ep_device_t::accept_frame(const frame_header_t& header,
         pending_tx_t tx;
         tx.header.payload_size = static_cast<uint32_t>(n);
         tx.header.kind = static_cast<uint8_t>(frame_kind_t::read_resp);
-        tx.header.src_device = header.src_device;  // route back to the asker
+        // Route back to the asker: its device index, not this one's.
+        tx.header.src_device = header.src_device;
         tx.header.context = header.context;
-        tx.header.src_rank = fabric_->self_rank();
+        tx.header.src_rank = rank_;
         tx.header.offset = done;  // offset into the initiator's buffer
         tx.header.cookie = header.cookie;
         tx.header.aux = size;
@@ -421,27 +316,29 @@ void ep_device_t::accept_frame(const frame_header_t& header,
       }
       ring_doorbell();  // a poller must come back to drain the response
       if (header.flags & frame_flag_notify)
-        push_cqe(cqe_t{op_t::remote_read, header.src_rank, header.imm, size,
-                       nullptr, nullptr});
+        wire_push(notification(op_t::remote_read, header, size));
       return;
     }
     case frame_kind_t::read_resp: {
-      std::lock_guard<util::spinlock_t> guard(read_lock_);
-      auto it = pending_reads_.find(header.cookie);
-      if (it == pending_reads_.end()) {
-        wire_dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      pending_read_t& read = it->second;
-      if (header.offset + header.payload_size <= read.size)
-        std::memcpy(static_cast<char*>(read.local) + header.offset, payload,
-                    header.payload_size);
-      read.received += header.payload_size;
-      if (header.flags & frame_flag_last) {
-        push_cqe(cqe_t{op_t::read, read.peer_rank, 0, read.size, read.local,
-                       read.user_context});
+      cqe_t done{};
+      {
+        std::lock_guard<util::spinlock_t> guard(read_lock_);
+        auto it = pending_reads_.find(header.cookie);
+        if (it == pending_reads_.end()) {
+          count_wire_drop();
+          return;
+        }
+        pending_read_t& read = it->second;
+        if (header.offset + header.payload_size <= read.size)
+          std::memcpy(static_cast<char*>(read.local) + header.offset, payload,
+                      header.payload_size);
+        read.received += header.payload_size;
+        if (!(header.flags & frame_flag_last)) return;
+        done = cqe_t{op_t::read, read.peer_rank, 0,
+                     read.size, read.local, read.user_context};
         pending_reads_.erase(it);
       }
+      complete_late(done);
       return;
     }
     case frame_kind_t::ping:
@@ -468,7 +365,7 @@ void ep_device_t::purge_peer(int rank) {
           !queue.empty() && queue.front().in_flight ? 1 : 0;
       while (queue.size() > keep) {
         pending_tx_t& tx = queue.back();
-        wire_dropped_.fetch_add(1, std::memory_order_relaxed);
+        count_wire_drop();
         if (tx.complete_local) completions.push_back(tx.local_cqe);
         queue.pop_back();
       }
@@ -485,14 +382,14 @@ void ep_device_t::purge_peer(int rank) {
         completions.push_back(cqe_t{op_t::read, rank, 0, it->second.size,
                                     it->second.local,
                                     it->second.user_context});
-        wire_dropped_.fetch_add(1, std::memory_order_relaxed);
+        count_wire_drop();
         it = pending_reads_.erase(it);
       } else {
         ++it;
       }
     }
   }
-  for (const cqe_t& cqe : completions) push_cqe(cqe);
+  for (const cqe_t& cqe : completions) complete_late(cqe);
 }
 
 // ---------------------------------------------------------------------------
@@ -519,26 +416,17 @@ void ep_context_t::deregister_memory(mr_id_t id) {
 // ---------------------------------------------------------------------------
 
 ep_fabric_t::ep_fabric_t(int self_rank, int nranks, const config_t& config)
-    : self_(self_rank), nranks_(nranks), config_(config) {
-  dead_.reset(new std::atomic<bool>[static_cast<std::size_t>(nranks)]);
-  purged_.reset(new bool[static_cast<std::size_t>(nranks)]);
+    : core_fabric_t(nranks, config), self_(self_rank) {
+  purged_.reset(new bool[static_cast<std::size_t>(nranks)]());
   last_heard_us_.reset(
       new std::atomic<uint64_t>[static_cast<std::size_t>(nranks)]);
   const uint64_t now = now_us();
-  for (int r = 0; r < nranks; ++r) {
-    dead_[static_cast<std::size_t>(r)].store(false, std::memory_order_relaxed);
-    purged_[static_cast<std::size_t>(r)] = false;
+  for (int r = 0; r < nranks; ++r)
     last_heard_us_[static_cast<std::size_t>(r)].store(
         now, std::memory_order_relaxed);
-  }
-  delayed_.resize(static_cast<std::size_t>(nranks));
-  // A distinct stream from the devices' (constant salt instead of a device
-  // index) so receive-side delay draws do not correlate with post faults.
-  uint64_t mix = config_.fault.seed;
-  mix ^= util::splitmix64(mix) + static_cast<uint64_t>(self_rank);
-  mix ^= util::splitmix64(mix) + 0x9e3779b97f4a7c15ull;
-  delay_rng_ = util::xoshiro256_t(mix);
 }
+
+ep_fabric_t::~ep_fabric_t() = default;
 
 uint64_t ep_fabric_t::now_us() {
   return static_cast<uint64_t>(
@@ -594,15 +482,6 @@ void ep_fabric_t::liveness_sweep() {
   }
 }
 
-void ep_fabric_t::note_post() {
-  const fault_config_t& fault = config_.fault;
-  if (fault.kill_rank != self_ || fault.kill_after_ops == 0) return;
-  if (is_dead(self_)) return;
-  if (post_count_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-      fault.kill_after_ops)
-    kill_rank(self_);
-}
-
 void ep_fabric_t::apply_kill_schedule() {
   const fault_config_t& fault = config_.fault;
   // kill_after_ops == 0: dead from launch (the sim fabric does the same).
@@ -611,65 +490,59 @@ void ep_fabric_t::apply_kill_schedule() {
 
 void ep_fabric_t::poison_self() { kill_rank(self_); }
 
-ep_fabric_t::~ep_fabric_t() = default;
-
 std::unique_ptr<context_t> ep_fabric_t::create_context(int rank) {
   if (rank != self_)
     throw std::invalid_argument(
         "real backends host exactly one rank per process");
-  int index;
-  {
-    std::lock_guard<util::spinlock_t> guard(dev_lock_);
-    index = next_context_++;
-    context_storage_.push_back(std::make_unique<context_devices_t>());
-    contexts_.push_back(context_storage_.back().get());
-  }
   return std::make_unique<ep_context_t>(
-      std::static_pointer_cast<ep_fabric_t>(shared_from_this()), index);
+      std::static_pointer_cast<ep_fabric_t>(shared_from_this()),
+      registry_.add_context());
 }
 
 bool ep_fabric_t::mark_dead_local(int rank) {
-  if (rank < 0 || rank >= nranks_) return false;
-  bool expected = false;
-  if (!dead_[static_cast<std::size_t>(rank)].compare_exchange_strong(
-          expected, true, std::memory_order_acq_rel))
-    return false;
-  death_epoch_.fetch_add(1, std::memory_order_release);
-  ring_all_doorbells();
+  if (rank < 0 || rank >= nranks_ || !mark_dead(rank)) return false;
+  registry_.ring_all();
   return true;
 }
 
-ep_fabric_t::push_status_t ep_fabric_t::push_frame_any(
-    int peer, const frame_header_t& header, const char* payload) {
-  if (is_dead(peer) || is_dead(self_)) return push_status_t::down;
-  if (peer == self_) {
-    dispatch_frame(header, payload);
-    return push_status_t::ok;
-  }
-  return push_frame(peer, header, payload);
+void ep_fabric_t::note_hangup(int rank) {
+  if (std::find(hangups_.begin(), hangups_.end(), rank) == hangups_.end())
+    hangups_.push_back(rank);
+}
+
+void ep_fabric_t::commit_hangups() {
+  if (hangups_.empty()) return;
+  // Generous next to a poll loop's rate: it only bounds how long a device
+  // that is never polled can hold a hangup back.
+  constexpr uint32_t max_pumps = 1024;
+  bool delivered = true;
+  registry_.for_each_live(
+      [&](device_core_t& device) { delivered &= device.inbound_idle(); });
+  if (!delivered && ++hangup_pumps_ < max_pumps) return;
+  for (const int rank : hangups_) mark_dead_local(rank);
+  hangups_.clear();
+  hangup_pumps_ = 0;
 }
 
 void ep_fabric_t::pump_once() {
   if (!pump_lock_.try_lock()) return;
+  release_held();
+  // Before this round's ingress: the frames an earlier round took from a
+  // hung-up peer have had a poll to reach the runtime.
+  commit_hangups();
   pump(config_.poll_burst != 0 ? config_.poll_burst : 64);
-  drain_delayed();
-  // A death observed since the last pump (a tombstone another process wrote,
-  // a hangup, a kill_rank call) triggers the one-time per-rank purge.
   const uint64_t epoch = death_epoch();
   if (epoch != purged_epoch_) {
     for (int r = 0; r < nranks_; ++r) {
       if (purged_[static_cast<std::size_t>(r)] || !is_dead(r)) continue;
       purged_[static_cast<std::size_t>(r)] = true;
       on_peer_dead(r);
-      std::lock_guard<util::spinlock_t> guard(dev_lock_);
-      for (const auto& ctx : context_storage_) {
-        const std::size_t n = ctx->slots.size();
-        for (std::size_t i = 0; i < n; ++i)
-          if (ep_device_t* device = ctx->slots.get(i)) device->purge_peer(r);
-      }
+      registry_.for_each_live([r](device_core_t& device) {
+        static_cast<ep_device_t&>(device).purge_peer(r);
+      });
     }
     purged_epoch_ = epoch;
-    ring_all_doorbells();
+    registry_.ring_all();
   }
   pump_lock_.unlock();
 }
@@ -688,8 +561,7 @@ void ep_fabric_t::dispatch_frame(const frame_header_t& header,
     handle_control(header);
     return;
   }
-  if (maybe_delay_frame(header, payload)) return;
-  route_frame(header, payload);
+  steer_frame(header, payload);
 }
 
 void ep_fabric_t::handle_control(const frame_header_t& header) {
@@ -718,135 +590,41 @@ void ep_fabric_t::handle_control(const frame_header_t& header) {
   }
 }
 
-bool ep_fabric_t::maybe_delay_frame(const frame_header_t& header,
-                                    const char* payload) {
-  const fault_config_t& fault = config_.fault;
-  if (fault.delay_rate <= 0.0) return false;
-  const int src = header.src_rank;
-  if (src < 0 || src >= nranks_ || src == self_) return false;
-  std::lock_guard<util::spinlock_t> guard(delay_lock_);
-  auto& queue = delayed_[static_cast<std::size_t>(src)];
-  uint32_t polls = 0;
-  if (delay_rng_.uniform() < fault.delay_rate)
-    polls = fault.delay_polls != 0 ? fault.delay_polls : 1;
-  // An undelayed frame behind a held one still queues (polls 0): per-sender
-  // FIFO survives the hold.
-  if (polls == 0 && queue.empty()) return false;
-  delayed_frame_t held;
-  held.header = header;
-  if (header.payload_size != 0) {
-    held.payload.reset(new char[header.payload_size]);
-    std::memcpy(held.payload.get(), payload, header.payload_size);
-  }
-  held.polls_left = polls;
-  queue.push_back(std::move(held));
-  has_delayed_.store(true, std::memory_order_release);
+bool ep_fabric_t::deliver(const frame_header_t& header, const char* payload,
+                          const std::deque<held_frame_t>& waiting) {
+  if (std::any_of(waiting.begin(), waiting.end(), [&](const held_frame_t& f) {
+        return same_stream(f.header, header);
+      }))
+    return false;
+  // Pinned until the frame is in: the device cannot go away meanwhile.
+  const auto route =
+      registry_.route(header.context, static_cast<int>(header.src_device));
+  if (route.target == nullptr) return false;
+  static_cast<ep_device_t*>(route.target)->accept_frame(header, payload);
   return true;
 }
 
-void ep_fabric_t::drain_delayed() {
-  // Pump lock held: single drainer. One hold-countdown tick per pump round,
-  // then every consecutively ready frame delivers in arrival order.
-  if (!has_delayed_.load(std::memory_order_acquire)) return;
-  bool any_left = false;
-  for (int src = 0; src < nranks_; ++src) {
-    for (;;) {
-      delayed_frame_t frame;
-      {
-        std::lock_guard<util::spinlock_t> guard(delay_lock_);
-        auto& queue = delayed_[static_cast<std::size_t>(src)];
-        if (queue.empty()) break;
-        delayed_frame_t& head = queue.front();
-        if (head.polls_left != 0) {
-          --head.polls_left;
-          any_left = true;
-          break;
-        }
-        frame = std::move(head);
-        queue.pop_front();
-      }
-      if (!is_dead(src))  // stale frames from a dead rank evaporate
-        route_frame(frame.header,
-                    frame.payload != nullptr ? frame.payload.get() : nullptr);
-    }
-  }
-  if (!any_left) {
-    std::lock_guard<util::spinlock_t> guard(delay_lock_);
-    bool any = false;
-    for (const auto& queue : delayed_)
-      if (!queue.empty()) {
-        any = true;
-        break;
-      }
-    has_delayed_.store(any, std::memory_order_release);
-  }
-}
-
-void ep_fabric_t::route_frame(const frame_header_t& header,
+void ep_fabric_t::steer_frame(const frame_header_t& header,
                               const char* payload) {
-  // Lock-free steering: index-mod pick the destination shard's device and
-  // hand it the frame without dev_lock_ — concurrent routers (the pumper
-  // plus any loopback poster) deliver in parallel instead of serializing
-  // behind one lock across the payload memcpy. The seq_cst ordering pairs
-  // with remove_device's fence: either the remover sees our router count
-  // (and waits), or we see its nulled slot.
-  routers_.fetch_add(1, std::memory_order_seq_cst);
-  const std::size_t ctx_index = header.context;
-  if (ctx_index < contexts_.size()) {
-    if (context_devices_t* ctx = contexts_.get(ctx_index)) {
-      const std::size_t n = ctx->slots.size();
-      if (n != 0) {
-        const std::size_t start =
-            static_cast<std::size_t>(header.src_device) % n;
-        for (std::size_t k = 0; k < n; ++k) {
-          if (ep_device_t* device = ctx->slots.get((start + k) % n)) {
-            device->accept_frame(header, payload);
-            break;
-          }
-        }
-      }
-    }
+  if (deliver(header, payload, held_)) return;
+  held_frame_t frame;
+  frame.header = header;
+  if (header.payload_size != 0) {
+    frame.payload.reset(new char[header.payload_size]);
+    std::memcpy(frame.payload.get(), payload, header.payload_size);
   }
-  routers_.fetch_sub(1, std::memory_order_release);
+  held_.push_back(std::move(frame));
 }
 
-void ep_fabric_t::ring_all_doorbells() {
-  std::lock_guard<util::spinlock_t> guard(dev_lock_);
-  const std::size_t nctx = contexts_.size();
-  for (std::size_t c = 0; c < nctx; ++c) {
-    context_devices_t* ctx = contexts_.get(c);
-    if (ctx == nullptr) continue;
-    const std::size_t n = ctx->slots.size();
-    for (std::size_t i = 0; i < n; ++i)
-      if (ep_device_t* device = ctx->slots.get(i)) device->ring_doorbell();
-  }
-}
-
-int ep_fabric_t::add_device(int context, ep_device_t* device) {
-  std::lock_guard<util::spinlock_t> guard(dev_lock_);
-  auto& slots = context_storage_.at(static_cast<std::size_t>(context))->slots;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots.get(i) == nullptr) {
-      slots.put(i, device);
-      return static_cast<int>(i);
-    }
-  }
-  return static_cast<int>(slots.push_back(device));
-}
-
-void ep_fabric_t::remove_device(int context, int index) {
-  {
-    std::lock_guard<util::spinlock_t> guard(dev_lock_);
-    context_storage_.at(static_cast<std::size_t>(context))
-        ->slots.put(static_cast<std::size_t>(index), nullptr);
-  }
-  // Quiesce: a route_frame that read the pointer before the null landed may
-  // still be inside accept_frame — wait it out (teardown-rate path). The
-  // fence orders our null store before the routers_ reads, pairing with the
-  // seq_cst increment in route_frame.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  while (routers_.load(std::memory_order_acquire) != 0) {
-  }
+void ep_fabric_t::release_held() {
+  if (held_.empty()) return;
+  // A held frame came from a live sender, so, like a frame already handed to
+  // a device, it is delivered even if that sender has died since.
+  std::deque<held_frame_t> still;
+  for (held_frame_t& frame : held_)
+    if (!deliver(frame.header, frame.payload.get(), still))
+      still.push_back(std::move(frame));
+  held_.swap(still);
 }
 
 mr_id_t ep_fabric_t::register_memory(void* base, std::size_t size) {

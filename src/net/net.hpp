@@ -34,7 +34,9 @@
 // remote *registered* memory with bounds checks.
 //
 // Beyond the simulation, two *real* multi-process backends implement the same
-// contract (see docs/INTERNALS.md "Net backends"):
+// contract on the same device core (net/device_core.hpp: the lock layouts,
+// the receive path, the fault injector and the routing rule are shared; see
+// docs/INTERNALS.md "Net backends"):
 //
 //  * backend_t::shm — per-peer ring buffers in a POSIX shared-memory segment
 //    with futex doorbells; peer death is a tombstone word in the segment.
@@ -81,22 +83,28 @@ enum class td_strategy_t : uint8_t { per_qp, all_qp, none };
 //    retry_lock and retry_full by lock_fraction),
 //  * send_depth / wire_depth — shrink the effective send-queue and
 //    wire-mailbox depths used by the backpressure checks, forcing organic
-//    retry_full under modest traffic,
+//    retry_full under modest traffic (wire_depth: sim only — shm/tcp
+//    backpressure is the ring's or the socket's),
 //  * delay_rate / delay_polls — hold a wire message back for a number of
 //    delivery attempts (per-sender FIFO order is preserved, so this models
 //    slow links at the completion-visibility level, not reordering),
 //  * kill_rank / kill_after_ops — deterministic peer death: once the doomed
 //    rank's devices have completed kill_after_ops successful posts (0 = dead
 //    from the start), the rank dies fabric-wide. Posts naming it (and posts
-//    it makes) return peer_down, and messages already queued to or from it
-//    evaporate as silent wire drops,
+//    it makes) return peer_down, and messages already queued to it evaporate
+//    as silent wire drops — on sim also those queued from it (on shm/tcp a
+//    frame the target's pump already took from the ring or socket is
+//    delivered),
 //  * loss_rate — per-message probability that a wire push is accepted but the
 //    message silently evaporates (models a lossy link; the sender sees ok).
+//    A lost write or read loses only its notification.
 //
-// Each device derives its RNG stream from (seed, rank, context, device
-// index), so a single-threaded replay is bit-reproducible; multithreaded
-// runs keep per-device determinism of the decision sequence while the
-// interleaving chooses which operation draws each decision.
+// Delay and loss are drawn on the *target* device's stream as a message
+// enters its inbound queue. Each device derives its RNG stream from (seed,
+// rank, context, device index), so a single-threaded replay is
+// bit-reproducible on every backend; multithreaded runs keep per-device
+// determinism of the decision sequence while the interleaving chooses which
+// operation draws each decision.
 struct fault_config_t {
   double retry_rate = 0.0;     // [0,1] forced-retry probability per post
   double lock_fraction = 0.5;  // injected retries reported as retry_lock
@@ -138,11 +146,12 @@ struct config_t {
   lock_model_t lock_model = lock_model_t::ibv;
   td_strategy_t td_strategy = td_strategy_t::per_qp;
   // Per-device completion-queue depth; a full CQ back-pressures sends. The
-  // sim's CQ ring clamps it to 1024..8192 entries, and its posts stop at
-  // half the ring.
+  // CQ ring clamps it to 1024..8192 entries, and posts stop at half the
+  // ring.
   std::size_t cq_depth = 65536;
   // Per-device wire-mailbox depth; a full mailbox back-pressures senders
-  // (models NIC flow control / RNR).
+  // (models NIC flow control / RNR). sim only: on shm/tcp the ring or the
+  // socket is the wire and carries the backpressure.
   std::size_t wire_depth = 65536;
   // Max entries delivered from the wire per poll (models NIC event burst).
   std::size_t poll_burst = 64;
@@ -208,8 +217,10 @@ class device_t {
   virtual ~device_t() = default;
 
   // Index of this device within its rank (routing key: messages sent from
-  // device i arrive at the target rank's device i — on sim exactly, a post
-  // retrying until that device exists; on shm/tcp at i mod device-count).
+  // device i arrive at the target rank's device i of the same context, on
+  // every backend. Until that device exists, a sim post retries and a
+  // shm/tcp frame waits at the target; only once it is freed does traffic
+  // fall over to a live sibling).
   virtual int index() const = 0;
 
   virtual post_result_t post_recv(void* buffer, std::size_t size,

@@ -138,6 +138,10 @@ class shm_fabric_t final : public ep_fabric_t {
         new util::spinlock_t[static_cast<std::size_t>(nranks)]);
     epoch_cache_.reset(new uint64_t[static_cast<std::size_t>(nranks)]());
     attach();
+    // The peer-death ledger lives in the segment: every process reads the
+    // same tombstones and death epoch.
+    use_death_ledger(&slot(0)->tombstone, sizeof(shm_rank_slot_t),
+                     &header()->death_epoch);
     bootstrap::barrier("shm-attach");
     start_listener();
     apply_kill_schedule();
@@ -153,14 +157,6 @@ class shm_fabric_t final : public ep_fabric_t {
   }
 
   backend_t kind() const override { return backend_t::shm; }
-
-  bool is_dead(int rank) const override {
-    return slot(rank)->tombstone.load(std::memory_order_acquire) != 0;
-  }
-
-  uint64_t death_epoch() const override {
-    return header()->death_epoch.load(std::memory_order_acquire);
-  }
 
   bool kill_rank(int rank) override {
     if (rank < 0 || rank >= nranks_) return false;
@@ -249,7 +245,6 @@ class shm_fabric_t final : public ep_fabric_t {
       if (peer_timeout_us() != 0)
         slot(self_)->progress_epoch.fetch_add(1, std::memory_order_release);
     }
-    std::vector<char> copy;
     for (int src = 0; src < nranks_; ++src) {
       if (src == self_) continue;
       const bool src_dead = is_dead(src);
@@ -276,18 +271,12 @@ class shm_fabric_t final : public ep_fabric_t {
           ring->head.store(head, std::memory_order_release);
           continue;
         }
-        // Copy out before advancing head: dispatch may block on device
-        // locks and the producer must be able to reuse the space only after
-        // we are done with the bytes.
-        const char* payload = data + off + sizeof(frame_header_t);
-        if (src_dead) {
-          head += need;
-          ring->head.store(head, std::memory_order_release);
-          continue;  // evaporates; dispatch would drop it anyway
-        }
-        copy.assign(payload, payload + header.payload_size);
+        // Dispatch straight from the ring: head advances only after it, so
+        // the producer cannot reuse the bytes while they are read (the
+        // device core copies what it keeps).
         head += need;
-        dispatch_frame(header, copy.data());
+        if (!src_dead)  // a dead sender's frames evaporate
+          dispatch_frame(header, data + off + sizeof(frame_header_t));
         ring->head.store(head, std::memory_order_release);
       }
       if (head != head_at_entry) {
@@ -321,11 +310,7 @@ class shm_fabric_t final : public ep_fabric_t {
   }
 
   bool tombstone(int rank) {
-    uint32_t expected = 0;
-    if (!slot(rank)->tombstone.compare_exchange_strong(
-            expected, 1, std::memory_order_acq_rel))
-      return false;
-    header()->death_epoch.fetch_add(1, std::memory_order_release);
+    if (!mark_dead(rank)) return false;
     // Wake every rank's listener so sleeping progress engines purge.
     for (int r = 0; r < nranks_; ++r) {
       slot(r)->doorbell.fetch_add(1, std::memory_order_release);
@@ -410,7 +395,15 @@ class shm_fabric_t final : public ep_fabric_t {
     } else {
       const auto deadline = std::chrono::steady_clock::now() +
                             std::chrono::seconds(30);
-      while ((fd = ::shm_open(seg_name_.c_str(), O_RDWR, 0600)) < 0) {
+      // Rank 0 creates the segment empty and sizes it after: mapping it
+      // before the ftruncate lands would fault (SIGBUS) on the first read.
+      while (true) {
+        fd = ::shm_open(seg_name_.c_str(), O_RDWR, 0600);
+        struct stat st;
+        if (fd >= 0 && ::fstat(fd, &st) == 0 &&
+            static_cast<std::size_t>(st.st_size) >= map_bytes_)
+          break;
+        if (fd >= 0) ::close(fd);
         if (std::chrono::steady_clock::now() >= deadline)
           throw std::runtime_error("timeout attaching to " + seg_name_);
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -490,7 +483,7 @@ class shm_fabric_t final : public ep_fabric_t {
             slot(self_)->doorbell.load(std::memory_order_acquire);
         if (now != seen) {
           seen = now;
-          ring_all_doorbells();
+          registry().ring_all();
         } else {
           probe_all_peers();
         }

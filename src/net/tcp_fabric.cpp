@@ -125,6 +125,7 @@ class tcp_fabric_t final : public ep_fabric_t {
 
   ~tcp_fabric_t() override {
     stop_listener();
+    flush_egress();
     for (auto& p : peers_)
       if (p.fd >= 0) ::close(p.fd);
     if (pump_epfd_ >= 0) ::close(pump_epfd_);
@@ -209,7 +210,7 @@ class tcp_fabric_t final : public ep_fabric_t {
     }
     // Deliverable frames remain: make sure a poller comes back for them even
     // if every progress thread was about to park on its doorbell.
-    if (backlog) ring_all_doorbells();
+    if (backlog) registry().ring_all();
   }
 
  protected:
@@ -237,6 +238,7 @@ class tcp_fabric_t final : public ep_fabric_t {
     std::size_t tx_front_off = 0;      // bytes of tx.front() already sent
     std::vector<char> rx;              // pump-lock guarded
     std::size_t rx_pos = 0;            // parse offset into rx
+    bool hung_up = false;              // EOF read; death pending (pump lock)
   };
 
   // One draw from the per-process transport-fault stream.
@@ -310,8 +312,9 @@ class tcp_fabric_t final : public ep_fabric_t {
 
   void drain_rx(int peer, std::size_t burst) {
     peer_t& p = peers_[static_cast<std::size_t>(peer)];
-    if (p.fd < 0 || is_dead(peer)) return;
+    if (p.fd < 0 || p.hung_up || is_dead(peer)) return;
     // Append everything the socket holds.
+    bool gone = false;
     for (;;) {
       const std::size_t old = p.rx.size();
       p.rx.resize(old + 65536);
@@ -324,11 +327,40 @@ class tcp_fabric_t final : public ep_fabric_t {
       p.rx.resize(old);
       if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (got < 0 && errno == EINTR) continue;
-      // EOF or hard error: the peer process is gone.
-      mark_dead_local(peer);
-      return;
+      gone = true;  // EOF or hard error: the peer process is gone
+      break;
     }
-    parse_rx(peer, burst);
+    // Frames that arrived before the hangup were sent by a live peer: they
+    // are delivered, and only then is the peer marked dead.
+    parse_rx(peer, gone ? SIZE_MAX : burst);
+    if (gone) {
+      p.hung_up = true;
+      note_hangup(peer);
+    }
+  }
+
+  // Exit flush: a post returns done once its frame is staged, so a rank
+  // that finalizes right after its last send can still hold bytes here (a
+  // short write leaves a frame's tail staged until the next pump). Push each
+  // live peer's staging out before the sockets close, bounded by 1 s of
+  // POLLOUT waits in all, so the peer reads whole frames and then EOF.
+  void flush_egress() override {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    for (int r = 0; r < nranks_; ++r) {
+      peer_t& p = peers_[static_cast<std::size_t>(r)];
+      if (r == self_ || p.fd < 0) continue;
+      std::lock_guard<util::spinlock_t> guard(p.tx_lock);
+      while (p.tx_bytes != 0 && !is_dead(r) && !is_dead(self_)) {
+        flush_tx_locked(r, p);
+        if (p.tx_bytes == 0) break;
+        const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now());
+        if (left.count() <= 0) break;
+        struct pollfd pfd{p.fd, POLLOUT, 0};
+        ::poll(&pfd, 1, static_cast<int>(left.count()));
+      }
+    }
   }
 
   // Dispatches up to `burst` complete frames from the peer's rx staging.
@@ -477,8 +509,9 @@ class tcp_fabric_t final : public ep_fabric_t {
 
   // Converts socket readability into doorbell rings so progress engines that
   // sleep on their doorbell wake for incoming traffic. Edge-triggered (the
-  // listener never reads the sockets), with a periodic timeout that retries
-  // stalled egress flushes.
+  // listener never reads the sockets); the periodic timeout also drives the
+  // heartbeats and the poison deadlines. Staged egress is flushed by the
+  // pump and by posts, not here.
   void start_listener() {
     listener_ = std::thread([this] {
       struct epoll_event events[16];
@@ -504,7 +537,7 @@ class tcp_fabric_t final : public ep_fabric_t {
               note_heard(static_cast<int>(tag));
           }
         }
-        ring_all_doorbells();
+        registry().ring_all();
         if (timeout_us != 0) {
           // Interval-gate the pings: the loop wakes on every socket edge, and
           // an arriving ping is itself an edge — ping-per-wakeup turns two

@@ -4,9 +4,11 @@
 // each test forks + execs N copies of this binary (the same environment
 // contract as scripts/launch_local.sh) and the children run one role each —
 // eager traffic, rendezvous traffic (which also exercises the registration
-// cache), coalesced eager batches, and a SIGKILL of one rank mid-traffic
-// with the survivors asserting exactly-once fatal_peer_down. Every scenario
-// runs on both shm and tcp.
+// cache), coalesced eager batches, a SIGKILL of one rank mid-traffic with
+// the survivors asserting exactly-once fatal_peer_down, and two roles that
+// drive the net:: layer directly: exact device routing when a peer creates
+// its devices late, and every lock layout under concurrent posters. Every
+// scenario runs on both shm and tcp.
 //
 // Not part of tier-1 (label "backend"): tier-1 stays the in-process sim
 // suite; CI drives this binary in the dedicated backend legs.
@@ -18,13 +20,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/lci.hpp"
+#include "net/net.hpp"
 
 namespace {
 
@@ -252,11 +259,229 @@ int child_kill() {
   return 0;
 }
 
+// ---------------------------------------------------------------------------
+// net::-level roles: a fabric straight from net::create_fabric, no runtime.
+// The ranks coordinate through marker files in the job directory, so the
+// only traffic on the fabric is the traffic under test.
+// ---------------------------------------------------------------------------
+
+namespace net = lci::net;
+
+std::string job_file(const std::string& name) {
+  const char* dir = std::getenv("LCI_JOB_DIR");
+  return std::string(dir != nullptr ? dir : ".") + "/" + name;
+}
+
+void touch(const std::string& name) {
+  std::FILE* f = std::fopen(job_file(name).c_str(), "w");
+  if (f != nullptr) std::fclose(f);
+}
+
+bool exists(const std::string& name) {
+  struct stat st;
+  return ::stat(job_file(name).c_str(), &st) == 0;
+}
+
+std::shared_ptr<net::fabric_t> child_fabric(const net::config_t& config = {}) {
+  net::backend_t backend = net::backend_t::sim;
+  net::backend_from_string(std::getenv("LCI_BACKEND"), &backend);
+  return net::create_fabric(backend, config);
+}
+
+using clock_type = std::chrono::steady_clock;
+
+// Polls `dev` once; counts receive completions into *recvs and stores the
+// last one in *last.
+void poll_count(net::device_t& dev, int* recvs, net::cqe_t* last) {
+  net::cqe_t cqes[16];
+  const auto polled = dev.poll_cq(cqes, 16);
+  for (std::size_t i = 0; i < polled.count; ++i) {
+    if (cqes[i].op != net::op_t::recv) continue;
+    ++*recvs;
+    *last = cqes[i];
+  }
+}
+
+// Exact routing: rank 0 sends from its device 1 while rank 1 has only its
+// device 0. The frame must wait for rank 1's device 1 — landing on device 0
+// would split device 1's stream over two endpoints — and arrive there once
+// rank 1 creates it.
+int child_exact_route() {
+  auto fabric = child_fabric();
+  const int me = net::bootstrap_rank();
+  auto ctx = fabric->create_context(me);
+  auto dev0 = ctx->create_device();
+  const auto deadline = clock_type::now() + std::chrono::seconds(20);
+  int recvs0 = 0;
+  net::cqe_t last{};
+  if (me == 0) {
+    auto dev1 = ctx->create_device();
+    const uint32_t payload = 0xfeedu;
+    net::post_result_t r;
+    while ((r = dev1->post_send(1, &payload, sizeof(payload), /*imm=*/7,
+                                nullptr)) != net::post_result_t::ok) {
+      CHILD_CHECK(r != net::post_result_t::peer_down);
+      CHILD_CHECK(clock_type::now() < deadline);
+      poll_count(*dev1, &recvs0, &last);
+    }
+    touch("route-sent");
+    // Keep pumping (tcp flushes staged egress there) until rank 1 is done
+    // (or gone: a failed check there exits early).
+    while (!exists("route-done") && !dev0->is_peer_down(1)) {
+      CHILD_CHECK(clock_type::now() < deadline);
+      poll_count(*dev0, &recvs0, &last);
+      poll_count(*dev1, &recvs0, &last);
+      usleep(1000);
+    }
+    return 0;
+  }
+  char bufs0[4][64];
+  for (auto& buf : bufs0)
+    CHILD_CHECK(dev0->post_recv(buf, sizeof(buf), buf) ==
+                net::post_result_t::ok);
+  while (!exists("route-sent")) {
+    CHILD_CHECK(clock_type::now() < deadline);
+    poll_count(*dev0, &recvs0, &last);
+    usleep(1000);
+  }
+  // The frame is on its way or already here: give the pump time to take it.
+  for (int i = 0; i < 200; ++i) {
+    poll_count(*dev0, &recvs0, &last);
+    usleep(1000);
+  }
+  CHILD_CHECK(recvs0 == 0);
+  auto dev1 = ctx->create_device();
+  char bufs1[4][64];
+  for (auto& buf : bufs1)
+    CHILD_CHECK(dev1->post_recv(buf, sizeof(buf), buf) ==
+                net::post_result_t::ok);
+  int recvs1 = 0;
+  net::cqe_t got{};
+  while (recvs1 == 0) {
+    CHILD_CHECK(clock_type::now() < deadline);
+    poll_count(*dev1, &recvs1, &got);
+    poll_count(*dev0, &recvs0, &last);
+  }
+  CHILD_CHECK(recvs1 == 1);
+  CHILD_CHECK(got.peer_rank == 0 && got.imm == 7 &&
+              got.length == sizeof(uint32_t));
+  CHILD_CHECK(*static_cast<const uint32_t*>(got.buffer) == 0xfeedu);
+  CHILD_CHECK(recvs0 == 0);
+  touch("route-done");
+  return 0;
+}
+
+// The paper's lock layouts on a real transport: two threads per rank post
+// to the peer while a third polls and reposts. Posts retry on every retry
+// result (retry_lock included); every message must arrive exactly once and
+// in its sender's order.
+int child_lock_layout(const std::string& layout) {
+  net::config_t config;
+  if (layout == "ofi") {
+    config.lock_model = net::lock_model_t::ofi;
+  } else {
+    config.lock_model = net::lock_model_t::ibv;
+    if (layout == "ibv/all_qp") config.td_strategy = net::td_strategy_t::all_qp;
+    if (layout == "ibv/none") config.td_strategy = net::td_strategy_t::none;
+  }
+  auto fabric = child_fabric(config);
+  const int me = net::bootstrap_rank();
+  const int peer = 1 - me;
+  auto ctx = fabric->create_context(me);
+  auto dev = ctx->create_device();
+  struct msg_t {
+    uint32_t thread;
+    uint32_t seq;
+  };
+  constexpr int nposters = 2;
+  constexpr uint32_t per_poster = 2000;
+  constexpr std::size_t nbufs = 64;
+  std::vector<msg_t> bufs(nbufs);
+  const auto repost = [&](msg_t* buf) {
+    net::post_result_t r;
+    while ((r = dev->post_recv(buf, sizeof(msg_t), buf)) !=
+           net::post_result_t::ok) {
+      if (r == net::post_result_t::peer_down) return false;
+    }
+    return true;
+  };
+  for (auto& buf : bufs) CHILD_CHECK(repost(&buf));
+
+  std::atomic<bool> poster_failed{false};
+  std::atomic<bool> stop{false};  // the poller gave up: posters bail out
+  std::atomic<uint64_t> lock_retries{0};
+  std::vector<std::thread> posters;
+  for (uint32_t t = 0; t < nposters; ++t) {
+    posters.emplace_back([&, t] {
+      for (uint32_t seq = 0; seq < per_poster; ++seq) {
+        const msg_t msg{t, seq};
+        net::post_result_t r;
+        while ((r = dev->post_send(peer, &msg, sizeof(msg), 0, nullptr)) !=
+               net::post_result_t::ok) {
+          if (r == net::post_result_t::peer_down) {
+            poster_failed.store(true);
+            return;
+          }
+          if (stop.load()) return;
+          if (r == net::post_result_t::retry_lock) lock_retries.fetch_add(1);
+        }
+      }
+    });
+  }
+  const auto deadline = clock_type::now() + std::chrono::seconds(60);
+  uint32_t next[nposters] = {};
+  uint32_t received = 0, sent = 0;
+  bool in_order = true;
+  net::cqe_t cqes[16];
+  while ((received < nposters * per_poster || sent < nposters * per_poster) &&
+         in_order && !poster_failed.load() && clock_type::now() < deadline) {
+    const auto polled = dev->poll_cq(cqes, 16);
+    for (std::size_t i = 0; i < polled.count; ++i) {
+      if (cqes[i].op == net::op_t::send) {
+        ++sent;
+        continue;
+      }
+      if (cqes[i].op != net::op_t::recv) continue;
+      auto* msg = static_cast<msg_t*>(cqes[i].buffer);
+      if (cqes[i].length != sizeof(msg_t) || msg->thread >= nposters ||
+          msg->seq != next[msg->thread]) {
+        std::fprintf(stderr, "[child rank %d] %s: got (%u, %u)\n", me,
+                     layout.c_str(), msg->thread, msg->seq);
+        in_order = false;
+        break;
+      }
+      ++next[msg->thread];
+      ++received;
+      if (!repost(msg)) in_order = false;
+    }
+  }
+  stop.store(true);
+  for (auto& t : posters) t.join();
+  CHILD_CHECK(in_order && !poster_failed.load());
+  CHILD_CHECK(next[0] == per_poster && next[1] == per_poster);
+  CHILD_CHECK(sent == nposters * per_poster);
+  std::fprintf(stderr, "[child rank %d] %s: %llu posts retried on a lock miss\n",
+               me, layout.c_str(),
+               static_cast<unsigned long long>(lock_retries.load()));
+  // Stay up, pumping, until the peer has everything it expects from us.
+  touch("layout-done-" + std::to_string(me));
+  while (!exists("layout-done-" + std::to_string(peer))) {
+    CHILD_CHECK(clock_type::now() < deadline);
+    dev->poll_cq(cqes, 16);
+    usleep(1000);
+  }
+  return 0;
+}
+
 int run_child(const std::string& role) {
   if (role == "eager") return child_eager();
   if (role == "rendezvous") return child_rendezvous();
   if (role == "coalesced") return child_coalesced();
   if (role == "kill") return child_kill();
+  if (role == "exact_route") return child_exact_route();
+  // "lock_layout:<layout>", e.g. "lock_layout:ibv/per_qp".
+  if (role.rfind("lock_layout:", 0) == 0)
+    return child_lock_layout(role.substr(std::strlen("lock_layout:")));
   std::fprintf(stderr, "unknown child role: %s\n", role.c_str());
   return 2;
 }
@@ -340,6 +565,21 @@ TEST_P(NetBackends, KillMidTraffic) {
   EXPECT_EQ(r.exit_codes[0], 0);
   EXPECT_EQ(r.exit_codes[2], 0);
   EXPECT_EQ(r.term_signals[1], SIGKILL);  // the victim died of the signal
+}
+
+// A frame sent before the peer created its paired device lands on that
+// device once it exists, and never on a sibling.
+TEST_P(NetBackends, ExactRoutingWaitsForPairedDevice) {
+  const launch_result_t r = launch(GetParam(), 2, "exact_route");
+  EXPECT_EQ(r.exit_codes, (std::vector<int>{0, 0}));
+}
+
+TEST_P(NetBackends, LockLayouts) {
+  for (const char* layout : {"ibv/per_qp", "ibv/all_qp", "ibv/none", "ofi"}) {
+    const launch_result_t r =
+        launch(GetParam(), 2, std::string("lock_layout:") + layout);
+    EXPECT_EQ(r.exit_codes, (std::vector<int>{0, 0})) << layout;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, NetBackends,

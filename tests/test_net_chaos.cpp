@@ -7,8 +7,8 @@
 // LCI_PEER_TIMEOUT_MS set, and the children run one role each:
 //
 //   * delay        — seeded receive-side frame holds; full data integrity
-//   * loss         — seeded sender-side drops; deadline-bounded receives,
-//                    no hang, wire_dropped observed
+//   * loss         — seeded drops at the receiving device; deadline-bounded
+//                    receives, no hang, wire_dropped observed
 //   * killsched    — LCI_FAULT_KILL_RANK/KILL_AFTER_OPS; the survivor sees
 //                    exactly-once fatal_peer_down
 //   * sigstop      — a SIGSTOPped (wedged, not dead) rank is declared dead
@@ -16,6 +16,8 @@
 //   * backpressure — (shm) a shrunken ring parks producers on the futex
 //   * tcpreset     — (tcp) injected connection resets; bounded, no hang
 //   * tcpshort     — (tcp) injected short writes are invisible to the data
+//   * exitflush    — (tcp) a rank that finalizes right after a send whose
+//                    tail a short write left staged still delivers it
 //
 // Runs are reproducible per seed: the parent forwards LCI_FAULT_SEED from
 // its own environment (default 1), so CI can sweep seeds.
@@ -117,13 +119,12 @@ int child_delay() {
     CHILD_CHECK(std::memcmp(in, expect, std::strlen(expect) + 1) == 0);
   }
   // No closing barrier: a barrier token can itself be held by the delay
-  // injection while its sender finishes and exits, at which point the death
-  // purge evaporates it (held frames are in-flight wire state, dropped on
-  // peer death like the sim does). The lockstep loop above means both ranks
-  // are data-complete here, but the slower rank's *last* inbound frame may
-  // still be parked in its delay staging — stay alive and progressing for a
-  // grace period so its countdown ticks out before our exit looks like a
-  // death to it.
+  // injection while its sender finishes and exits, and the runtime drops a
+  // message that reaches it after its sender is seen dead. The lockstep
+  // loop above means both ranks are data-complete here, but the slower
+  // rank's *last* inbound message may still be held at the head of its
+  // inbound queue — stay alive and progressing for a grace period so its
+  // countdown ticks out before our exit looks like a death to it.
   const uint64_t grace_until = wall_us() + 500 * 1000;
   while (wall_us() < grace_until) {
     lci::progress();
@@ -134,7 +135,7 @@ int child_delay() {
   return 0;
 }
 
-// Lockstep exchange under sender-side loss: dropped messages never arrive,
+// Lockstep exchange under message loss: dropped messages never arrive,
 // so every receive carries a deadline. The run must stay bounded, some
 // drops must actually happen (the RNG is seeded, rates are high enough that
 // zero drops is astronomically unlikely), and everything that does arrive
@@ -475,6 +476,29 @@ int child_tcpshort() {
   return 0;
 }
 
+// (tcp) Every write is short, so the tail of rank 0's only frame is still
+// staged when its send returns done. Rank 0 finalizes and exits at once; the
+// frame must still reach rank 1 whole, before the hangup.
+int child_exitflush() {
+  lci::g_runtime_init();
+  const int me = lci::get_rank_me();
+  constexpr std::size_t size = 64;
+  char buf[size] = {};
+  if (me == 0) {
+    std::snprintf(buf, size, "last words from rank 0");
+    send_blocking(1, buf, size, /*tag=*/1);
+  } else {
+    lci::comp_t sync = lci::alloc_sync(1);
+    lci::status_t rs = lci::post_recv(0, buf, size, /*tag=*/1, sync);
+    if (rs.error.is_posted()) lci::sync_wait(sync, &rs);
+    CHILD_CHECK(rs.error.is_done());
+    CHILD_CHECK(std::strcmp(buf, "last words from rank 0") == 0);
+    lci::free_comp(&sync);
+  }
+  lci::g_runtime_fina();
+  return 0;
+}
+
 int run_child(const std::string& role) {
   if (role == "delay") return child_delay();
   if (role == "loss") return child_loss();
@@ -483,6 +507,7 @@ int run_child(const std::string& role) {
   if (role == "backpressure") return child_backpressure();
   if (role == "tcpreset") return child_tcpreset();
   if (role == "tcpshort") return child_tcpshort();
+  if (role == "exitflush") return child_exitflush();
   std::fprintf(stderr, "unknown chaos child role: %s\n", role.c_str());
   return 2;
 }
@@ -686,6 +711,16 @@ TEST_P(NetChaos, TcpShortWrite) {
   launch_opt_t opt;
   opt.env = {{"LCI_FAULT_TCP_SHORT_WRITE_RATE", "0.3"}};
   const launch_result_t r = launch(GetParam(), 2, "tcpshort", opt);
+  EXPECT_EQ(r.exit_codes, zeros(2));
+}
+
+// The exit flush: staged bytes leave before the sockets close.
+TEST_P(NetChaos, TcpExitFlushesStagedFrames) {
+  if (std::string(GetParam()) != "tcp")
+    GTEST_SKIP() << "short writes are a tcp fault";
+  launch_opt_t opt;
+  opt.env = {{"LCI_FAULT_TCP_SHORT_WRITE_RATE", "1.0"}};
+  const launch_result_t r = launch(GetParam(), 2, "exitflush", opt);
   EXPECT_EQ(r.exit_codes, zeros(2));
 }
 
