@@ -51,8 +51,8 @@ void run_mode(bench::json_report_t& report, const char* title, const char* mode,
       params.aggregation = variant.aggregation;
       params.device_shards = variant.device_shards;
       // Streaming traffic: hold armed batches briefly so they fill toward
-      // aggregation_max_msgs instead of flushing at whatever depth the next
-      // progress poll happens to observe.
+      // a full batch (64 messages) instead of flushing at whatever depth the
+      // next progress poll happens to observe.
       params.agg_flush_us = 20;
       params.window = 64;
       params.fabric.lock_model = model;

@@ -2,8 +2,8 @@
 //
 // Send side: small eager sends and active messages append into a per-(device,
 // peer) aggregation slot and travel as one eager_batch wire message. A slot
-// flushes when the next append would overflow aggregation_max_bytes /
-// aggregation_max_msgs, when progress() finds it older than
+// flushes when the next append would overflow one packet's payload or
+// max_batch_msgs, when progress() finds it older than
 // aggregation_flush_us, on an explicit flush(), or — the matching-order rule —
 // whenever a non-aggregated message to the same peer is about to be posted
 // (post.cpp / send_rtr call flush_peer_for_ordering so no later message can
@@ -169,7 +169,7 @@ status_t device_impl_t::agg_append(const post_args_t& args, uint8_t kind,
       // Flush first if this sub-message would not fit the armed batch.
       if (slot.packet != nullptr &&
           (slot.bytes + entry_bytes > agg_max_bytes_ ||
-           slot.msgs >= agg_max_msgs_)) {
+           slot.msgs >= max_batch_msgs)) {
         const errorcode_t code = post_batch_locked(slot, wire, rank, resolved);
         if (error_t{code}.is_retry()) {
           // The batch ahead of us cannot go out: bounce this post too, or
@@ -260,7 +260,7 @@ status_t device_impl_t::agg_append(const post_args_t& args, uint8_t kind,
           }
           // Post immediately when this append filled the batch.
           if (slot.bytes + sizeof(batch_sub_header_t) > agg_max_bytes_ ||
-              slot.msgs >= agg_max_msgs_) {
+              slot.msgs >= max_batch_msgs) {
             const errorcode_t code =
                 post_batch_locked(slot, wire, rank, resolved);
             // A retry here leaves the slot armed for a later flush; it does

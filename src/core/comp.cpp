@@ -10,21 +10,7 @@ comp_t alloc_handler(handler_fn_t fn, runtime_t) {
   return comp;
 }
 
-comp_t alloc_cq(runtime_t runtime) {
-  auto* rt = detail::resolve_runtime(runtime);
-  comp_t comp;
-  comp.p = new detail::cq_impl_t(rt->attr().default_cq_type,
-                                 rt->attr().cq_default_capacity);
-  return comp;
-}
-
-// Extended variant used by tests/benches to pick the queue implementation
-// explicitly (the paper's two designs: LCRQ and the FAA array).
-comp_t alloc_cq_typed(cq_type_t type, std::size_t capacity) {
-  comp_t comp;
-  comp.p = new detail::cq_impl_t(type, capacity ? capacity : 65536);
-  return comp;
-}
+comp_t alloc_cq(runtime_t runtime) { return alloc_cq_x().runtime(runtime)(); }
 
 comp_t alloc_sync(std::size_t threshold, runtime_t) {
   comp_t comp;
@@ -104,11 +90,8 @@ device_t alloc_device_x::operator()() const {
 }
 
 comp_t alloc_cq_x::operator()() const {
-  auto* rt = detail::resolve_runtime(runtime_);
   comp_t comp;
-  comp.p = new detail::cq_impl_t(
-      has_type_ ? type_ : rt->attr().default_cq_type,
-      capacity_ != 0 ? capacity_ : rt->attr().cq_default_capacity);
+  comp.p = new detail::cq_impl_t(type_, capacity_ != 0 ? capacity_ : 65536);
   return comp;
 }
 
@@ -156,9 +139,6 @@ device_attr_t get_attr(device_t device) {
   attr.doorbell_rings = dev->doorbell().rings();
   attr.wire_dropped = dev->wire_dropped_total();
   attr.allow_aggregation = dev->aggregation_default();
-  attr.aggregation_eager_max = dev->agg_eager_max();
-  attr.aggregation_max_bytes = dev->agg_max_bytes();
-  attr.aggregation_max_msgs = dev->agg_max_msgs();
   attr.aggregation_flush_us = dev->agg_flush_us();
   attr.cq_poll_burst = dev->cq_poll_burst();
   const int nranks = dev->runtime()->nranks();

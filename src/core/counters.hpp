@@ -25,7 +25,7 @@ namespace lci {
 
 // Snapshot returned to users; see counter_id_t for meanings.
 struct counters_t {
-  uint64_t send_inject = 0;      // eager sends below max_inject_size
+  uint64_t send_inject = 0;      // eager sends injected without a packet
   uint64_t send_bcopy = 0;       // buffer-copy eager sends
   uint64_t send_rdv = 0;         // rendezvous sends (RTS issued)
   uint64_t recv_posted = 0;      // receives inserted into a matching engine

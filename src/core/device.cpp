@@ -28,20 +28,15 @@ device_impl_t::device_impl_t(runtime_impl_t* runtime,
       auto_progress_(auto_progress) {
   counters_ = &runtime_->counters();
   backlog_.bind_counters(counters_);
-  // Resolve the eager-coalescing policy (0-defaults filled from the packet
-  // geometry) and size one aggregation slot per (shard, peer).
+  // The eager-coalescing limits follow the packet geometry: a batch fills
+  // at most one packet's payload, and a sub-message must fit one with its
+  // header. One aggregation slot per (shard, peer).
   const runtime_attr_t& attr = runtime_->attr();
   agg_default_ = attr.allow_aggregation;
-  agg_bypass_single_ = attr.aggregation_bypass_single_poster;
-  const std::size_t payload_capacity = runtime_->eager_threshold();
-  agg_max_bytes_ = std::min(attr.aggregation_max_bytes != 0
-                                ? attr.aggregation_max_bytes
-                                : payload_capacity,
-                            payload_capacity);
-  agg_max_bytes_ = std::max(agg_max_bytes_, batch_entry_bytes(1));
-  agg_eager_max_ = std::min(attr.aggregation_eager_max,
+  agg_max_bytes_ =
+      std::max(runtime_->eager_threshold(), batch_entry_bytes(1));
+  agg_eager_max_ = std::min(max_agg_eager_size,
                             agg_max_bytes_ - sizeof(batch_sub_header_t));
-  agg_max_msgs_ = std::max<std::size_t>(1, attr.aggregation_max_msgs);
   agg_flush_us_ = attr.aggregation_flush_us;
   // Shards are created in order, so with symmetric configs shard s of the
   // k-th device on every rank gets the same net index — the fabric's
@@ -61,13 +56,10 @@ device_impl_t::device_impl_t(runtime_impl_t* runtime,
     // device-level concern, and progress() services all shards anyway.
     shard.net_device->set_doorbell(&doorbell_);
   }
-  // CQ poll burst: runtime attr, defaulting to the fabric's own burst. The
-  // clamp is per shard per progress() call (see the round-robin in
-  // progress()).
-  const std::size_t burst = attr.cq_poll_burst != 0
-                                ? attr.cq_poll_burst
-                                : runtime_->net_config().poll_burst;
-  cq_poll_burst_ = std::clamp<std::size_t>(burst, 1, max_cq_poll_burst);
+  // CQ poll burst: the fabric's own burst, per shard per progress() call
+  // (see the round-robin in progress()).
+  cq_poll_burst_ = std::clamp<std::size_t>(runtime_->net_config().poll_burst,
+                                           1, max_cq_poll_burst);
   runtime_->register_device(this);
   // Fill the receive queues up front so early senders find buffers; further
   // replenishment is the progress engine's job.

@@ -278,18 +278,6 @@ inline uint64_t peer_timeout_env_default() {
   return value;
 }
 
-// Environment default for the registration cache capacity
-// (runtime_attr_t::reg_cache_entries): LCI_REG_CACHE=N entries, 0 disables.
-inline std::size_t reg_cache_env_default() {
-  static const std::size_t value = []() -> std::size_t {
-    const char* env = std::getenv("LCI_REG_CACHE");
-    if (env == nullptr || env[0] == '\0') return 128;
-    const long parsed = std::atol(env);
-    return parsed >= 0 ? static_cast<std::size_t>(parsed) : 128;
-  }();
-  return value;
-}
-
 }  // namespace detail
 
 struct runtime_attr_t {
@@ -314,15 +302,14 @@ struct runtime_attr_t {
   // Registration-cache capacity in entries (net/reg_cache.hpp): internal
   // rendezvous registrations are served from a refcounted LRU cache of live
   // registered intervals instead of hitting the fabric every transfer.
-  // 0 disables the cache. Defaults to LCI_REG_CACHE.
-  std::size_t reg_cache_entries = detail::reg_cache_env_default();
+  // 0 disables the cache.
+  std::size_t reg_cache_entries = 128;
   // Payload capacity of a packet; also the eager/rendezvous threshold for
-  // send-receive and active messages.
+  // send-receive and active messages. Messages of at most 64 bytes (or the
+  // eager threshold, if lower) are injected from the user buffer without
+  // consuming a packet.
   std::size_t packet_size = 4096;
   std::size_t npackets = 8192;
-  // Messages at most this large are injected from the user buffer without
-  // consuming a packet.
-  std::size_t max_inject_size = 64;
   // Pre-posted receives the progress engine maintains per device.
   std::size_t prepost_depth = 128;
   std::size_t matching_engine_buckets = 65536;
@@ -336,8 +323,6 @@ struct runtime_attr_t {
   // the same at every shard count. 1 (default): one endpoint per device.
   // Defaults to LCI_DEVICE_SHARDS when set.
   std::size_t device_shards = detail::device_shards_env_default();
-  cq_type_t default_cq_type = cq_type_t::lcrq;
-  std::size_t cq_default_capacity = 65536;
   // Advanced (Sec. 3.3.1): deliver incoming active messages in packets
   // instead of malloc'd buffers, saving the copy of the buffer-copy
   // protocol. The handler/queue consumer must return each payload with
@@ -351,14 +336,6 @@ struct runtime_attr_t {
   std::size_t nprogress_threads = 0;
   // Service the runtime's default device with the engine.
   bool auto_progress_default = false;
-  // Engine idle policy: consecutive empty service rounds before exponential
-  // backoff begins, backoff rounds before a doorbell sleep, and the bound on
-  // each sleep (the doorbell is a wakeup hint, not a guarantee — a bounded
-  // sleep keeps the engine live when a ring is missed, e.g. a packet pool
-  // refill that no doorbell covers).
-  std::size_t progress_spin_polls = 256;
-  std::size_t progress_backoff_polls = 64;
-  std::size_t progress_sleep_us = 500;
   // Deadline (us) stamped on every internal collective receive; 0 = none.
   // When a member rank dies mid-collective, its direct peers fail with
   // fatal_peer_down, but ranks waiting on live-yet-aborted peers would wait
@@ -366,29 +343,21 @@ struct runtime_attr_t {
   // collective terminates with a fatal code at every member rank.
   uint64_t collective_deadline_us = 0;
   // Eager-message coalescing (docs/INTERNALS.md "Message coalescing"). Off by
-  // default: every eager message is its own wire message, exactly as before.
-  // When on (or per-post via post_*_x(...).allow_aggregation(true)), eager
-  // sends and AMs of at most aggregation_eager_max bytes append into a
-  // per-(device, peer) slot and travel as one eager_batch wire message,
-  // flushed when the slot reaches aggregation_max_bytes/aggregation_max_msgs,
-  // when progress() finds it older than aggregation_flush_us, on explicit
-  // flush(), or whenever a non-aggregated message to the same peer must not
-  // overtake it (the matching-order rule).
-  bool allow_aggregation = false;
+  // default: every eager message is its own wire message. When on (or
+  // per-post via post_*_x(...).allow_aggregation(true)), eager sends and AMs
+  // of at most 256 bytes append into a per-(device, peer) slot and travel as
+  // one eager_batch wire message, flushed when the slot holds a packet's
+  // payload or 64 messages, when progress() finds it older than
+  // aggregation_flush_us, on explicit flush(), or whenever a non-aggregated
+  // message to the same peer must not overtake it (the matching-order rule).
   // Single-poster bypass: while only one thread has ever posted eager traffic
   // to a device, runtime-default aggregation is skipped and messages go out
   // individually — buffering cannot help a lone poster (nobody shares the
   // wire) and the flush-age wait only adds latency. The first post from a
   // second thread permanently re-enables coalescing on that device. Explicit
   // per-post .allow_aggregation(true) always coalesces regardless.
-  bool aggregation_bypass_single_poster = true;
-  std::size_t aggregation_eager_max = 256;
-  std::size_t aggregation_max_bytes = 0;  // 0 = packet payload capacity
-  std::size_t aggregation_max_msgs = 64;
+  bool allow_aggregation = false;
   uint64_t aggregation_flush_us = 100;
-  // CQEs drained per progress() poll of the network completion queue.
-  // 0 = align with the fabric's configured poll burst; clamped to [1, 64].
-  std::size_t cq_poll_burst = 0;
   // Operation-lifecycle tracing (docs/INTERNALS.md "Tracing"): the runtime
   // retains the process-global tracer while it lives. Zero-cost when false
   // (one relaxed load behind every instrumentation point). The first traced
@@ -429,14 +398,6 @@ class alloc_runtime_x {
   // Auto-progress the runtime's default device.
   alloc_runtime_x& auto_progress(bool v) {
     attr_.auto_progress_default = v;
-    return *this;
-  }
-  alloc_runtime_x& progress_spin_polls(std::size_t v) {
-    attr_.progress_spin_polls = v;
-    return *this;
-  }
-  alloc_runtime_x& progress_sleep_us(std::size_t v) {
-    attr_.progress_sleep_us = v;
     return *this;
   }
   // Default eager-message coalescing policy for the runtime's devices.
@@ -581,9 +542,8 @@ void free_packet_pool(packet_pool_t* pool);
 // Completion objects (Sec. 3.2.5): handler, queue, synchronizer, graph.
 using handler_fn_t = std::function<void(const status_t&)>;
 comp_t alloc_handler(handler_fn_t fn, runtime_t runtime = {});
+// A 65536-entry LCRQ; alloc_cq_x picks the implementation and capacity.
 comp_t alloc_cq(runtime_t runtime = {});
-// Picks the queue implementation explicitly (Sec. 4.1.4: LCRQ or FAA array).
-comp_t alloc_cq_typed(cq_type_t type, std::size_t capacity = 0);
 comp_t alloc_sync(std::size_t threshold = 1, runtime_t runtime = {});
 void free_comp(comp_t* comp);
 
@@ -611,18 +571,19 @@ class alloc_device_x {
   bool auto_progress_ = false;
 };
 
+// Picks the queue implementation (Sec. 4.1.4: LCRQ or FAA array) and its
+// capacity (0 = 65536).
 class alloc_cq_x {
  public:
   alloc_cq_x() = default;
   alloc_cq_x& runtime(runtime_t v) { runtime_ = v; return *this; }
-  alloc_cq_x& type(cq_type_t v) { type_ = v; has_type_ = true; return *this; }
+  alloc_cq_x& type(cq_type_t v) { type_ = v; return *this; }
   alloc_cq_x& capacity(std::size_t v) { capacity_ = v; return *this; }
   comp_t operator()() const;
 
  private:
   runtime_t runtime_{};
   cq_type_t type_ = cq_type_t::lcrq;
-  bool has_type_ = false;
   std::size_t capacity_ = 0;
 };
 
@@ -691,15 +652,11 @@ struct device_attr_t {
   uint64_t doorbell_rings = 0;  // wakeup-hint rings observed on this device
   uint64_t wire_dropped = 0;    // evaporated wire messages, summed over shards
   std::vector<int> dead_peers;  // ranks this device knows to be dead
-  // Eager-message coalescing policy resolved for this device (runtime attrs
-  // with aggregation_max_bytes 0 replaced by the packet payload capacity).
+  // Eager-message coalescing policy of this device (runtime attrs).
   bool allow_aggregation = false;
-  std::size_t aggregation_eager_max = 0;
-  std::size_t aggregation_max_bytes = 0;
-  std::size_t aggregation_max_msgs = 0;
   uint64_t aggregation_flush_us = 0;
-  // CQEs drained per progress() poll (runtime_attr_t::cq_poll_burst resolved
-  // against the fabric's poll burst and clamped).
+  // CQEs drained per progress() poll: the fabric's poll_burst clamped to
+  // [1, 64].
   std::size_t cq_poll_burst = 0;
 };
 struct matching_engine_attr_t {

@@ -151,9 +151,9 @@ status_t post_eager_out(const resolved_t& r, const post_args_t& args,
 
   const std::size_t wire_size = sizeof(header) + size;
   net::post_result_t result;
-  if (size <= r.runtime->attr().max_inject_size && !args.from_packet) {
+  if (size <= r.runtime->inject_threshold() && !args.from_packet) {
     // Inject: assemble on the stack, no packet consumed (Sec. 4.3).
-    alignas(msg_header_t) char staging[sizeof(msg_header_t) + 512];
+    alignas(msg_header_t) char staging[sizeof(msg_header_t) + max_inject_size];
     assert(wire_size <= sizeof(staging));
     std::memcpy(staging, &header, sizeof(header));
     gather(args, staging + sizeof(header));

@@ -630,7 +630,7 @@ bool device_impl_t::progress() {
     if (now > age_ns) advanced |= flush_aggregation(-1, now - age_ns) > 0;
   }
   // (4) Poll every shard's CQ, one burst each. The burst is
-  // runtime_attr_t::cq_poll_burst resolved against the fabric's poll burst at
+  // net::config_t::poll_burst clamped to [1, max_cq_poll_burst] at
   // device construction — and it is a *per-shard* clamp: a burst larger than
   // one shard's pending depth must not let that shard's traffic monopolize
   // the call. Every shard is polled on every call (so `advanced == false`

@@ -3,6 +3,7 @@
 #include "core/progress_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <exception>
 
@@ -12,13 +13,17 @@
 
 namespace lci::detail {
 
+namespace {
+// The idle policy: empty service rounds of spinning, then rounds of
+// backoff, then doorbell sleeps of at most sleep_bound each.
+constexpr std::size_t spin_polls = 256;
+constexpr std::size_t backoff_polls = 64;
+constexpr std::chrono::microseconds sleep_bound{500};
+}  // namespace
+
 progress_engine_t::progress_engine_t(runtime_impl_t* runtime,
                                      std::size_t nthreads)
-    : runtime_(runtime),
-      spin_polls_(runtime->attr().progress_spin_polls),
-      backoff_polls_(runtime->attr().progress_backoff_polls),
-      sleep_bound_(std::chrono::microseconds(
-          std::max<std::size_t>(1, runtime->attr().progress_sleep_us))) {
+    : runtime_(runtime) {
   workers_.reserve(std::max<std::size_t>(1, nthreads));
   for (std::size_t i = 0; i < std::max<std::size_t>(1, nthreads); ++i) {
     workers_.push_back(std::make_unique<worker_t>());
@@ -145,8 +150,8 @@ void progress_engine_t::idle_sleep(worker_t* worker) {
       pause_depth_.load(std::memory_order_relaxed) == 0) {
     // An armed aggregation slot must be age-flushed by progress(), so never
     // sleep past its flush deadline — otherwise a coalesced message could sit
-    // in the slot for a full sleep_bound_ instead of aggregation_flush_us.
-    std::chrono::microseconds bound = sleep_bound_;
+    // in the slot for a full sleep_bound instead of aggregation_flush_us.
+    std::chrono::microseconds bound = sleep_bound;
     for (device_impl_t* device : worker->devices) {
       if (device->has_armed_aggregation()) {
         const auto flush_us = std::chrono::microseconds(
@@ -161,7 +166,7 @@ void progress_engine_t::idle_sleep(worker_t* worker) {
       const trace::span_t sleep_span =
           trace::begin(trace::kind_t::engine_sleep);
       // Bounded: a missed ring (doorbells are hints) costs at most
-      // sleep_bound_ of latency, never liveness.
+      // sleep_bound of latency, never liveness.
       waiter.cv.wait_for(lock, bound, [&]() {
         return waiter.seq.load(std::memory_order_relaxed) != observed ||
                stopping_.load(std::memory_order_relaxed) ||
@@ -199,16 +204,16 @@ void progress_engine_t::worker_loop(worker_t* worker) {
     }
 
     ++idle_polls;
-    if (idle_polls <= spin_polls_) {
+    if (idle_polls <= spin_polls) {
       util::cpu_relax();
-    } else if (idle_polls <= spin_polls_ + backoff_polls_) {
+    } else if (idle_polls <= spin_polls + backoff_polls) {
       backoff.spin();
     } else {
       idle_sleep(worker);
       // Stay in the backoff phase after waking: bursts often arrive in
       // trains, but re-earning the sleep keeps a trickle workload from
       // pinning a core.
-      idle_polls = spin_polls_ + 1;
+      idle_polls = spin_polls + 1;
       backoff.reset();
     }
   }

@@ -8,11 +8,11 @@
 // mode: a pool of engine threads, each servicing a round-robin subset of the
 // runtime's auto-progressed devices with a three-phase idle policy
 //
-//   spin  (progress_spin_polls empty rounds of immediate re-polling)
-//     -> backoff (progress_backoff_polls rounds of util::backoff_t, which
-//                 escalates pause loops into sched_yield)
-//     -> sleep (condvar wait, bounded by progress_sleep_us, armed against
-//               the per-device doorbells)
+//   spin  (256 empty rounds of immediate re-polling)
+//     -> backoff (64 rounds of util::backoff_t, which escalates pause
+//                 loops into sched_yield)
+//     -> sleep (condvar wait, bounded by 500 us, armed against the
+//               per-device doorbells)
 //
 // Doorbell protocol. Every device owns a doorbell (registered with its net
 // device; also rung by the core's backlog-push sites). ring() forwards to the
@@ -23,8 +23,7 @@
 // only then (4) waits on the condvar with a predicate on seq, which ring()
 // bumps before notifying. Because a doorbell is a hint (e.g. a packet-pool
 // refill that unblocks prepost replenishment rings nothing), every sleep is
-// additionally bounded by progress_sleep_us; a missed ring costs latency,
-// never liveness.
+// additionally bounded; a missed ring costs latency, never liveness.
 //
 // pause()/resume() give quiescence: pause blocks until every engine thread is
 // parked outside progress(), so callers can mutate device sets (attach,
@@ -39,7 +38,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -143,9 +141,6 @@ class progress_engine_t {
   void resume_locked();
 
   runtime_impl_t* const runtime_;
-  const std::size_t spin_polls_;
-  const std::size_t backoff_polls_;
-  const std::chrono::microseconds sleep_bound_;
 
   std::vector<std::unique_ptr<worker_t>> workers_;
 

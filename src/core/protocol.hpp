@@ -1,8 +1,9 @@
 // Wire protocol of the LCI runtime (paper Sec. 4.3 / 4.4).
 //
 // Send-receive and active messages use three protocols by message size:
-//   inject      (size <= max_inject_size): header+data assembled on the stack
-//               and handed to the network, no packet consumed;
+//   inject      (size <= min(max_inject_size, eager threshold)):
+//               header+data assembled on the stack and handed to the
+//               network, no packet consumed;
 //   buffer-copy (size <= eager threshold): header+data staged in a packet;
 //   zero-copy   (larger): RTS -> match -> RTR -> RDMA write with immediate
 //               ("FIN") rendezvous.
@@ -17,6 +18,8 @@
 #include "core/lci.hpp"
 
 namespace lci::detail {
+
+inline constexpr std::size_t max_inject_size = 64;
 
 struct msg_header_t {
   enum kind_t : uint8_t {

@@ -32,10 +32,6 @@ runtime_impl_t::runtime_impl_t(std::shared_ptr<net::fabric_t> fabric, int rank,
       nranks_(fabric_->nranks()) {
   if (attr_.packet_size <= sizeof(msg_header_t))
     throw fatal_error_t("packet_size must exceed the message header size");
-  if (attr_.max_inject_size > eager_threshold())
-    throw fatal_error_t("max_inject_size must not exceed the eager threshold");
-  if (attr_.max_inject_size > 512)
-    throw fatal_error_t("max_inject_size is limited to 512 bytes");
   // Eager frames (a packet plus the transport frame header) are not chunked:
   // one that can never fit the backend's ring / staging buffer would retry
   // forever in a silent livelock, so refuse the combination up front.

@@ -1,6 +1,7 @@
 // Internal runtime, device, backlog-queue, and rendezvous bookkeeping.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -359,9 +360,14 @@ struct op_ctx_t {
 // Device
 // ---------------------------------------------------------------------------
 
-// Upper bound of runtime_attr_t::cq_poll_burst (sizes the progress loop's
-// stack CQE array).
+// Upper bound of the CQ poll burst (sizes the progress loop's stack CQE
+// array); the fabric's poll_burst is clamped to it.
 inline constexpr std::size_t max_cq_poll_burst = 64;
+// Eager coalescing: messages of at most max_agg_eager_size bytes coalesce,
+// and a batch carries at most max_batch_msgs of them (and at most one
+// packet's payload).
+inline constexpr std::size_t max_agg_eager_size = 256;
+inline constexpr std::size_t max_batch_msgs = 64;
 
 class device_impl_t {
  public:
@@ -441,11 +447,10 @@ class device_impl_t {
   bool progress();  // defined in progress.cpp
 
   // --- Eager-message coalescing (defined in coalesce.cpp) -------------------
-  // Resolved policy for this device (runtime attrs with 0-defaults filled).
+  // Policy for this device: the runtime attrs, and the size limits derived
+  // from the packet geometry.
   bool aggregation_default() const noexcept { return agg_default_; }
   std::size_t agg_eager_max() const noexcept { return agg_eager_max_; }
-  std::size_t agg_max_bytes() const noexcept { return agg_max_bytes_; }
-  std::size_t agg_max_msgs() const noexcept { return agg_max_msgs_; }
   uint64_t agg_flush_us() const noexcept { return agg_flush_us_; }
   std::size_t cq_poll_burst() const noexcept { return cq_poll_burst_; }
   // True while any slot holds buffered sub-messages (bounds the engine's
@@ -465,13 +470,13 @@ class device_impl_t {
     }
     return false;
   }
-  // Single-poster bypass (runtime_attr_t::aggregation_bypass_single_poster):
-  // true = skip runtime-default coalescing because only one thread has ever
-  // posted agg-eligible traffic to this device. The first observation of a
-  // second poster flips multi_poster_ permanently. A per-post explicit
-  // .allow_aggregation(true) (override > 0) never bypasses.
+  // Single-poster bypass: true = skip runtime-default coalescing because
+  // only one thread has ever posted agg-eligible traffic to this device. The
+  // first observation of a second poster flips multi_poster_ permanently. A
+  // per-post explicit .allow_aggregation(true) (override > 0) never
+  // bypasses.
   bool aggregation_bypass(int8_t per_post_override) noexcept {
-    if (per_post_override > 0 || !agg_bypass_single_) return false;
+    if (per_post_override > 0) return false;
     if (agg_multi_poster_.load(std::memory_order_relaxed)) return false;
     const int me = static_cast<int>(util::thread_id());
     int last = agg_last_poster_.load(std::memory_order_relaxed);
@@ -571,12 +576,10 @@ class device_impl_t {
   // aggregation policy follows.
   std::atomic<int> armed_slots_{0};
   bool agg_default_ = false;
-  bool agg_bypass_single_ = true;
   std::atomic<int> agg_last_poster_{-1};   // dense util::thread_id of poster 0
   std::atomic<bool> agg_multi_poster_{false};
   std::size_t agg_eager_max_ = 0;
   std::size_t agg_max_bytes_ = 0;
-  std::size_t agg_max_msgs_ = 0;
   uint64_t agg_flush_us_ = 0;
   std::size_t cq_poll_burst_ = 32;
 };
@@ -606,6 +609,11 @@ class runtime_impl_t {
   // with the message header.
   std::size_t eager_threshold() const noexcept {
     return attr_.packet_size - sizeof(msg_header_t);
+  }
+  // Inject threshold: the largest payload assembled on the stack without a
+  // packet (Sec. 4.3).
+  std::size_t inject_threshold() const noexcept {
+    return std::min(max_inject_size, eager_threshold());
   }
 
   // Remote-completion registry (MPMC array: lock-free lookup on the AM path).

@@ -121,9 +121,10 @@ struct config_t {
   // lci backend, with enable_aggregation: how long (microseconds) progress
   // may hold an armed batch before flushing it. 0 (default) flushes whatever
   // accumulated on every progress poll — no added latency, batches only form
-  // between polls. A small positive hold lets slots fill toward
-  // aggregation_max_msgs under windowed/streaming traffic at the cost of a
-  // bounded delivery delay (the classic parcel-coalescing trade).
+  // between polls. A small positive hold lets slots fill toward a full
+  // batch (64 messages or one packet) under windowed/streaming traffic at
+  // the cost of a bounded delivery delay (the classic parcel-coalescing
+  // trade).
   uint64_t aggregation_flush_us = 0;
   // lci backend: internal shards per device (lci runtime_attr_t::
   // device_shards) — each shard owns its own network endpoint and

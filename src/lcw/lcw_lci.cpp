@@ -123,7 +123,7 @@ class lci_context_t final : public context_t {
     // poll": batches form between polls without the runtime's 100us timer
     // ever adding latency to this wrapper's poll-driven workloads. Callers
     // running windowed/streaming traffic can pass a small hold instead so
-    // slots fill toward aggregation_max_msgs.
+    // slots fill toward a full batch (64 messages or one packet).
     if (config.enable_aggregation)
       attr.aggregation_flush_us = config.aggregation_flush_us;
     if (config.device_shards != 0) attr.device_shards = config.device_shards;

@@ -96,10 +96,6 @@ fault_config_t fault_env_config(const fault_config_t& base) {
   return fault;
 }
 
-uint64_t peer_timeout_env_us() {
-  return env_u64("LCI_PEER_TIMEOUT_MS", 0) * 1000;
-}
-
 std::shared_ptr<fabric_t> create_fabric(backend_t backend,
                                         const config_t& config) {
   switch (backend) {
@@ -110,11 +106,9 @@ std::shared_ptr<fabric_t> create_fabric(backend_t backend,
     case backend_t::shm:
     case backend_t::tcp: {
       // Real backends are created from the forked-child env contract, so the
-      // fault policy and liveness timeout ride the environment too.
+      // fault policy rides the environment too.
       config_t real = config;
       real.fault = fault_env_config(real.fault);
-      if (real.peer_timeout_us == 0)
-        real.peer_timeout_us = peer_timeout_env_us();
       // Taken before any handshake wait: a rank that dies mid-handshake is
       // detected by its peers' bootstrap probes instead of a blind timeout.
       bootstrap::announce_self();

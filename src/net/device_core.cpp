@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 // Recording-side tracing only (header-inline; lci_net does not link the core
 // library). Wire spans cover push -> delivery.
@@ -16,20 +17,44 @@ void end_wire_span(uint64_t trace_id, uint8_t err, int rank, uint64_t size) {
                   err, rank, 0, size);
 }
 
-// The CQ ring's capacity: the configured cq_depth, clamped so a deep one
-// does not turn into megabytes of ring per endpoint. Only posts push into it
-// (inbound deliveries go straight into the poll batch, late completions
-// ride the inbound queue), so the send-depth check is its whole overflow
+// The CQ ring's capacity. Only posts push into it (inbound deliveries go
+// straight into the poll batch, late completions ride the inbound queue),
+// so the send-depth check, at half the ring, is its whole overflow
 // protection.
-std::size_t cq_capacity(const config_t& config) {
-  return std::clamp<std::size_t>(config.cq_depth, 1024, 8192);
+constexpr std::size_t cq_capacity = 8192;
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// mr_table_t
+// ---------------------------------------------------------------------------
+
+mr_id_t mr_table_t::add(void* base, std::size_t size) {
+  std::lock_guard<util::spinlock_t> guard(lock_);
+  region_t* region;
+  mr_id_t id;
+  if (!freelist_.empty()) {
+    id = freelist_.back();
+    freelist_.pop_back();
+    region = regions_.get(id);
+  } else {
+    storage_.push_back(std::make_unique<region_t>());
+    region = storage_.back().get();
+    id = static_cast<mr_id_t>(regions_.push_back(region));
+  }
+  region->base.store(static_cast<char*>(base), std::memory_order_relaxed);
+  region->size.store(size, std::memory_order_relaxed);
+  region->valid.store(true, std::memory_order_release);
+  return id;
 }
 
-// A fault-policy depth shrinks the configured one, never grows it.
-std::size_t shrunk(std::size_t configured, std::size_t fault) {
-  return fault != 0 ? std::min(fault, configured) : configured;
+void mr_table_t::remove(mr_id_t id) {
+  std::lock_guard<util::spinlock_t> guard(lock_);
+  region_t* region = id < regions_.size() ? regions_.get(id) : nullptr;
+  if (region == nullptr || !region->valid.load(std::memory_order_relaxed))
+    throw std::invalid_argument("deregistering an unregistered MR");
+  region->valid.store(false, std::memory_order_release);
+  freelist_.push_back(id);
 }
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // device_registry_t
@@ -159,14 +184,15 @@ device_core_t::device_core_t(core_fabric_t* fabric,
       inbound_is_wire_(inbound_is_wire),
       ofi_(fabric->config().lock_model == lock_model_t::ofi),
       uuar_(!ofi_ && fabric->config().td_strategy == td_strategy_t::none),
-      cq_(cq_capacity(fabric->config())) {
+      cq_(cq_capacity) {
   const config_t& cfg = fabric_->config();
-  // Posts stop at half the CQ ring: each in-flight poster adds at most one
-  // element past its own check, so the ring cannot overflow unless more than
-  // capacity/2 threads post at once.
-  send_depth_limit_ = std::min(shrunk(cfg.cq_depth, cfg.fault.send_depth),
-                               cq_.capacity() / 2);
-  wire_depth_limit_ = shrunk(cfg.wire_depth, cfg.fault.wire_depth);
+  // Posts stop at half the CQ ring, or earlier under a fault policy's
+  // send_depth: each in-flight poster adds at most one element past its own
+  // check, so the ring cannot overflow unless more than capacity/2 threads
+  // post at once.
+  send_depth_limit_ = cq_capacity / 2;
+  if (cfg.fault.send_depth != 0)
+    send_depth_limit_ = std::min(send_depth_limit_, cfg.fault.send_depth);
   if (!ofi_ && cfg.td_strategy == td_strategy_t::per_qp) {
     qp_locks_ = std::make_unique<util::try_lock_wrapper_t[]>(
         static_cast<std::size_t>(fabric_->nranks()));
@@ -217,7 +243,7 @@ bool device_core_t::wire_push(wire_msg_t msg) {
     drop(msg, rank_);
     return true;
   }
-  if (inbound_is_wire_ && wire_.size_approx() >= wire_depth_limit_)
+  if (inbound_is_wire_ && wire_.size_approx() >= fabric_->config().wire_depth)
     return false;
   const fault_config_t& fault = fabric_->config().fault;
   if (fault.loss_rate > 0.0) {

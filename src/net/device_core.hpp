@@ -17,7 +17,8 @@
 //  * the self-death purge, the doorbell and the diagnostic counts.
 //
 // core_fabric_t is what every fabric gives its cores: the configuration,
-// the peer-death ledger, the uUAR lock and the kill schedule.
+// the peer-death ledger, the uUAR lock and the kill schedule. mr_table_t is
+// one rank's memory registrations, on every transport.
 // device_registry_t is one rank's devices and the one routing rule: a
 // message from device i of context k lands on the target rank's context-k
 // device i, and nowhere else while that device is alive.
@@ -210,6 +211,50 @@ class device_registry_t {
   util::spinlock_t context_lock_;
   std::vector<std::unique_ptr<context_devices_t>> context_storage_;
   int next_context_ = 0;  // guarded by context_lock_
+};
+
+// One rank's memory registrations (paper Sec. 4.1.1: a registry is an MPMC
+// array). find() is a lock-free read, so the RMA path takes no lock; add()
+// and remove() write under a spinlock and recycle ids through a freelist.
+// Regions live as long as the table, so a lookup racing a deregistration
+// reads a stale region, never freed memory; base and size are atomics so
+// that such a race (a wire frame naming an id being recycled) is no data
+// race either.
+class mr_table_t {
+ public:
+  struct region_t {
+    std::atomic<char*> base{nullptr};
+    std::atomic<std::size_t> size{0};
+    std::atomic<bool> valid{false};
+
+    // [offset, offset + n) inside the region, or nullptr when it does not
+    // fit. Overflow-safe: offset and n can come off the wire, and a naive
+    // offset + n can wrap.
+    char* at(std::size_t offset, std::size_t n) const noexcept {
+      const std::size_t extent = size.load(std::memory_order_relaxed);
+      if (offset > extent || n > extent - offset) return nullptr;
+      return base.load(std::memory_order_relaxed) + offset;
+    }
+  };
+
+  mr_id_t add(void* base, std::size_t size);
+  // Throws std::invalid_argument when `id` is not registered.
+  void remove(mr_id_t id);
+  // The registered region `id` names, or nullptr (any id, even one that
+  // came off the wire).
+  const region_t* find(mr_id_t id) const noexcept {
+    if (id >= regions_.size()) return nullptr;
+    const region_t* region = regions_.get(id);
+    if (region == nullptr || !region->valid.load(std::memory_order_acquire))
+      return nullptr;
+    return region;
+  }
+
+ private:
+  util::mpmc_array_t<region_t*> regions_{8};
+  util::spinlock_t lock_;
+  std::vector<mr_id_t> freelist_;                   // guarded by lock_
+  std::vector<std::unique_ptr<region_t>> storage_;  // guarded by lock_
 };
 
 // The fabric half of the device core.
@@ -430,7 +475,6 @@ class device_core_t : public device_t {
   const bool ofi_;   // lock_model_t::ofi: ep_lock_ guards every operation
   const bool uuar_;  // ibv + td_strategy_t::none
   std::size_t send_depth_limit_ = 0;
-  std::size_t wire_depth_limit_ = 0;
 
   util::lcrq_t<wire_msg_t> wire_{1024};
   // The completion queue: a bounded lock-free MPSC ring of local

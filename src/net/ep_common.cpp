@@ -404,11 +404,11 @@ std::unique_ptr<device_t> ep_context_t::create_device() {
 }
 
 mr_id_t ep_context_t::register_memory(void* base, std::size_t size) {
-  return fabric_->register_memory(base, size);
+  return fabric_->mrs().add(base, size);
 }
 
 void ep_context_t::deregister_memory(mr_id_t id) {
-  fabric_->deregister_memory(id);
+  fabric_->mrs().remove(id);
 }
 
 // ---------------------------------------------------------------------------
@@ -625,37 +625,6 @@ void ep_fabric_t::release_held() {
     if (!deliver(frame.header, frame.payload.get(), still))
       still.push_back(std::move(frame));
   held_.swap(still);
-}
-
-mr_id_t ep_fabric_t::register_memory(void* base, std::size_t size) {
-  std::lock_guard<util::spinlock_t> guard(mr_lock_);
-  if (!mr_freelist_.empty()) {
-    const mr_id_t id = mr_freelist_.back();
-    mr_freelist_.pop_back();
-    mrs_[id] = ep_mr_record_t{base, size, true};
-    return id;
-  }
-  mrs_.push_back(ep_mr_record_t{base, size, true});
-  return static_cast<mr_id_t>(mrs_.size() - 1);
-}
-
-void ep_fabric_t::deregister_memory(mr_id_t id) {
-  std::lock_guard<util::spinlock_t> guard(mr_lock_);
-  if (id >= mrs_.size() || !mrs_[id].valid)
-    throw std::invalid_argument("deregistering an unregistered MR");
-  mrs_[id].valid = false;
-  mr_freelist_.push_back(id);
-}
-
-char* ep_fabric_t::resolve_mr(mr_id_t id, std::size_t offset,
-                              std::size_t size) {
-  std::lock_guard<util::spinlock_t> guard(mr_lock_);
-  if (id >= mrs_.size() || !mrs_[id].valid) return nullptr;
-  const ep_mr_record_t& record = mrs_[id];
-  // Overflow-safe: offset and size come off the wire, and `offset + size`
-  // can wrap for a hostile/corrupt uint64 offset, passing the naive check.
-  if (offset > record.size || size > record.size - offset) return nullptr;
-  return static_cast<char*>(record.base) + offset;
 }
 
 }  // namespace lci::net::detail

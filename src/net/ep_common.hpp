@@ -85,12 +85,6 @@ struct frame_header_t {
 };
 static_assert(sizeof(frame_header_t) == 56, "frame header layout");
 
-struct ep_mr_record_t {
-  void* base = nullptr;
-  std::size_t size = 0;
-  bool valid = false;
-};
-
 // What a transport did with a frame handed to it.
 enum class push_status_t : uint8_t { ok, full, down };
 
@@ -258,11 +252,13 @@ class ep_fabric_t : public core_fabric_t,
   static uint64_t now_us();
 
   // --- MR table (process-local; resolved only by the owning process) -------
-  mr_id_t register_memory(void* base, std::size_t size);
-  void deregister_memory(mr_id_t id);
+  mr_table_t& mrs() { return mrs_; }
   // nullptr on an invalid MR or bounds violation (the frame is dropped and
   // counted — a remote throw cannot unwind into the remote poster here).
-  char* resolve_mr(mr_id_t id, std::size_t offset, std::size_t size);
+  char* resolve_mr(mr_id_t id, std::size_t offset, std::size_t size) const {
+    const mr_table_t::region_t* region = mrs_.find(id);
+    return region != nullptr ? region->at(offset, size) : nullptr;
+  }
 
   std::size_t max_chunk_bytes() const { return max_chunk_bytes_; }
   std::size_t max_send_payload() const override { return max_send_payload_; }
@@ -335,9 +331,7 @@ class ep_fabric_t : public core_fabric_t,
   std::atomic<uint64_t> peers_timed_out_{0};
   std::atomic<uint64_t> backpressure_waits_{0};
 
-  mutable util::spinlock_t mr_lock_;
-  std::vector<ep_mr_record_t> mrs_;
-  std::vector<mr_id_t> mr_freelist_;
+  mr_table_t mrs_;
 };
 
 // Transport factories (invoked through net::create_fabric).

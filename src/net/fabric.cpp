@@ -1,5 +1,4 @@
 #include <chrono>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -58,47 +57,18 @@ uint64_t sim_fabric_t::ready_time_ns(std::size_t size) const {
   return now + static_cast<uint64_t>(delay_ns);
 }
 
-mr_id_t sim_fabric_t::register_memory(int rank, void* base, std::size_t size) {
-  rank_state_t& state = *ranks_[static_cast<std::size_t>(rank)];
-  std::lock_guard<util::spinlock_t> guard(state.mr_lock);
-  mr_record_t* record;
-  mr_id_t id;
-  if (!state.mr_freelist.empty()) {
-    id = state.mr_freelist.back();
-    state.mr_freelist.pop_back();
-    record = state.mrs.get(id);
-  } else {
-    state.mr_storage.push_back(std::make_unique<mr_record_t>());
-    record = state.mr_storage.back().get();
-    id = static_cast<mr_id_t>(state.mrs.push_back(record));
-  }
-  record->base = base;
-  record->size = size;
-  record->valid.store(true, std::memory_order_release);
-  return id;
-}
-
-void sim_fabric_t::deregister_memory(int rank, mr_id_t id) {
-  rank_state_t& state = *ranks_[static_cast<std::size_t>(rank)];
-  std::lock_guard<util::spinlock_t> guard(state.mr_lock);
-  mr_record_t* record = state.mrs.get(id);
-  if (record == nullptr || !record->valid.load(std::memory_order_acquire))
-    throw std::invalid_argument("deregistering an unregistered MR");
-  record->valid.store(false, std::memory_order_release);
-  state.mr_freelist.push_back(id);
-}
-
 char* sim_fabric_t::resolve_remote(int rank, mr_id_t id, std::size_t offset,
                                    std::size_t size) const {
-  const rank_state_t& state = *ranks_[static_cast<std::size_t>(rank)];
-  mr_record_t* record = id < state.mrs.size() ? state.mrs.get(id) : nullptr;
-  if (record == nullptr || !record->valid.load(std::memory_order_acquire))
+  const mr_table_t::region_t* region =
+      ranks_[static_cast<std::size_t>(rank)]->mrs.find(id);
+  if (region == nullptr)
     throw std::invalid_argument("remote access to an unregistered MR (rank " +
                                 std::to_string(rank) + ", mr " +
                                 std::to_string(id) + ")");
-  if (offset > record->size || size > record->size - offset)
+  char* target = region->at(offset, size);
+  if (target == nullptr)
     throw std::out_of_range("remote access beyond the registered region");
-  return static_cast<char*>(record->base) + offset;
+  return target;
 }
 
 int sim_context_t::nranks() const { return fabric_->nranks(); }
@@ -108,11 +78,11 @@ std::unique_ptr<device_t> sim_context_t::create_device() {
 }
 
 mr_id_t sim_context_t::register_memory(void* base, std::size_t size) {
-  return fabric_->register_memory(rank_, base, size);
+  return fabric_->mrs(rank_).add(base, size);
 }
 
 void sim_context_t::deregister_memory(mr_id_t id) {
-  fabric_->deregister_memory(rank_, id);
+  fabric_->mrs(rank_).remove(id);
 }
 
 }  // namespace detail

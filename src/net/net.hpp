@@ -81,10 +81,8 @@ enum class td_strategy_t : uint8_t { per_qp, all_qp, none };
 //  * retry_rate — probability that post_send/post_write/post_read bounces
 //    with a retry result before touching any fabric state (split between
 //    retry_lock and retry_full by lock_fraction),
-//  * send_depth / wire_depth — shrink the effective send-queue and
-//    wire-mailbox depths used by the backpressure checks, forcing organic
-//    retry_full under modest traffic (wire_depth: sim only — shm/tcp
-//    backpressure is the ring's or the socket's),
+//  * send_depth — shrink the effective send-queue depth used by the
+//    backpressure check, forcing organic retry_full under modest traffic,
 //  * delay_rate / delay_polls — hold a wire message back for a number of
 //    delivery attempts (per-sender FIFO order is preserved, so this models
 //    slow links at the completion-visibility level, not reordering),
@@ -112,8 +110,7 @@ struct fault_config_t {
   // Cap on injected retries per device (0 = unlimited). A nonzero cap
   // guarantees forward progress even at retry_rate == 1.0.
   uint64_t max_faults = 0;
-  std::size_t send_depth = 0;  // 0 = use config_t::cq_depth
-  std::size_t wire_depth = 0;  // 0 = use config_t::wire_depth
+  std::size_t send_depth = 0;  // 0 = the default 4096 (never raised)
   double delay_rate = 0.0;     // [0,1] per-message delivery-delay probability
   uint32_t delay_polls = 4;    // delivery attempts a delayed message skips
   // Peer-death schedule: rank to kill (-1 = nobody) and the number of
@@ -135,8 +132,8 @@ struct fault_config_t {
   std::size_t shm_ring_shrink = 0;
 
   bool enabled() const {
-    return retry_rate > 0.0 || send_depth != 0 || wire_depth != 0 ||
-           delay_rate > 0.0 || kill_rank >= 0 || loss_rate > 0.0 ||
+    return retry_rate > 0.0 || send_depth != 0 || delay_rate > 0.0 ||
+           kill_rank >= 0 || loss_rate > 0.0 ||
            tcp_reset_rate > 0.0 || tcp_short_write_rate > 0.0 ||
            shm_ring_shrink != 0;
   }
@@ -145,10 +142,6 @@ struct fault_config_t {
 struct config_t {
   lock_model_t lock_model = lock_model_t::ibv;
   td_strategy_t td_strategy = td_strategy_t::per_qp;
-  // Per-device completion-queue depth; a full CQ back-pressures sends. The
-  // CQ ring clamps it to 1024..8192 entries, and posts stop at half the
-  // ring.
-  std::size_t cq_depth = 65536;
   // Per-device wire-mailbox depth; a full mailbox back-pressures senders
   // (models NIC flow control / RNR). sim only: on shm/tcp the ring or the
   // socket is the wire and carries the backpressure.
@@ -168,7 +161,8 @@ struct config_t {
   // a peer not heard from (no frames, no beacons, no shm progress-epoch
   // advance) for this long is declared dead, feeding the same death-epoch
   // purge a crash does. The sim backend ignores it (threads in one process
-  // cannot be partitioned). Env default: LCI_PEER_TIMEOUT_MS.
+  // cannot be partitioned). The runtime passes runtime_attr_t::peer_timeout_us
+  // (whose default reads LCI_PEER_TIMEOUT_MS) as it is: 0 stays off.
   uint64_t peer_timeout_us = 0;
 };
 
@@ -331,9 +325,6 @@ int bootstrap_nranks();
 // launch_local.sh job (forked ranks, env contract) injects faults into the
 // real backends, where no in-process config handoff exists.
 fault_config_t fault_env_config(const fault_config_t& base = {});
-
-// LCI_PEER_TIMEOUT_MS converted to microseconds (0 when unset/empty).
-uint64_t peer_timeout_env_us();
 
 // Generic factory. For sim this is a single-rank in-process fabric (threads
 // join ranks via lci::sim::world_t instead); for shm/tcp it builds the

@@ -4,19 +4,12 @@
 // and moves RMA data by memcpy.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "net/device_core.hpp"
 
 namespace lci::net::detail {
-
-struct mr_record_t {
-  void* base = nullptr;
-  std::size_t size = 0;
-  std::atomic<bool> valid{false};
-};
 
 class sim_fabric_t;
 
@@ -91,10 +84,12 @@ class sim_fabric_t final : public core_fabric_t,
     return registry(rank).route(context, src_index);
   }
 
-  // Memory registration (per-rank tables, readable by any rank).
-  mr_id_t register_memory(int rank, void* base, std::size_t size);
-  void deregister_memory(int rank, mr_id_t id);
-  // Resolves a remote address or throws (invalid MR / bounds violation).
+  // Memory registrations: one table per rank, readable by any rank.
+  mr_table_t& mrs(int rank) {
+    return ranks_[static_cast<std::size_t>(rank)]->mrs;
+  }
+  // Resolves a remote address or throws: std::invalid_argument for an
+  // unregistered MR, std::out_of_range past the registered region.
   char* resolve_remote(int rank, mr_id_t id, std::size_t offset,
                        std::size_t size) const;
 
@@ -108,10 +103,7 @@ class sim_fabric_t final : public core_fabric_t,
     // (see device_registry_t); the rank's dead flag is in the fabric's
     // ledger, alone on its line.
     device_registry_t registry;
-    util::mpmc_array_t<mr_record_t*> mrs{8};
-    util::spinlock_t mr_lock;
-    std::vector<mr_id_t> mr_freelist;                  // guarded by mr_lock
-    std::vector<std::unique_ptr<mr_record_t>> mr_storage;  // guarded by mr_lock
+    mr_table_t mrs;
   };
 
   std::vector<std::unique_ptr<rank_state_t>> ranks_;

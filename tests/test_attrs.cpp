@@ -16,12 +16,10 @@ TEST(Attrs, RuntimeAttrRoundTrips) {
     lci::runtime_attr_t attr = small_attr();
     attr.packet_size = 2048;
     attr.npackets = 512;
-    attr.max_inject_size = 32;
     lci::g_runtime_init(attr);
     const lci::runtime_attr_t got = lci::get_attr(lci::runtime_t{});
     EXPECT_EQ(got.packet_size, 2048u);
     EXPECT_EQ(got.npackets, 512u);
-    EXPECT_EQ(got.max_inject_size, 32u);
     lci::g_runtime_fina();
   });
 }

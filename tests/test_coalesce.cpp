@@ -4,22 +4,25 @@
 // attributes, and deadline/cancel on buffered sub-operations.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/lci.hpp"
 
 namespace {
 
+// Coalescing on by default. These tests assert exact coalescing counters
+// from single-threaded posters, which the single-poster bypass would send
+// out one by one, so every post below opts in with .allow_aggregation(true)
+// (never bypassed).
 lci::runtime_attr_t agg_attr() {
   lci::runtime_attr_t attr;
   attr.matching_engine_buckets = 256;
   attr.allow_aggregation = true;
-  // These tests assert exact coalescing counters from single-threaded
-  // posters, so the single-poster bypass must not silently divert their
-  // traffic to the plain eager path.
-  attr.aggregation_bypass_single_poster = false;
   return attr;
 }
 
@@ -49,7 +52,7 @@ TEST(Coalesce, BatchAndBypassMatchInPostedOrder) {
     const lci::counters_t base = lci::get_counters();
     constexpr int count = 10;
     constexpr std::size_t small_size = 8;
-    constexpr std::size_t large_size = 600;  // above aggregation_eager_max
+    constexpr std::size_t large_size = 600;  // above the 256 B coalescing limit
     auto is_large = [](int i) { return i % 3 == 2; };
     if (rank == 1) {
       std::vector<std::vector<char>> inbox(
@@ -80,7 +83,8 @@ TEST(Coalesce, BatchAndBypassMatchInPostedOrder) {
         lci::status_t ss;
         do {
           ss = lci::post_send_x(1, out.data(), size, 0, {})
-                   .matching_policy(lci::matching_policy_t::rank_only)();
+                   .matching_policy(lci::matching_policy_t::rank_only)
+                   .allow_aggregation(true)();
           lci::progress();
         } while (ss.error.is_retry());
         ASSERT_TRUE(ss.error.is_done());  // copy taken: buffer reusable
@@ -150,7 +154,8 @@ TEST(Coalesce, AggregatedAmsCopyDelivery) {
         snprintf(payload, sizeof(payload), "batched am %d from %d", sent,
                  rank);
         const auto ss =
-            lci::post_am(peer, payload, sizeof(payload), {}, rcomp);
+            lci::post_am_x(peer, payload, sizeof(payload), {}, rcomp)
+                .allow_aggregation(true)();
         if (!ss.error.is_retry()) ++sent;
       }
       lci::progress();
@@ -196,7 +201,8 @@ TEST(Coalesce, AggregatedAmsPacketDelivery) {
         snprintf(payload, sizeof(payload), "batched am %d from %d", sent,
                  rank);
         const auto ss =
-            lci::post_am(peer, payload, sizeof(payload), {}, rcomp);
+            lci::post_am_x(peer, payload, sizeof(payload), {}, rcomp)
+                .allow_aggregation(true)();
         if (!ss.error.is_retry()) ++sent;
       }
       lci::progress();
@@ -222,28 +228,188 @@ TEST(Coalesce, AggregatedAmsPacketDelivery) {
   });
 }
 
-// Resolved aggregation policy and poll burst are visible in device attrs.
+// Aggregation policy and poll burst are visible in device attrs. The burst
+// is the fabric's poll_burst, clamped to the progress stack array.
 TEST(Coalesce, DeviceAttrsReportResolvedPolicy) {
   lci::sim::spawn(1, [](int) {
     lci::g_runtime_init(agg_attr());
     lci::device_attr_t attr = lci::get_attr(lci::device_t{});
     EXPECT_TRUE(attr.allow_aggregation);
-    EXPECT_EQ(attr.aggregation_eager_max, 256u);
-    EXPECT_EQ(attr.aggregation_max_bytes, 4096u - 16u);  // payload capacity
-    EXPECT_EQ(attr.aggregation_max_msgs, 64u);
     EXPECT_EQ(attr.aggregation_flush_us, 100u);
     EXPECT_EQ(attr.cq_poll_burst, 64u);  // fabric poll_burst default
     lci::g_runtime_fina();
+  });
+  const std::pair<std::size_t, std::size_t> bursts[] = {{7, 7}, {1000, 64}};
+  for (const auto& [burst, expected] : bursts) {
+    lci::net::config_t fabric;
+    fabric.poll_burst = burst;
+    lci::sim::spawn(
+        1,
+        [&](int) {
+          lci::g_runtime_init(agg_attr());
+          EXPECT_EQ(lci::get_attr(lci::device_t{}).cq_poll_burst, expected);
+          lci::g_runtime_fina();
+        },
+        fabric);
+  }
+}
 
-    lci::runtime_attr_t custom = agg_attr();
-    custom.cq_poll_burst = 7;
-    lci::g_runtime_init(custom);
-    EXPECT_EQ(lci::get_attr(lci::device_t{}).cq_poll_burst, 7u);
+// The coalescing limits follow the packet geometry: a 256-byte message
+// coalesces and a 257-byte one goes out alone; a batch posts itself once it
+// holds 64 messages, or one packet's payload (15 entries of 256 bytes fill
+// 4096 - 16 bytes).
+TEST(Coalesce, LimitsFollowPacketGeometry) {
+  lci::runtime_attr_t attr = agg_attr();
+  attr.aggregation_flush_us = 1000000;  // no age flush in-test
+  constexpr int small_count = 64;
+  constexpr int full_count = 15;
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(attr);
+    std::vector<char> buf(257, 'a');
+    const int total = 2 + small_count + full_count;
+    std::vector<std::vector<char>> in(static_cast<std::size_t>(total),
+                                      std::vector<char>(257, 0));
+    lci::comp_t sync = lci::alloc_sync(static_cast<std::size_t>(total));
+    if (rank == 1) {
+      const std::size_t sizes[] = {256, 257};
+      std::size_t k = 0;
+      for (lci::tag_t tag = 1; tag <= 2; ++tag, ++k)
+        EXPECT_TRUE(lci::post_recv(0, in[k].data(), sizes[tag - 1], tag, sync)
+                        .error.is_posted());
+      for (int i = 0; i < small_count; ++i, ++k)
+        EXPECT_TRUE(
+            lci::post_recv(0, in[k].data(), 8, 3, sync).error.is_posted());
+      for (int i = 0; i < full_count; ++i, ++k)
+        EXPECT_TRUE(
+            lci::post_recv(0, in[k].data(), 256, 4, sync).error.is_posted());
+    }
+    lci::barrier();
+    if (rank == 1) {
+      lci::sync_wait(sync, nullptr);
+      EXPECT_EQ(in[0][255], 'a');
+      EXPECT_EQ(in[1][256], 'a');
+    } else {
+      lci::pin_thread_shard(0);  // one slot for every tag
+      const lci::counters_t base = lci::get_counters();
+      auto send = [&](std::size_t size, lci::tag_t tag) {
+        lci::status_t ss;
+        do {
+          ss = lci::post_send_x(1, buf.data(), size, tag, {})
+                   .allow_aggregation(true)();
+          if (ss.error.is_retry()) lci::progress();
+        } while (ss.error.is_retry());
+        EXPECT_TRUE(ss.error.is_done());
+      };
+      auto delta = [&](uint64_t lci::counters_t::*field) {
+        return lci::get_counters().*field - base.*field;
+      };
+      send(256, 1);
+      EXPECT_EQ(delta(&lci::counters_t::send_coalesced), 1u);
+      send(257, 2);  // alone, after flushing the armed batch ahead of it
+      EXPECT_EQ(delta(&lci::counters_t::send_coalesced), 1u);
+      EXPECT_EQ(delta(&lci::counters_t::batches_flushed), 1u);
+      for (int i = 0; i < small_count; ++i) {
+        EXPECT_EQ(delta(&lci::counters_t::batches_flushed), 1u) << i;
+        send(8, 3);
+      }
+      EXPECT_EQ(delta(&lci::counters_t::batches_flushed), 2u);
+      for (int i = 0; i < full_count; ++i) {
+        EXPECT_EQ(delta(&lci::counters_t::batches_flushed), 2u) << i;
+        send(256, 4);
+      }
+      EXPECT_EQ(delta(&lci::counters_t::batches_flushed), 3u);
+      EXPECT_EQ(delta(&lci::counters_t::send_coalesced),
+                1u + small_count + full_count);
+      lci::pin_thread_shard(-1);
+    }
+    lci::barrier();
+    lci::free_comp(&sync);
     lci::g_runtime_fina();
+  });
+}
 
-    custom.cq_poll_burst = 1000;  // clamped to the progress stack array
-    lci::g_runtime_init(custom);
-    EXPECT_EQ(lci::get_attr(lci::device_t{}).cq_poll_burst, 64u);
+// The single-poster bypass, with coalescing on at the runtime level: while
+// one thread is the only poster, its default posts go out one by one (a
+// lone poster shares the wire with nobody, and the age flush only adds
+// latency); an explicit .allow_aggregation(true) from it still coalesces;
+// and once a second thread has posted, the first thread's default posts
+// coalesce.
+TEST(Coalesce, SinglePosterBypassesDefaultAggregation) {
+  lci::runtime_attr_t attr;
+  attr.matching_engine_buckets = 256;
+  attr.allow_aggregation = true;
+  attr.aggregation_flush_us = 1000000;  // flush() is the only exit
+  constexpr int count = 8;
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(attr);
+    char out[8] = "bypass";
+    auto send = [&](lci::tag_t tag, bool explicit_agg) {
+      lci::status_t ss;
+      do {
+        ss = explicit_agg ? lci::post_send_x(1, out, sizeof(out), tag, {})
+                                .allow_aggregation(true)()
+                          : lci::post_send(1, out, sizeof(out), tag, {});
+        if (ss.error.is_retry()) lci::progress();
+      } while (ss.error.is_retry());
+      EXPECT_TRUE(ss.error.is_done());
+    };
+    const lci::counters_t base = lci::get_counters();
+    // Receives for all three phases, posted before any send.
+    std::vector<std::array<char, 8>> in(2 * count + 2);
+    lci::comp_t phase_sync[3];
+    const int phase_count[3] = {count, 1, count + 1};
+    if (rank == 1) {
+      std::size_t k = 0;
+      for (int phase = 0; phase < 3; ++phase) {
+        phase_sync[phase] =
+            lci::alloc_sync(static_cast<std::size_t>(phase_count[phase]));
+        for (int i = 0; i < phase_count[phase]; ++i, ++k)
+          EXPECT_TRUE(lci::post_recv(0, in[k].data(), 8,
+                                     static_cast<lci::tag_t>(phase + 1),
+                                     phase_sync[phase])
+                          .error.is_posted());
+      }
+    }
+    lci::barrier();
+    // Phase 1: one poster, runtime default: no coalescing, no batches.
+    if (rank == 0) {
+      for (int i = 0; i < count; ++i) send(1, false);
+      EXPECT_EQ(lci::get_counters().send_coalesced - base.send_coalesced, 0u);
+      EXPECT_EQ(lci::flush(), 0u);  // nothing was buffered
+    } else {
+      lci::sync_wait(phase_sync[0], nullptr);
+      EXPECT_EQ(lci::get_counters().recv_batches - base.recv_batches, 0u);
+    }
+    lci::barrier();
+    // Phase 2: the same thread opts in explicitly: it coalesces.
+    if (rank == 0) {
+      send(2, true);
+      EXPECT_EQ(lci::get_counters().send_coalesced - base.send_coalesced, 1u);
+      EXPECT_EQ(flush_until_posted(), 1u);
+    } else {
+      lci::sync_wait(phase_sync[1], nullptr);
+      EXPECT_EQ(lci::get_counters().recv_batches - base.recv_batches, 1u);
+    }
+    lci::barrier();
+    // Phase 3: a second thread posts once; from then on the first thread's
+    // default posts coalesce too.
+    if (rank == 0) {
+      auto binding = lci::sim::current_binding();
+      std::thread second([&] {
+        lci::sim::scoped_binding_t bound(binding);
+        send(3, false);
+      });
+      second.join();
+      for (int i = 0; i < count; ++i) send(3, false);
+      EXPECT_EQ(lci::get_counters().send_coalesced - base.send_coalesced,
+                2u + count);
+      EXPECT_GE(flush_until_posted(), 1u);
+    } else {
+      lci::sync_wait(phase_sync[2], nullptr);
+      EXPECT_GE(lci::get_counters().recv_batches - base.recv_batches, 2u);
+      for (lci::comp_t& sync : phase_sync) lci::free_comp(&sync);
+    }
+    lci::barrier();
     lci::g_runtime_fina();
   });
 }
@@ -266,7 +432,8 @@ TEST(Coalesce, DeadlineAndCancelOnBufferedSubOps) {
       // Deadline: the sweep completes the buffered entry with fatal_timeout.
       lci::status_t ss = lci::post_send_x(1, out, sizeof(out), 1, cq)
                              .allow_done(false)
-                             .deadline(2000)();
+                             .deadline(2000)
+                             .allow_aggregation(true)();
       ASSERT_TRUE(ss.error.is_posted());
       lci::status_t st;
       do {
@@ -279,7 +446,8 @@ TEST(Coalesce, DeadlineAndCancelOnBufferedSubOps) {
       lci::op_t op;
       ss = lci::post_send_x(1, out, sizeof(out), 2, cq)
                .allow_done(false)
-               .op_handle(&op)();
+               .op_handle(&op)
+               .allow_aggregation(true)();
       ASSERT_TRUE(ss.error.is_posted());
       EXPECT_TRUE(lci::cancel(op));
       EXPECT_FALSE(lci::cancel(op));  // spent
@@ -348,13 +516,17 @@ TEST(Coalesce, TruncatedBatchFailsTheCutSubMessage) {
         for (int i = 0; i < fit; ++i) {
           std::memset(out.data(), 'a' + b * fit + i, size);
           EXPECT_TRUE(
-              lci::post_send(1, out.data(), size, filler_tag(b, i), {})
+              lci::post_send_x(1, out.data(), size, filler_tag(b, i), {})
+                  .allow_aggregation(true)()
                   .error.is_done());
         }
         std::memset(out.data(), 'z', size);
         const lci::status_t ss =
-            b == 2 ? lci::post_am_x(1, out.data(), size, {}, rcomp).tag(23)()
-                   : lci::post_send(1, out.data(), size, 10 * b + 3, {});
+            b == 2 ? lci::post_am_x(1, out.data(), size, {}, rcomp)
+                         .tag(23)
+                         .allow_aggregation(true)()
+                   : lci::post_send_x(1, out.data(), size, 10 * b + 3, {})
+                         .allow_aggregation(true)();
         EXPECT_TRUE(ss.error.is_done());
         EXPECT_EQ(lci::flush(), 1u);
       }
@@ -421,8 +593,9 @@ TEST(Coalesce, DrainFlushesBufferedSubOps) {
     if (rank == 0) {
       lci::comp_t cq = lci::alloc_cq();
       char out[8] = "drained";
-      const lci::status_t ss =
-          lci::post_send_x(1, out, sizeof(out), 5, cq).allow_done(false)();
+      const lci::status_t ss = lci::post_send_x(1, out, sizeof(out), 5, cq)
+                                   .allow_done(false)
+                                   .allow_aggregation(true)();
       ASSERT_TRUE(ss.error.is_posted());
       EXPECT_EQ(lci::drain(lci::device_t{}, 100000), 0u);  // clean drain
       lci::status_t st = lci::cq_pop(cq);

@@ -50,7 +50,7 @@ class CqType : public ::testing::TestWithParam<lci::cq_type_t> {};
 
 TEST_P(CqType, PushPopBasics) {
   with_runtime([&] {
-    lci::comp_t cq = lci::alloc_cq_typed(GetParam(), 1024);
+    lci::comp_t cq = lci::alloc_cq_x().type(GetParam()).capacity(1024)();
     EXPECT_TRUE(lci::cq_pop(cq).error.is_retry());  // empty
     lci::comp_signal(cq, make_status(1, 10));
     lci::comp_signal(cq, make_status(2, 20));
@@ -67,7 +67,7 @@ TEST_P(CqType, PushPopBasics) {
 
 TEST_P(CqType, ManyEntriesSurvive) {
   with_runtime([&] {
-    lci::comp_t cq = lci::alloc_cq_typed(GetParam(), 256);
+    lci::comp_t cq = lci::alloc_cq_x().type(GetParam()).capacity(256)();
     // LCRQ grows; the array impl wraps (we stay within capacity per round).
     for (int round = 0; round < 10; ++round) {
       for (int i = 0; i < 200; ++i)
@@ -81,7 +81,7 @@ TEST_P(CqType, ManyEntriesSurvive) {
 
 TEST_P(CqType, ConcurrentProducersConsumers) {
   with_runtime([&] {
-    lci::comp_t cq = lci::alloc_cq_typed(GetParam(), 4096);
+    lci::comp_t cq = lci::alloc_cq_x().type(GetParam()).capacity(4096)();
     constexpr int producers = 2, consumers = 2, per = 20000;
     std::atomic<long> rank_sum{0};
     std::atomic<int> popped{0};

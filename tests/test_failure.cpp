@@ -257,9 +257,6 @@ TEST(PeerDeath, FlushToDeadPeerFailsBufferedSubOpsOnce) {
   lci::sim::spawn(2, [&](int rank) {
     lci::runtime_attr_t attr = small_attr();
     attr.allow_aggregation = true;
-    // The sends must park in the slot until kill_peer(); the single-poster
-    // bypass would post them immediately and nothing would be buffered.
-    attr.aggregation_bypass_single_poster = false;
     attr.aggregation_flush_us = 1000000;  // no age flush: only the purge
     lci::g_runtime_init(attr);
     if (rank == 0) {
@@ -271,9 +268,13 @@ TEST(PeerDeath, FlushToDeadPeerFailsBufferedSubOpsOnce) {
         std::memset(bufs[i], 'a' + i, sizeof(bufs[i]));
         lci::status_t ss;
         do {
+          // The sends must park in the slot until kill_peer(): opt in per
+          // post, or the single-poster bypass would post them immediately
+          // and nothing would be buffered.
           ss = lci::post_send_x(1, bufs[i], sizeof(bufs[i]),
                                 static_cast<lci::tag_t>(i), cq)
-                   .allow_done(false)();
+                   .allow_done(false)
+                   .allow_aggregation(true)();
           if (ss.error.is_retry()) lci::progress();
         } while (ss.error.is_retry());
         ASSERT_TRUE(ss.error.is_posted());

@@ -128,7 +128,7 @@ TEST(FaultNet, InjectedFaultsMatchRetryResults) {
 
 TEST(FaultNet, ShrunkSendDepthBackpressures) {
   config_t config;
-  config.fault.send_depth = 2;  // far below the configured cq_depth
+  config.fault.send_depth = 2;  // far below the default 4096
   net_fixture_t f(config);
   const int v = 3;
   ASSERT_EQ(f.dev0->post_send(1, &v, sizeof(v), 0, nullptr),

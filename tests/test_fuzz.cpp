@@ -52,9 +52,6 @@ TEST_P(Fuzz, TaggedTrafficMatchesOracle) {
     lci::runtime_attr_t attr;
     attr.matching_engine_buckets = 512;
     attr.allow_aggregation = aggregation;
-    // Each rank posts from one thread; without this the single-poster bypass
-    // would turn the "_agg" variants into plain eager replays.
-    attr.aggregation_bypass_single_poster = false;
     attr.trace = trace;
     attr.trace_ring_size = 512;  // small: wraparound under load
     lci::g_runtime_init(attr);
@@ -148,7 +145,10 @@ TEST_P(Fuzz, TaggedTrafficMatchesOracle) {
       fill_payload(payload, payload_key(rank, op.tag, send_seq[op.tag]++));
       lci::status_t ss;
       do {
-        ss = lci::post_send_x(peer, payload.data(), op.size, op.tag, scq)();
+        // Each rank posts from one thread: per post, or the single-poster
+        // bypass would turn the "_agg" variants into plain eager replays.
+        ss = lci::post_send_x(peer, payload.data(), op.size, op.tag, scq)
+                 .allow_aggregation(aggregation)();
         lci::progress();
       } while (ss.error.is_retry());
       if (ss.error.is_posted()) {
@@ -206,7 +206,6 @@ TEST_P(Fuzz, RmaPutsMatchShadow) {
     lci::runtime_attr_t attr;
     attr.matching_engine_buckets = 512;
     attr.allow_aggregation = aggregation;
-    attr.aggregation_bypass_single_poster = false;
     attr.trace = trace;
     attr.trace_ring_size = 512;
     lci::g_runtime_init(attr);

@@ -425,7 +425,7 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(p.param) + "shards";
     });
 
-// cq_poll_burst = 1 with traffic both ways: each poll returns one entry,
+// A poll burst of 1 with traffic both ways: each poll returns one entry,
 // and local send completions and inbound deliveries take turns. A shrunk
 // send depth turns starvation of either into a stall — unreaped send
 // completions block every further post, and undelivered inbound messages
@@ -434,12 +434,11 @@ TEST(RecvPath, PollBurstOneServesBothDirections) {
   constexpr int count = 5000;
   lci::net::config_t fabric;
   fabric.fault.send_depth = 4;
+  fabric.poll_burst = 1;
   lci::sim::spawn(
       2,
       [&](int rank) {
-        lci::runtime_attr_t attr;
-        attr.cq_poll_burst = 1;
-        lci::g_runtime_init(attr);
+        lci::g_runtime_init();
         ASSERT_EQ(lci::get_attr(lci::device_t{}).cq_poll_burst, 1u);
         const int peer = 1 - rank;
         lci::comp_t rcq = lci::alloc_cq();

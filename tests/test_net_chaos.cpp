@@ -18,6 +18,8 @@
 //   * tcpshort     — (tcp) injected short writes are invisible to the data
 //   * exitflush    — (tcp) a rank that finalizes right after a send whose
 //                    tail a short write left staged still delivers it
+//   * notimeout    — an explicit peer_timeout_us = 0 overrides
+//                    LCI_PEER_TIMEOUT_MS: no heartbeats are sent
 //
 // Runs are reproducible per seed: the parent forwards LCI_FAULT_SEED from
 // its own environment (default 1), so CI can sweep seeds.
@@ -499,6 +501,27 @@ int child_exitflush() {
   return 0;
 }
 
+// An explicit runtime_attr_t::peer_timeout_us = 0 turns liveness off even
+// when LCI_PEER_TIMEOUT_MS is set: the env var is only the attr's default.
+// Both ranks stay busy for 1.5 s (10 heartbeat periods of the env's 200 ms
+// timeout would send dozens of beacons) and must send none.
+int child_notimeout() {
+  lci::runtime_attr_t attr;
+  attr.peer_timeout_us = 0;
+  lci::g_runtime_init(attr);
+  CHILD_CHECK(lci::get_attr(lci::runtime_t{}).peer_timeout_us == 0);
+  lci::barrier();
+  const uint64_t until = wall_us() + 1500u * 1000;
+  while (wall_us() < until) {
+    lci::progress();
+    usleep(1000);
+  }
+  lci::barrier();
+  CHILD_CHECK(lci::get_counters().heartbeats_sent == 0);
+  lci::g_runtime_fina();
+  return 0;
+}
+
 int run_child(const std::string& role) {
   if (role == "delay") return child_delay();
   if (role == "loss") return child_loss();
@@ -508,6 +531,7 @@ int run_child(const std::string& role) {
   if (role == "tcpreset") return child_tcpreset();
   if (role == "tcpshort") return child_tcpshort();
   if (role == "exitflush") return child_exitflush();
+  if (role == "notimeout") return child_notimeout();
   std::fprintf(stderr, "unknown chaos child role: %s\n", role.c_str());
   return 2;
 }
@@ -721,6 +745,15 @@ TEST_P(NetChaos, TcpExitFlushesStagedFrames) {
   launch_opt_t opt;
   opt.env = {{"LCI_FAULT_TCP_SHORT_WRITE_RATE", "1.0"}};
   const launch_result_t r = launch(GetParam(), 2, "exitflush", opt);
+  EXPECT_EQ(r.exit_codes, zeros(2));
+}
+
+// LCI_PEER_TIMEOUT_MS is the attr default and nothing more: a runtime that
+// sets peer_timeout_us = 0 sends no heartbeats.
+TEST_P(NetChaos, ExplicitZeroPeerTimeoutSendsNoHeartbeats) {
+  launch_opt_t opt;
+  opt.env = {{"LCI_PEER_TIMEOUT_MS", "200"}};
+  const launch_result_t r = launch(GetParam(), 2, "notimeout", opt);
   EXPECT_EQ(r.exit_codes, zeros(2));
 }
 

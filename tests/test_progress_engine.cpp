@@ -51,15 +51,12 @@ uint64_t wait_nonzero(F getter) {
   return getter();
 }
 
-// Engine-friendly attr: small spin/backoff phases so the engine reaches the
-// sleep phase quickly in tests.
+// The default device serviced by `nthreads` engine threads.
 lci::runtime_attr_t engine_attr(std::size_t nthreads = 1) {
   lci::runtime_attr_t attr;
   attr.matching_engine_buckets = 1024;
   attr.auto_progress_default = true;
   attr.nprogress_threads = nthreads;
-  attr.progress_spin_polls = 64;
-  attr.progress_backoff_polls = 16;
   return attr;
 }
 
@@ -96,9 +93,9 @@ TEST(AutoProgress, ZeroExplicitProgressPingPong) {
   });
 }
 
-// The doorbell race: rank 1's engine thread is asleep (long bounded sleep,
-// no traffic) when rank 0 posts; the wire push must ring rank 1's doorbell
-// and the sleeper must wake and complete the message. Forced retries (seeded
+// The doorbell race: rank 1's engine thread is asleep (no traffic) when
+// rank 0 posts; the wire push must ring rank 1's doorbell and the sleeper
+// must wake and complete the message. Forced retries (seeded
 // fault injection) run concurrently so the retry/backlog machinery is
 // exercised while the engine sleeps.
 TEST(AutoProgress, DoorbellWakesSleepingEngine) {
@@ -107,12 +104,13 @@ TEST(AutoProgress, DoorbellWakesSleepingEngine) {
   fabric.fault.delay_rate = 0.25;
   fabric.fault.seed = 0xd00bbe11ull;
   std::atomic<int> ready{0};
+  std::atomic<bool> woken{false};  // rank 1 has counted a wakeup
+  std::atomic<int> received{0};    // wake messages rank 1 has received
   lci::sim::spawn(
       2,
       [&](int rank) {
         lci::runtime_attr_t attr = engine_attr();
         attr.auto_progress_default = false;  // default devices stay manual
-        attr.progress_sleep_us = 100000;     // sticky sleeps: rings must wake
         lci::g_runtime_init(attr);
         // Symmetric second device (net index 1 on both ranks, so traffic on
         // it routes device-1 to device-1); only the receiver's is engine-run.
@@ -167,18 +165,22 @@ TEST(AutoProgress, DoorbellWakesSleepingEngine) {
         // Phase B: wait (deadline-bounded) until rank 1's engine has actually
         // committed a sleep — under machine load it reaches the sleep phase
         // eventually, not on a fixed schedule.
-        if (rank == 1)
+        if (rank == 1) {
           EXPECT_GT(wait_nonzero(
                         [] { return lci::get_counters().progress_sleeps; }),
                     0u);
+        }
         startup_rendezvous(ready, 4);
-        // Phase C: each wake message races a sleeping engine. Several spaced
-        // attempts make the wakeup observation robust even if a ring lands in
-        // the engine's brief inter-sleep service window.
-        constexpr int wake_rounds = 10;
+        // Phase C: each wake message races a sleeping engine. A ring counts
+        // as a wakeup only when it lands inside one of the engine's bounded
+        // sleeps; between sleeps the engine backs off, and under machine
+        // load the backoff's yields can outlast a sleep. So rounds go on, 20
+        // ms apart and one message in flight at a time, until rank 1 has
+        // counted a wakeup (at most max_wake_rounds).
+        constexpr int max_wake_rounds = 500;
         if (rank == 0) {
           char msg[8] = {};
-          for (int i = 0; i < wake_rounds; ++i) {
+          for (int i = 0; i < max_wake_rounds && !woken.load(); ++i) {
             lci::comp_t sync = lci::alloc_sync(1);
             lci::status_t status;
             do {
@@ -193,10 +195,12 @@ TEST(AutoProgress, DoorbellWakesSleepingEngine) {
                 lci::progress_x().device(dev)();
             }
             lci::free_comp(&sync);
+            while (received.load() <= i)
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
           }
         } else {
-          for (int i = 0; i < wake_rounds; ++i) {
+          for (int i = 0; i < max_wake_rounds && !woken.load(); ++i) {
             char buf[8];
             lci::comp_t sync = lci::alloc_sync(1);
             lci::status_t status;
@@ -209,10 +213,12 @@ TEST(AutoProgress, DoorbellWakesSleepingEngine) {
             if (status.error.is_posted()) wait_no_progress(sync, &status);
             EXPECT_TRUE(status.error.is_done());
             lci::free_comp(&sync);
+            // The engine counts a wakeup before the service pass that
+            // completes this receive.
+            if (lci::get_counters().progress_wakeups > 0) woken.store(true);
+            received.store(i + 1);
           }
-          EXPECT_GT(wait_nonzero(
-                        [] { return lci::get_counters().progress_wakeups; }),
-                    0u);
+          EXPECT_GT(lci::get_counters().progress_wakeups, 0u);
         }
         startup_rendezvous(ready, 6);
         lci::free_device(&dev);

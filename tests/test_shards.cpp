@@ -66,7 +66,6 @@ TEST(Shards, PinIsPerThread) {
 TEST(Shards, SameKeyRoutesToOneShard) {
   lci::runtime_attr_t attr = sharded_attr(4);
   attr.allow_aggregation = true;
-  attr.aggregation_bypass_single_poster = false;
   attr.aggregation_flush_us = 1000000;  // no age flush: flush() is the only exit
   lci::sim::spawn(2, [&](int rank) {
     lci::g_runtime_init(attr);
@@ -79,8 +78,11 @@ TEST(Shards, SameKeyRoutesToOneShard) {
         for (int i = 0; i < per_tag; ++i) {
           lci::status_t ss;
           do {
+            // Opt in per post: the single-poster bypass would send a lone
+            // poster's default posts out one by one.
             ss = lci::post_send_x(1, out, sizeof(out), tag, cq)
-                     .allow_done(false)();
+                     .allow_done(false)
+                     .allow_aggregation(true)();
             if (ss.error.is_retry()) lci::progress();
           } while (ss.error.is_retry());
           ASSERT_TRUE(ss.error.is_posted());
@@ -184,7 +186,6 @@ TEST_P(ShardFuzz, TaggedTrafficMatchesOracle) {
   lci::sim::spawn(2, [&](int rank) {
     lci::runtime_attr_t attr = sharded_attr(shards);
     attr.allow_aggregation = aggregation;
-    attr.aggregation_bypass_single_poster = false;
     attr.trace = trace;
     attr.trace_ring_size = 512;
     lci::g_runtime_init(attr);
@@ -241,7 +242,9 @@ TEST_P(ShardFuzz, TaggedTrafficMatchesOracle) {
       fill(payload, payload_key(rank, op.tag, send_seq[op.tag]++));
       lci::status_t ss;
       do {
-        ss = lci::post_send_x(peer, payload.data(), op.size, op.tag, scq)();
+        // Per post: the single-poster bypass would skip the runtime default.
+        ss = lci::post_send_x(peer, payload.data(), op.size, op.tag, scq)
+                 .allow_aggregation(aggregation)();
         lci::progress();
       } while (ss.error.is_retry());
       if (ss.error.is_posted()) {
@@ -286,7 +289,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Shards, KillPeerPurgesEveryShard) {
   lci::runtime_attr_t attr = sharded_attr(4);
   attr.allow_aggregation = true;
-  attr.aggregation_bypass_single_poster = false;
   attr.aggregation_flush_us = 1000000;  // no age flush: only the purge
   std::atomic<int> finished{0};
   lci::sim::spawn(2, [&](int rank) {
@@ -301,7 +303,8 @@ TEST(Shards, KillPeerPurgesEveryShard) {
         do {
           ss = lci::post_send_x(1, bufs[i], sizeof(bufs[i]),
                                 static_cast<lci::tag_t>(i), cq)
-                   .allow_done(false)();
+                   .allow_done(false)
+                   .allow_aggregation(true)();
           if (ss.error.is_retry()) lci::progress();
         } while (ss.error.is_retry());
         ASSERT_TRUE(ss.error.is_posted());
@@ -338,7 +341,6 @@ TEST(Shards, KillPeerPurgesEveryShard) {
 TEST(Shards, DrainFlushesEveryShard) {
   lci::runtime_attr_t attr = sharded_attr(4);
   attr.allow_aggregation = true;
-  attr.aggregation_bypass_single_poster = false;
   attr.aggregation_flush_us = 1000000;
   lci::sim::spawn(2, [&](int rank) {
     lci::g_runtime_init(attr);
@@ -355,7 +357,8 @@ TEST(Shards, DrainFlushesEveryShard) {
         do {
           ss = lci::post_send_x(1, bufs[i], sizeof(bufs[i]),
                                 static_cast<lci::tag_t>(i), cq)
-                   .allow_done(false)();
+                   .allow_done(false)
+                   .allow_aggregation(true)();
           if (ss.error.is_retry()) lci::progress();
         } while (ss.error.is_retry());
         ASSERT_TRUE(ss.error.is_posted());

@@ -112,9 +112,6 @@ TEST(Trace, OffRecordsNothing) {
 TEST(Trace, SpanPairingAcrossProtocols) {
   lci::runtime_attr_t attr = traced_attr();
   attr.allow_aggregation = true;
-  // One posting thread per rank: keep the single-poster bypass off so the
-  // 8 B sends actually coalesce and emit post_batch spans.
-  attr.aggregation_bypass_single_poster = false;
   attr.aggregation_flush_us = 0;  // flush per progress poll
   lci::sim::spawn(2, [&](int rank) {
     lci::g_runtime_init(attr);
@@ -143,8 +140,12 @@ TEST(Trace, SpanPairingAcrossProtocols) {
       for (int s = 0; s < per_round; ++s) {
         lci::status_t ss;
         do {
+          // One posting thread per rank: opt in per post, or the
+          // single-poster bypass would send the 8 B sends unbatched and
+          // there would be no post_batch spans.
           ss = lci::post_send_x(peer, out.data(), sizes[s],
-                                static_cast<lci::tag_t>(s), scq)();
+                                static_cast<lci::tag_t>(s), scq)
+                   .allow_aggregation(true)();
           lci::progress();
         } while (ss.error.is_retry());
         if (ss.error.is_posted()) ++owed;
@@ -209,18 +210,19 @@ TEST(Trace, SpanPairingAcrossProtocols) {
 TEST(Trace, FatalTimeoutAndCancelEndSpans) {
   lci::runtime_attr_t attr = traced_attr();
   attr.allow_aggregation = true;
-  // The test needs the sends parked in a slot; the single-poster bypass
-  // would send them straight through and there would be nothing to cancel.
-  attr.aggregation_bypass_single_poster = false;
   attr.aggregation_flush_us = 1000000;  // no age flush in-test
   lci::sim::spawn(2, [&](int rank) {
     lci::g_runtime_init(attr);
     if (rank == 0) {
       lci::comp_t cq = lci::alloc_cq();
       char out[8] = "timed";
+      // The test needs the sends parked in a slot: opt in per post, or the
+      // single-poster bypass would send them straight through and there
+      // would be nothing to cancel.
       lci::status_t ss = lci::post_send_x(1, out, sizeof(out), 1, cq)
                              .allow_done(false)
-                             .deadline(2000)();
+                             .deadline(2000)
+                             .allow_aggregation(true)();
       ASSERT_TRUE(ss.error.is_posted());
       lci::status_t st;
       do {
@@ -232,7 +234,8 @@ TEST(Trace, FatalTimeoutAndCancelEndSpans) {
       lci::op_t op;
       ss = lci::post_send_x(1, out, sizeof(out), 2, cq)
                .allow_done(false)
-               .op_handle(&op)();
+               .op_handle(&op)
+               .allow_aggregation(true)();
       ASSERT_TRUE(ss.error.is_posted());
       EXPECT_TRUE(lci::cancel(op));
       do {
