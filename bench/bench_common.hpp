@@ -192,16 +192,18 @@ class json_report_t {
 
   std::string output_path() const {
     const char* env_dir = std::getenv("LCI_BENCH_JSON_DIR");
-    std::string dir = env_dir != nullptr ? std::string(env_dir)
-                                         : std::string("build/bench_reports");
+    const std::string dir = env_dir != nullptr
+                                ? std::string(env_dir)
+                                : std::string("build/bench_reports");
+    const std::string file = "BENCH_" + name_ + ".json";
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec && !std::filesystem::is_directory(dir)) {
       std::fprintf(stderr, "json_report: cannot create %s (%s), using cwd\n",
                    dir.c_str(), ec.message().c_str());
-      dir = ".";
+      return file;
     }
-    return dir + "/BENCH_" + name_ + ".json";
+    return dir + "/" + file;
   }
 
   void write_meta(std::FILE* f) const {

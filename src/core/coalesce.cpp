@@ -9,6 +9,12 @@
 // (post.cpp / send_rtr call flush_peer_for_ordering so no later message can
 // overtake a buffered one).
 //
+// Slot locking (paper Sec. 4.2.2): a flush posts the batch to the network
+// while it holds the slot's lock, so every post and flush path only
+// try-locks it. A post that finds the slot busy returns retry_lock before it
+// copies anything; a flush skips a busy slot and its caller comes back. Only
+// the abort path blocks.
+//
 // Receive side: handle_batch_recv walks the sub-messages of one received
 // packet and runs the regular per-message logic on payload slices: matched
 // sends complete in place, unmatched ones are re-staged as standalone
@@ -158,7 +164,11 @@ status_t device_impl_t::agg_append(const post_args_t& args, uint8_t kind,
   net::device_t& wire = net(shard);
   agg_slot_t& slot = agg_slot(shard, rank);
   {
-    std::lock_guard<util::spinlock_t> guard(slot.lock);
+    // Another thread in the slot (appending, or posting its batch) bounces
+    // this post before anything is copied or recorded: its thread goes back
+    // to progress instead of waiting out the holder's burst.
+    std::unique_lock<util::spinlock_t> guard(slot.lock, std::try_to_lock);
+    if (!guard.owns_lock()) return agg_status(errorcode_t::retry_lock);
     if (wire.is_peer_down(rank)) {
       detach_slot_locked(slot, resolved, errorcode_t::fatal_peer_down);
       resolved_code = errorcode_t::fatal_peer_down;
@@ -307,7 +317,10 @@ std::size_t device_impl_t::flush_aggregation(int rank, uint64_t older_than_ns) {
       errorcode_t code;
       bool had;
       {
-        std::lock_guard<util::spinlock_t> guard(slot.lock);
+        // A busy slot is skipped: every caller comes back (the next
+        // progress(), flush()'s loop, drain()'s quiet rounds).
+        std::unique_lock<util::spinlock_t> guard(slot.lock, std::try_to_lock);
+        if (!guard.owns_lock()) continue;
         had = slot.packet != nullptr;
         code = post_batch_locked(slot, net(shard), peer, resolved);
       }
@@ -328,12 +341,16 @@ errorcode_t device_impl_t::flush_peer_for_ordering(int rank, int shard) {
     agg_slot_t& slot = agg_slot(s, rank);
     if (slot.armed_ns.load(std::memory_order_acquire) == 0) continue;
     std::vector<agg_pending_t> resolved;
-    errorcode_t code;
-    bool had;
+    errorcode_t code = errorcode_t::retry_lock;
+    bool had = true;
     {
-      std::lock_guard<util::spinlock_t> guard(slot.lock);
-      had = slot.packet != nullptr;
-      code = post_batch_locked(slot, net(s), rank, resolved);
+      // A busy armed slot may still hold the caller's earlier messages: the
+      // caller's message bounces as if the wire had refused the batch.
+      std::unique_lock<util::spinlock_t> guard(slot.lock, std::try_to_lock);
+      if (guard.owns_lock()) {
+        had = slot.packet != nullptr;
+        code = post_batch_locked(slot, net(s), rank, resolved);
+      }
     }
     if (!had) continue;
     if (code == errorcode_t::done)
@@ -360,6 +377,8 @@ std::size_t device_impl_t::abort_aggregation(int rank, errorcode_t code) {
       agg_slot_t& slot = agg_slot(shard, peer);
       if (slot.armed_ns.load(std::memory_order_acquire) == 0) continue;
       {
+        // Blocking, unlike every post and flush path: a purge or a drain
+        // kill must empty the slot, and a holder leaves it in bounded time.
         std::lock_guard<util::spinlock_t> guard(slot.lock);
         detach_slot_locked(slot, detached, code);
       }
@@ -518,12 +537,13 @@ std::size_t flush(device_t device, int rank, runtime_t runtime) {
       device.is_valid() ? device.p : &rt->default_device();
   if (rank >= rt->nranks()) throw fatal_error_t("flush: rank out of range");
   // Retry internally until every targeted batch is on the wire or has failed
-  // fatally: a transient retry (send-lock miss, full wire mailbox) leaves a
-  // slot armed, and returning then would silently make "flushed" mean "maybe
-  // flushed — call me again". progress() between attempts drains local
-  // completions so a full CQ or dry pool can clear; a dead peer aborts its
-  // slots inside the flush (fatal_peer_down), so the loop always terminates
-  // once the fabric either accepts the message or declares the peer dead.
+  // fatally: a transient retry (send-lock miss, full wire mailbox, another
+  // thread in the slot) leaves a slot armed, and returning then would
+  // silently make "flushed" mean "maybe flushed — call me again". progress()
+  // between attempts drains local completions so a full CQ or dry pool can
+  // clear; a dead peer aborts its slots inside the flush (fatal_peer_down),
+  // so the loop always terminates once the fabric either accepts the message
+  // or declares the peer dead.
   std::size_t posted = dev->flush_aggregation(rank);
   while (dev->has_armed_aggregation(rank)) {
     dev->progress();

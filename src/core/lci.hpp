@@ -355,7 +355,10 @@ struct runtime_attr_t {
   // individually — buffering cannot help a lone poster (nobody shares the
   // wire) and the flush-age wait only adds latency. The first post from a
   // second thread permanently re-enables coalescing on that device. Explicit
-  // per-post .allow_aggregation(true) always coalesces regardless.
+  // per-post .allow_aggregation(true) always coalesces regardless. No post
+  // waits for a slot: one that finds another thread in it returns
+  // retry_lock before copying anything, and so does a non-aggregated post
+  // that must flush a busy slot first.
   bool allow_aggregation = false;
   uint64_t aggregation_flush_us = 100;
   // Operation-lifecycle tracing (docs/INTERNALS.md "Tracing"): the runtime
@@ -506,9 +509,10 @@ std::size_t drain(device_t device = {}, uint64_t timeout_us = 0,
 // so local completions keep draining) until every targeted batch is on the
 // wire or has failed fatally — after flush returns, no targeted slot is still
 // armed. Blocking bound: a transient retry clears as soon as the fabric
-// accepts the message, so flush blocks at most until the peer drains enough
-// of its inbound wire mailbox (or dies, which aborts the batch with
-// fatal_peer_down); it never waits on remote matching or completion.
+// accepts the message and no other thread is in the slot, so flush blocks
+// at most until the peer drains enough of its inbound wire mailbox (or dies,
+// which aborts the batch with fatal_peer_down) and the other posters leave
+// the slot; it never waits on remote matching or completion.
 // A no-op (returns 0) when nothing is buffered.
 std::size_t flush(device_t device = {}, int rank = -1, runtime_t runtime = {});
 

@@ -38,7 +38,7 @@ runtime_impl_t::runtime_impl_t(std::shared_ptr<net::fabric_t> fabric, int rank,
   if (attr_.packet_size > fabric_->max_send_payload())
     throw fatal_error_t(
         "packet_size exceeds what the backend transport can frame "
-        "(raise LCI_SHM_RING_KB / LCI_TCP_TXBUF_KB or shrink packet_size)");
+        "(shrink packet_size, or raise LCI_SHM_RING_KB on shm)");
   if (attr_.reg_cache_entries > 0)
     reg_cache_ = std::make_unique<net::reg_cache_t>(net_context_.get(),
                                                     attr_.reg_cache_entries);

@@ -490,16 +490,19 @@ class device_impl_t {
   // Appends one eager sub-message (eager_send or eager_am) to the peer's
   // slot, posting the current batch first when it would overflow. Returns
   // done (copy made, nothing owed), posted (completion deferred to the
-  // flush), retry, or a fatal status.
+  // flush), retry (retry_lock: another thread is in the slot; nothing was
+  // copied), or a fatal status.
   status_t agg_append(const post_args_t& args, uint8_t kind,
                       packet_pool_impl_t* pool, matching_engine_impl_t* engine,
                       const trace::span_t& post_span);
   // Posts armed batches (rank < 0: every slot; older_than_ns != 0: only
-  // slots armed at or before that stamp). Returns batches posted.
+  // slots armed at or before that stamp), skipping slots another thread is
+  // in. Returns batches posted.
   std::size_t flush_aggregation(int rank = -1, uint64_t older_than_ns = 0);
   // The matching-order rule: called before any non-aggregated message is
   // posted to `rank`. done = slot empty or batch posted; retry = the batch
-  // could not go out, so the caller's message must bounce with retry too;
+  // could not go out (retry_lock: another thread is in the slot), so the
+  // caller's message must bounce with retry too;
   // fatal_peer_down = the peer is dead (slot aborted). `shard` names the
   // shard the caller is about to post on — only that shard's slot can hold
   // earlier same-key traffic, since a key never straddles shards. Pass -1 to
@@ -509,6 +512,11 @@ class device_impl_t {
   // Fails every buffered sub-op with `code` (exactly once, via the record
   // CAS for tracked entries) and discards slot contents. rank < 0 = all.
   std::size_t abort_aggregation(int rank, errorcode_t code);
+  // The (shard, peer) slot's lock. Tests hold it to stand in for a thread
+  // that is inside the slot.
+  util::spinlock_t& agg_slot_lock(std::size_t shard, int rank) noexcept {
+    return agg_slot(shard, rank).lock;
+  }
 
  private:
   // One shard = one fabric endpoint (wire mailbox + CQ + send locks) plus

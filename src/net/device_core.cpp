@@ -234,7 +234,12 @@ post_result_t device_core_t::post_recv(void* buffer, std::size_t size,
   return post_result_t::ok;
 }
 
-bool device_core_t::wire_push(wire_msg_t msg) {
+bool device_core_t::wire_has_room() const noexcept {
+  return !inbound_is_wire_ ||
+         wire_.size_approx() < fabric_->config().wire_depth;
+}
+
+bool device_core_t::wire_push(wire_msg_t msg, bool check_depth) {
   // A dead target evaporates everything pushed at it. The sender normally
   // checks liveness first; this catches the race with a concurrent kill.
   // Report success: from the wire's point of view the message was accepted,
@@ -243,8 +248,7 @@ bool device_core_t::wire_push(wire_msg_t msg) {
     drop(msg, rank_);
     return true;
   }
-  if (inbound_is_wire_ && wire_.size_approx() >= fabric_->config().wire_depth)
-    return false;
+  if (check_depth && !wire_has_room()) return false;
   const fault_config_t& fault = fabric_->config().fault;
   if (fault.loss_rate > 0.0) {
     bool lost;

@@ -345,10 +345,13 @@ class device_core_t : public device_t {
 
   // The wire's entry into this device ("the NIC DMA engine"): a dead target
   // evaporates the message, then loss and delay are drawn on this device's
-  // stream. Returns false only when the inbound queue is the wire and holds
-  // wire_depth messages (the sim sender retries). Rings the doorbell after
-  // the push.
-  bool wire_push(wire_msg_t msg);
+  // stream. Returns false only when `check_depth` is set and the wire has no
+  // room (the sim sender retries). Rings the doorbell after the push.
+  bool wire_push(wire_msg_t msg, bool check_depth = true);
+  // False while the inbound queue is the wire and holds wire_depth messages
+  // (approximate under concurrent senders). A sim RMA post asks before it
+  // touches memory, then pushes its notification without the check.
+  bool wire_has_room() const noexcept;
   // A local completion raised after its post returned (shm/tcp: the last
   // chunk of a queued write left, a read response arrived, a peer died
   // with work queued). It rides the inbound queue, never the CQ ring.

@@ -53,8 +53,9 @@ post_result_t sim_device_t::post_send(int peer_rank, const void* buffer,
   return post_result_t::ok;
 }
 
-bool sim_device_t::push_notification(device_core_t* target, op_t kind, int peer_rank,
-                          std::size_t size, uint32_t imm) {
+void sim_device_t::push_notification(device_core_t* target, op_t kind,
+                                     int peer_rank, std::size_t size,
+                                     uint32_t imm) {
   wire_msg_t msg;
   msg.kind = kind;
   msg.src_rank = rank_;
@@ -65,9 +66,7 @@ bool sim_device_t::push_notification(device_core_t* target, op_t kind, int peer_
       trace::begin(trace::kind_t::wire, peer_rank,
                    static_cast<uint32_t>(index_), size);
   msg.trace_id = wire_span.id;
-  if (target->wire_push(std::move(msg))) return true;
-  trace::end(wire_span, trace::kind_t::wire, wire_err_rejected, peer_rank);
-  return false;
+  target->wire_push(std::move(msg), /*check_depth=*/false);
 }
 
 post_result_t sim_device_t::post_write(int peer_rank, const void* local,
@@ -77,18 +76,21 @@ post_result_t sim_device_t::post_write(int peer_rank, const void* local,
   const auto gate = open_post(peer_rank);
   if (gate.result != post_result_t::ok) return gate.result;
   // Pinned until return: keeps the routed device (and its doorbell, rung by
-  // wire_push after the push) alive across the notify delivery.
+  // wire_push after the push) alive across the notify delivery. A retry is
+  // decided before the copy: a post that bounces must not have written
+  // anything (its retry would write again, and a caller that gives up would
+  // leave a write with no completion).
   device_registry_t::route_t route;
   if (notify) {
     route = sim_->route(peer_rank, context_, index_);
-    if (route.target == nullptr) return post_result_t::retry_full;
+    if (route.target == nullptr || !route.target->wire_has_room())
+      return post_result_t::retry_full;
   }
   char* remote = sim_->resolve_remote(peer_rank, remote_mr, remote_offset,
                                       size);  // throws on violation
   std::memcpy(remote, local, size);
-  if (notify &&
-      !push_notification(route.target, op_t::remote_write, peer_rank, size, imm))
-    return post_result_t::retry_full;
+  if (notify)
+    push_notification(route.target, op_t::remote_write, peer_rank, size, imm);
   push_cqe(cqe_t{op_t::write, peer_rank, imm, size, nullptr, user_context});
   // The write CQE carries a completion the owner must dispatch; a sleeping
   // progress engine on this very device would otherwise only notice it at
@@ -104,19 +106,20 @@ post_result_t sim_device_t::post_read(int peer_rank, void* local,
                                       uint32_t imm, void* user_context) {
   const auto gate = open_post(peer_rank);
   if (gate.result != post_result_t::ok) return gate.result;
+  // As in post_write, a retry is decided before the copy.
   device_registry_t::route_t route;
   if (notify) {
     route = sim_->route(peer_rank, context_, index_);
-    if (route.target == nullptr) return post_result_t::retry_full;
+    if (route.target == nullptr || !route.target->wire_has_room())
+      return post_result_t::retry_full;
   }
   const char* remote =
       sim_->resolve_remote(peer_rank, remote_mr, remote_offset, size);
   std::memcpy(local, remote, size);
   // "RDMA read with notification": the paper's interconnects lack it
   // (Sec. 4.3); the simulated fabric provides it as an extension.
-  if (notify &&
-      !push_notification(route.target, op_t::remote_read, peer_rank, size, imm))
-    return post_result_t::retry_full;
+  if (notify)
+    push_notification(route.target, op_t::remote_read, peer_rank, size, imm);
   push_cqe(cqe_t{op_t::read, peer_rank, imm, size, nullptr, user_context});
   ring_doorbell();
   note_post();

@@ -30,8 +30,9 @@ class sim_device_t final : public device_core_t {
                           void* user_context) override;
 
  private:
-  // Pushes a remote_write / remote_read notification to the routed device.
-  bool push_notification(device_core_t* target, op_t kind, int peer_rank,
+  // Pushes a remote_write / remote_read notification to the routed device,
+  // whose room the post checked before its copy.
+  void push_notification(device_core_t* target, op_t kind, int peer_rank,
                          std::size_t size, uint32_t imm);
 
   sim_fabric_t* const sim_;

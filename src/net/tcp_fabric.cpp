@@ -9,7 +9,7 @@
 // Framing is the shared frame protocol: the 56-byte header's leading
 // payload_size word is the length prefix, frames are packed back to back on
 // the stream. Egress copies the frame into a per-peer userspace staging
-// queue (bounded by LCI_TCP_TXBUF_KB) and flushes with sendmsg/writev in
+// queue (bounded at 1 MiB per peer) and flushes with sendmsg/writev in
 // nonblocking mode — push_frame returns `full` only when the staging queue
 // is at capacity and the socket will not drain, which feeds the generic
 // retry machinery. Ingress is epoll-driven: pump() polls a level-triggered
@@ -86,26 +86,23 @@ bool read_exact(int fd, void* buf, std::size_t n,
   return true;
 }
 
-std::size_t env_txbuf_bytes() {
-  const char* env = std::getenv("LCI_TCP_TXBUF_KB");
-  const long kb = env != nullptr && env[0] != '\0' ? std::atol(env) : 1024;
-  return static_cast<std::size_t>(kb > 0 ? kb : 1024) * 1024;
-}
+// Staged-egress cap per peer (1 MiB): a frame that cannot be staged while
+// the socket will not drain bounces the post with `retry`.
+constexpr std::size_t txbuf_cap = std::size_t{1} << 20;
 
 class tcp_fabric_t final : public ep_fabric_t {
  public:
   tcp_fabric_t(int self_rank, int nranks, const config_t& config)
       : ep_fabric_t(self_rank, nranks, config),
-        txbuf_cap_(env_txbuf_bytes()),
         peers_(static_cast<std::size_t>(nranks)) {
-    max_chunk_bytes_ = std::min(max_chunk_bytes_, txbuf_cap_ / 2);
+    max_chunk_bytes_ = std::min(max_chunk_bytes_, txbuf_cap / 2);
     // A send frame must fit the staging queue whole once it drains; anything
     // larger would bounce with `full` forever (see max_send_payload()).
-    max_send_payload_ = txbuf_cap_ - sizeof(frame_header_t);
+    max_send_payload_ = txbuf_cap - sizeof(frame_header_t);
     // Largest frame a well-behaved peer can emit (its sends are bounded by
     // its txbuf, its write/read chunks by max_chunk_bytes). Anything above
     // this on the wire is a corrupt length prefix, not a big message.
-    rx_frame_limit_ = std::max(max_chunk_bytes_, txbuf_cap_);
+    rx_frame_limit_ = std::max(max_chunk_bytes_, txbuf_cap);
     poison_deadline_us_.reset(
         new std::atomic<uint64_t>[static_cast<std::size_t>(nranks)]);
     for (int r = 0; r < nranks; ++r)
@@ -169,9 +166,9 @@ class tcp_fabric_t final : public ep_fabric_t {
     const std::size_t need = sizeof(frame_header_t) + header.payload_size;
     std::lock_guard<util::spinlock_t> guard(p.tx_lock);
     if (is_dead(peer)) return push_status_t::down;
-    if (p.tx_bytes + need > txbuf_cap_) {
+    if (p.tx_bytes + need > txbuf_cap) {
       flush_tx_locked(peer, p);
-      if (p.tx_bytes + need > txbuf_cap_)
+      if (p.tx_bytes + need > txbuf_cap)
         return is_dead(peer) ? push_status_t::down : push_status_t::full;
     }
     std::vector<char> buf(need);
@@ -574,7 +571,6 @@ class tcp_fabric_t final : public ep_fabric_t {
     if (listener_.joinable()) listener_.join();
   }
 
-  const std::size_t txbuf_cap_;
   std::size_t rx_frame_limit_ = 0;
   std::vector<peer_t> peers_;
   std::unique_ptr<std::atomic<uint64_t>[]> poison_deadline_us_;

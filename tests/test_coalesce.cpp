@@ -1,17 +1,24 @@
 // Eager-message coalescing (docs/INTERNALS.md "Message coalescing"):
 // batch assembly and unpack, the matching-order flush, AM delivery in both
 // modes from shared batch packets, explicit flush(), resolved device
-// attributes, and deadline/cancel on buffered sub-operations.
+// attributes, deadline/cancel on buffered sub-operations, and the try-lock
+// rule of a contended slot.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/lci.hpp"
+#include "core/runtime_impl.hpp"
 
 namespace {
 
@@ -36,6 +43,92 @@ std::size_t flush_until_posted() {
     lci::progress();
   }
   return 0;
+}
+
+// Holds every shard's aggregation slot for `peer` on this rank's default
+// device, standing in for another thread that is inside the slot.
+class slot_holder_t {
+ public:
+  explicit slot_holder_t(int peer) {
+    lci::detail::device_impl_t& device =
+        lci::detail::resolve_runtime({})->default_device();
+    for (std::size_t s = 0; s < device.nshards(); ++s) {
+      locks_.push_back(&device.agg_slot_lock(s, peer));
+      locks_.back()->lock();
+    }
+  }
+  ~slot_holder_t() { release(); }
+  slot_holder_t(const slot_holder_t&) = delete;
+  slot_holder_t& operator=(const slot_holder_t&) = delete;
+  void release() {
+    for (lci::util::spinlock_t* lock : locks_) lock->unlock();
+    locks_.clear();
+  }
+
+ private:
+  std::vector<lci::util::spinlock_t*> locks_;
+};
+
+// Runs `op` on a helper thread bound to the calling rank. A call that waits
+// for a held slot does not return while the test holds it, so the test asks
+// returned_within() first, releases the slot, and only then joins.
+class helper_call_t {
+ public:
+  explicit helper_call_t(std::function<void()> op)
+      : thread_([this, op = std::move(op),
+                 binding = lci::sim::current_binding()] {
+          lci::sim::scoped_binding_t bound(binding);
+          op();
+          returned_.store(true, std::memory_order_release);
+        }) {}
+  ~helper_call_t() {
+    if (thread_.joinable()) thread_.join();
+  }
+  helper_call_t(const helper_call_t&) = delete;
+  helper_call_t& operator=(const helper_call_t&) = delete;
+  bool returned_within(std::chrono::milliseconds limit) const {
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (!returned_.load(std::memory_order_acquire)) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+  void join() { thread_.join(); }
+
+ private:
+  std::atomic<bool> returned_{false};
+  std::thread thread_;
+};
+
+constexpr std::chrono::milliseconds held_slot_limit{1000};
+
+// Pops one active message from `rcq`, progressing until it arrives, and
+// returns its 8-byte payload.
+uint64_t pop_am_word(lci::comp_t rcq) {
+  lci::status_t st;
+  do {
+    lci::progress();
+    st = lci::cq_pop(rcq);
+  } while (st.error.is_retry());
+  EXPECT_TRUE(st.error.is_done());
+  uint64_t word = 0;
+  EXPECT_EQ(st.buffer.size, sizeof(word));
+  if (st.buffer.size == sizeof(word))
+    std::memcpy(&word, st.buffer.base, sizeof(word));
+  std::free(st.buffer.base);
+  return word;
+}
+
+// Nothing more arrives on `rcq`: the sender has flushed everything before
+// the barrier that precedes this call.
+void expect_no_more_ams(lci::comp_t rcq) {
+  for (int i = 0; i < 100; ++i) {
+    lci::progress();
+    const lci::status_t st = lci::cq_pop(rcq);
+    EXPECT_TRUE(st.error.is_retry()) << "a message arrived twice";
+    if (!st.error.is_retry()) std::free(st.buffer.base);
+  }
 }
 
 // Coalesced traffic and bypass traffic to the same peer must match in posted
@@ -603,6 +696,233 @@ TEST(Coalesce, DrainFlushesBufferedSubOps) {
       lci::free_comp(&cq);
     }
     lci::barrier();
+    lci::g_runtime_fina();
+  });
+}
+
+// A coalesced post that finds another thread in the peer's slot returns
+// retry_lock at once, before it copies anything, instead of spinning until
+// the holder leaves. Once the slot is free the same post goes through, and
+// the peer receives it exactly once.
+TEST(Coalesce, HeldSlotBouncesPostWithRetryLock) {
+  lci::runtime_attr_t attr = agg_attr();
+  attr.aggregation_flush_us = 1000000;  // flush() is the only exit
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(attr);
+    lci::comp_t rcq = lci::alloc_cq();
+    const lci::rcomp_t rcomp = lci::register_rcomp(rcq);
+    lci::barrier();
+    if (rank == 0) {
+      uint64_t word = 42;
+      const auto post = [&] {
+        return lci::post_am_x(1, &word, sizeof(word), {}, rcomp)
+            .allow_aggregation(true)();
+      };
+      const lci::counters_t base = lci::get_counters();
+      lci::status_t held_status;
+      {
+        slot_holder_t held(1);
+        helper_call_t call([&] { held_status = post(); });
+        EXPECT_TRUE(call.returned_within(held_slot_limit))
+            << "the post waited for the held slot";
+        held.release();
+        call.join();
+      }
+      EXPECT_EQ(held_status.error.code, lci::errorcode_t::retry_lock);
+      const lci::counters_t bounced = lci::get_counters();
+      EXPECT_EQ(bounced.send_coalesced - base.send_coalesced, 0u);
+      EXPECT_EQ(bounced.retry_lock - base.retry_lock, 1u);
+      if (held_status.error.is_retry()) {
+        lci::status_t st;
+        while ((st = post()).error.is_retry()) lci::progress();
+        EXPECT_TRUE(st.error.is_done());
+      }
+      EXPECT_EQ(lci::get_counters().send_coalesced - base.send_coalesced, 1u);
+      EXPECT_EQ(flush_until_posted(), 1u);
+    } else {
+      EXPECT_EQ(pop_am_word(rcq), 42u);
+    }
+    lci::barrier();
+    if (rank == 1) expect_no_more_ams(rcq);
+    lci::barrier();
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&rcq);
+    lci::g_runtime_fina();
+  });
+}
+
+// The same post with .allow_retry(false) is handed to the backlog instead.
+// While the slot stays held the backlog's resubmission bounces and stays
+// queued (progress returns); after release the message is delivered exactly
+// once.
+TEST(Coalesce, HeldSlotSendsNoRetryPostToBacklog) {
+  lci::runtime_attr_t attr = agg_attr();
+  attr.aggregation_flush_us = 1000000;
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(attr);
+    lci::comp_t rcq = lci::alloc_cq();
+    const lci::rcomp_t rcomp = lci::register_rcomp(rcq);
+    lci::barrier();
+    if (rank == 0) {
+      uint64_t word = 43;
+      const lci::counters_t base = lci::get_counters();
+      lci::status_t held_status;
+      {
+        slot_holder_t held(1);
+        helper_call_t call([&] {
+          held_status = lci::post_am_x(1, &word, sizeof(word), {}, rcomp)
+                            .allow_aggregation(true)
+                            .allow_retry(false)();
+          for (int i = 0; i < 10; ++i) lci::progress();
+        });
+        EXPECT_TRUE(call.returned_within(held_slot_limit))
+            << "the post or the backlog retry waited for the held slot";
+        EXPECT_EQ(lci::get_counters().backlog_retired - base.backlog_retired,
+                  0u);
+        held.release();
+        call.join();
+      }
+      const bool backlogged =
+          held_status.error.code == lci::errorcode_t::posted_backlog ||
+          held_status.error.code == lci::errorcode_t::done_backlog;
+      EXPECT_TRUE(backlogged) << static_cast<int>(held_status.error.code);
+      while (backlogged &&
+             lci::get_counters().backlog_retired == base.backlog_retired)
+        lci::progress();
+      EXPECT_EQ(lci::get_counters().send_coalesced - base.send_coalesced, 1u);
+      EXPECT_EQ(flush_until_posted(), 1u);
+    } else {
+      EXPECT_EQ(pop_am_word(rcq), 43u);
+    }
+    lci::barrier();
+    if (rank == 1) expect_no_more_ams(rcq);
+    lci::barrier();
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&rcq);
+    lci::g_runtime_fina();
+  });
+}
+
+// A held slot that is due for its age flush does not stall progress(): the
+// flush skips it and leaves the batch armed. A non-aggregated send to the
+// same peer cannot tell whether its buffered predecessor is out, so it
+// bounces with retry_lock; after release it follows the batch, in order.
+TEST(Coalesce, HeldAgedSlotNeitherStallsProgressNorIsOvertaken) {
+  lci::runtime_attr_t attr = agg_attr();
+  attr.aggregation_flush_us = 0;  // every armed slot is due at once
+  constexpr lci::tag_t tag = 7;
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(attr);
+    char in[2][8] = {};
+    lci::comp_t sync = lci::alloc_sync(2);
+    if (rank == 1) {
+      for (auto& buf : in)
+        EXPECT_TRUE(lci::post_recv_x(0, buf, sizeof(buf), tag, sync)
+                        .matching_policy(lci::matching_policy_t::rank_only)
+                        .allow_done(false)()
+                        .error.is_posted());
+    }
+    lci::barrier();
+    if (rank == 0) {
+      char first[8] = "first";
+      char second[8] = "second";
+      const auto send = [&](char* buf, bool aggregate) {
+        return lci::post_send_x(1, buf, 8, tag, {})
+            .matching_policy(lci::matching_policy_t::rank_only)
+            .allow_aggregation(aggregate)();
+      };
+      EXPECT_TRUE(send(first, true).error.is_done());
+      const lci::counters_t base = lci::get_counters();
+      lci::status_t plain;
+      {
+        slot_holder_t held(1);
+        helper_call_t call([&] {
+          for (int i = 0; i < 10; ++i) lci::progress();
+          plain = send(second, false);
+        });
+        EXPECT_TRUE(call.returned_within(held_slot_limit))
+            << "progress() or the ordering flush waited for the held slot";
+        EXPECT_EQ(lci::get_counters().batches_flushed - base.batches_flushed,
+                  0u);
+        held.release();
+        call.join();
+      }
+      EXPECT_EQ(plain.error.code, lci::errorcode_t::retry_lock);
+      if (plain.error.is_retry()) {
+        while ((plain = send(second, false)).error.is_retry())
+          lci::progress();
+        EXPECT_TRUE(plain.error.is_done());
+      }
+    } else {
+      lci::sync_wait(sync, nullptr);
+      EXPECT_STREQ(in[0], "first");
+      EXPECT_STREQ(in[1], "second");
+    }
+    lci::barrier();
+    lci::free_comp(&sync);
+    lci::g_runtime_fina();
+  });
+}
+
+// Four threads stream coalesced AMs into one peer's slot with retry loops:
+// every thread finishes, and the receiver sees each (thread, seq) exactly
+// once.
+TEST(Coalesce, ContendedPostersDeliverEachMessageOnce) {
+  constexpr int threads = 4;
+  constexpr uint32_t per_thread = 20000;
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(agg_attr());
+    lci::comp_t rcq = lci::alloc_cq();
+    const lci::rcomp_t rcomp = lci::register_rcomp(rcq);
+    lci::barrier();
+    if (rank == 0) {
+      const auto binding = lci::sim::current_binding();
+      std::vector<std::thread> posters;
+      for (int t = 0; t < threads; ++t) {
+        posters.emplace_back([&, t] {
+          lci::sim::scoped_binding_t bound(binding);
+          for (uint32_t seq = 0; seq < per_thread; ++seq) {
+            uint64_t word = static_cast<uint64_t>(t) << 32 | seq;
+            lci::status_t st;
+            while ((st = lci::post_am_x(1, &word, sizeof(word), {}, rcomp)
+                             .allow_aggregation(true)())
+                       .error.is_retry())
+              lci::progress();
+            EXPECT_TRUE(st.error.is_done()) << t << "/" << seq;
+          }
+        });
+      }
+      for (std::thread& poster : posters) poster.join();
+      lci::flush();
+    } else {
+      std::vector<std::vector<bool>> seen(
+          threads, std::vector<bool>(per_thread, false));
+      uint64_t received = 0;
+      while (received < threads * uint64_t{per_thread}) {
+        lci::progress();
+        lci::status_t st;
+        while (!(st = lci::cq_pop(rcq)).error.is_retry()) {
+          ++received;
+          uint64_t word = ~uint64_t{0};
+          if (st.error.is_done() && st.buffer.size == sizeof(word))
+            std::memcpy(&word, st.buffer.base, sizeof(word));
+          std::free(st.buffer.base);
+          const uint64_t t = word >> 32;
+          const uint64_t seq = word & 0xffffffffu;
+          if (t >= threads || seq >= per_thread) {
+            ADD_FAILURE() << "corrupt message " << word;
+            continue;
+          }
+          EXPECT_FALSE(seen[t][seq]) << "duplicate " << t << "/" << seq;
+          seen[t][seq] = true;
+        }
+      }
+    }
+    lci::barrier();
+    if (rank == 1) expect_no_more_ams(rcq);
+    lci::barrier();
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&rcq);
     lci::g_runtime_fina();
   });
 }

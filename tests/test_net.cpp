@@ -182,6 +182,71 @@ TEST(Net, ReadWithNotifyIsTheExtension) {
   EXPECT_EQ(cqe.imm, 42u);
 }
 
+// A notifying RMA post bounced by a full wire has touched no memory: the
+// retry is decided before the copy, so the retried post is the only one that
+// writes (or reads), and a caller that gives up leaves nothing behind.
+struct full_wire_fixture_t : two_rank_fixture_t {
+  static config_t shallow_wire() {
+    config_t config;
+    config.wire_depth = 4;
+    return config;
+  }
+  full_wire_fixture_t() : two_rank_fixture_t(shallow_wire()) {
+    const int v = 1;
+    while (dev0->post_send(1, &v, sizeof(v), 0, nullptr) ==
+           post_result_t::ok) {
+      ++queued;
+      EXPECT_LT(queued, 100);  // must back-pressure eventually
+      if (queued >= 100) break;
+    }
+  }
+  // Delivers every queued send, which empties the wire.
+  void drain_wire() {
+    buffers = prepost(*dev1, queued, 64);
+    cqe_t cqes[8];
+    for (int got = 0; got < queued;) {
+      const auto polled = dev1->poll_cq(cqes, 8);
+      for (std::size_t i = 0; i < polled.count; ++i)
+        got += cqes[i].op == op_t::recv ? 1 : 0;
+    }
+  }
+  int queued = 0;
+  std::vector<std::unique_ptr<char[]>> buffers;
+};
+
+TEST(Net, WriteBouncedByFullWireWritesNothing) {
+  full_wire_fixture_t f;
+  std::vector<char> window(64, 'x');
+  const mr_id_t mr = f.ctx1->register_memory(window.data(), window.size());
+  const char data[] = "written";
+  EXPECT_NE(f.dev0->post_write(1, data, sizeof(data), mr, 0, /*notify=*/true,
+                               /*imm=*/5, nullptr),
+            post_result_t::ok);
+  EXPECT_EQ(window[0], 'x');
+  f.drain_wire();
+  ASSERT_EQ(f.dev0->post_write(1, data, sizeof(data), mr, 0, true, 5, nullptr),
+            post_result_t::ok);
+  EXPECT_EQ(std::memcmp(window.data(), data, sizeof(data)), 0);
+  EXPECT_EQ(f.poll_for(*f.dev1, op_t::remote_write).imm, 5u);
+}
+
+TEST(Net, ReadBouncedByFullWireReadsNothing) {
+  full_wire_fixture_t f;
+  std::vector<char> window(32, 'z');
+  const mr_id_t mr = f.ctx1->register_memory(window.data(), window.size());
+  char local[32];
+  std::memset(local, 'y', sizeof(local));
+  EXPECT_NE(f.dev0->post_read(1, local, sizeof(local), mr, 0, /*notify=*/true,
+                              /*imm=*/6, nullptr),
+            post_result_t::ok);
+  EXPECT_EQ(local[0], 'y');
+  f.drain_wire();
+  ASSERT_EQ(f.dev0->post_read(1, local, sizeof(local), mr, 0, true, 6, nullptr),
+            post_result_t::ok);
+  EXPECT_EQ(local[0], 'z');
+  EXPECT_EQ(f.poll_for(*f.dev1, op_t::remote_read).imm, 6u);
+}
+
 TEST(Net, RemoteAccessValidation) {
   two_rank_fixture_t f;
   std::vector<char> window(64);
