@@ -2,11 +2,12 @@
 // one-sided primitives.
 //
 // Each rank exposes a registered window of slots; a key hashes to an owner
-// rank and a slot. Writers publish entries with *put-with-signal* — the RDMA
-// write delivers the record and the attached notification tells the owner a
-// slot changed (the owner tracks a change log without polling memory).
-// Readers use plain *get* to fetch any slot from anywhere, with no
-// involvement of the owner's CPU beyond progress.
+// rank and to a slot in the writer's own range of that owner's window, so
+// two ranks never write one slot at once. Writers publish entries with
+// *put-with-signal* — the RDMA write delivers the record and the attached
+// notification tells the owner a slot changed (the owner tracks a change log
+// without polling memory). Readers use plain *get* to fetch any slot from
+// anywhere, with no involvement of the owner's CPU beyond progress.
 //
 //   ./rma_kvstore [nranks] [writes_per_rank]
 #include <cstdio>
@@ -33,11 +34,23 @@ uint64_t mix(uint64_t x) {
   return x;
 }
 
+// The slot of `key` in its owner's window. Every writer has its own range of
+// slots_per_rank / n slots in each window, so concurrent puts from different
+// ranks land in different slots; only one writer's own keys can collide.
+std::size_t slot_of(uint64_t key, int writer, int n) {
+  const std::size_t range = slots_per_rank / static_cast<std::size_t>(n);
+  return static_cast<std::size_t>(writer) * range + mix(key) % range;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const int nranks = argc > 1 ? std::atoi(argv[1]) : 4;
   const int writes = argc > 2 ? std::atoi(argv[2]) : 64;
+  if (nranks < 1 || static_cast<std::size_t>(nranks) > slots_per_rank) {
+    std::fprintf(stderr, "nranks must be 1..%zu\n", slots_per_rank);
+    return 1;
+  }
 
   lci::sim::spawn(nranks, [&](int rank) {
     lci::g_runtime_init();
@@ -66,7 +79,7 @@ int main(int argc, char** argv) {
       record.value = record.key * 3;
       record.version = 1;
       const int owner = static_cast<int>(record.key % static_cast<uint64_t>(n));
-      const std::size_t slot = mix(record.key) % slots_per_rank;
+      const std::size_t slot = slot_of(record.key, rank, n);
       lci::status_t status;
       do {
         status = lci::post_put_x(owner, &record, sizeof(record), wsync,
@@ -97,7 +110,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < writes; ++i) {
       const uint64_t key = mix(static_cast<uint64_t>(rank) << 32 | i);
       const int owner = static_cast<int>(key % static_cast<uint64_t>(n));
-      const std::size_t slot = mix(key) % slots_per_rank;
+      const std::size_t slot = slot_of(key, rank, n);
       record_t fetched;
       lci::status_t status;
       do {
@@ -110,7 +123,7 @@ int main(int argc, char** argv) {
       if (fetched.key == key && fetched.value == key * 3)
         ++verified;
       else if (fetched.version != 0)
-        ++overwritten;  // another key hashed to the same slot (expected)
+        ++overwritten;  // another of our keys took the slot (expected)
     }
     std::printf("[rank %d] verified %d/%d records (%d slots overwritten by "
                 "colliding keys)\n",

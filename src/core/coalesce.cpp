@@ -31,7 +31,6 @@
 // deadline sweep, so every sub-op completes exactly once.
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 
@@ -516,10 +515,7 @@ void device_impl_t::handle_batch_recv(const net::cqe_t& cqe,
       status.buffer = buffer_t{data, data_size};
       comp->signal(status);
     } else {
-      void* buf = std::malloc(data_size ? data_size : 1);
-      std::memcpy(buf, data, data_size);
-      status.buffer = buffer_t{buf, data_size};
-      comp->signal(status);
+      comp->signal_am(status, data, data_size);
     }
   }
 

@@ -24,9 +24,21 @@ void free_comp(comp_t* comp) {
   comp->p = nullptr;
 }
 
+namespace {
+
+// The completion object behind `comp` as its concrete type; throws
+// fatal_error_t(what) when `comp` is of another kind.
+template <typename impl_t>
+impl_t* comp_as(comp_t comp, comp_attr_t::kind_t kind, const char* what) {
+  if (comp.p == nullptr || comp.p->kind() != kind) throw fatal_error_t(what);
+  return static_cast<impl_t*>(comp.p);
+}
+
+}  // namespace
+
 status_t cq_pop(comp_t cq) {
-  auto* impl = dynamic_cast<detail::cq_impl_t*>(cq.p);
-  if (impl == nullptr) throw fatal_error_t("cq_pop: not a completion queue");
+  auto* impl = comp_as<detail::cq_impl_t>(cq, comp_attr_t::kind_t::cq,
+                                          "cq_pop: not a completion queue");
   status_t status;
   if (impl->pop(&status)) {
     // Keep a fatal completion's code (peer down / canceled / timed out) —
@@ -39,14 +51,14 @@ status_t cq_pop(comp_t cq) {
 }
 
 bool sync_test(comp_t sync, status_t* out) {
-  auto* impl = dynamic_cast<detail::sync_impl_t*>(sync.p);
-  if (impl == nullptr) throw fatal_error_t("sync_test: not a synchronizer");
-  return impl->test(out);
+  return comp_as<detail::sync_impl_t>(sync, comp_attr_t::kind_t::sync,
+                                      "sync_test: not a synchronizer")
+      ->test(out);
 }
 
 void sync_wait(comp_t sync, status_t* out) {
-  auto* impl = dynamic_cast<detail::sync_impl_t*>(sync.p);
-  if (impl == nullptr) throw fatal_error_t("sync_wait: not a synchronizer");
+  auto* impl = comp_as<detail::sync_impl_t>(sync, comp_attr_t::kind_t::sync,
+                                            "sync_wait: not a synchronizer");
   // Drive the calling rank's default device while waiting so a single
   // threaded client cannot deadlock on its own progress.
   runtime_t g = get_g_runtime();
@@ -167,14 +179,13 @@ packet_pool_attr_t get_attr(packet_pool_t pool) {
 
 comp_attr_t get_attr(comp_t comp) {
   comp_attr_t attr;
-  if (auto* cq = dynamic_cast<detail::cq_impl_t*>(comp.p)) {
-    attr.kind = comp_attr_t::kind_t::cq;
-    attr.cq_type = cq->type();
-  } else if (auto* sync = dynamic_cast<detail::sync_impl_t*>(comp.p)) {
-    attr.kind = comp_attr_t::kind_t::sync;
-    attr.sync_threshold = sync->threshold();
-  } else if (dynamic_cast<detail::handler_impl_t*>(comp.p) != nullptr) {
-    attr.kind = comp_attr_t::kind_t::handler;
+  if (comp.p == nullptr) return attr;
+  attr.kind = comp.p->kind();
+  if (attr.kind == comp_attr_t::kind_t::cq) {
+    attr.cq_type = static_cast<detail::cq_impl_t*>(comp.p)->type();
+  } else if (attr.kind == comp_attr_t::kind_t::sync) {
+    attr.sync_threshold =
+        static_cast<detail::sync_impl_t*>(comp.p)->threshold();
   }
   return attr;
 }

@@ -66,6 +66,7 @@ class graph_impl_t {
 
  private:
   struct node_comp_t final : public comp_impl_t {
+    node_comp_t() : comp_impl_t(kind_t::other) {}
     graph_impl_t* graph = nullptr;
     uint32_t id = 0;
     void signal(const status_t&) override { graph->on_node_signal(id); }

@@ -334,10 +334,7 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
         comp->signal(status);
       } else {
         // Deliver in a plain buffer the upper layer frees with std::free.
-        void* buf = std::malloc(data_size ? data_size : 1);
-        std::memcpy(buf, data, data_size);
-        status.buffer = buffer_t{buf, data_size};
-        comp->signal(status);
+        comp->signal_am(status, data, data_size);
         repost(packet, ep);
       }
       return;

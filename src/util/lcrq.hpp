@@ -2,8 +2,9 @@
 //
 // The paper's default completion queue follows Morrison & Afek's LCRQ [38]:
 // a linked list of fetch-and-add rings. We keep that structure — each segment
-// is a Vyukov-style FAA ring (see mpmc_ring.hpp) and segments are chained
-// when a ring fills up — with two simplifications that preserve correctness:
+// is a Vyukov-style ring whose slots are claimed with compare_exchange_weak
+// (see mpmc_ring.hpp) and segments are chained when a ring fills up — with
+// two simplifications that preserve correctness:
 //
 //  * Segment capacity doubles along the chain, so the total number of
 //    segments is logarithmic in the peak queue size.

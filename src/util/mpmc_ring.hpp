@@ -1,11 +1,14 @@
 // Bounded MPMC ring with per-cell sequence numbers (Vyukov-style).
 //
-// This is the "hand-written Fetch-And-Add-based fixed-size array" completion
-// queue implementation of paper Sec. 4.1.4, and also the segment type of the
-// LCRQ-style unbounded queue. Each cell carries a sequence counter; producers
-// and consumers claim slots with fetch-add on shared head/tail counters and
-// then synchronize on the cell sequence, so the fast path is one FAA plus one
-// cell handoff and threads contending on *different* cells never interfere.
+// This is the fixed-size array completion queue of paper Sec. 4.1.4 (the
+// paper's is fetch-and-add based), and also the segment type of the
+// LCRQ-style unbounded queue. Each cell carries a sequence counter; a
+// producer or consumer reads the shared tail/head counter, checks that
+// cell's sequence, and claims the slot with a compare_exchange_weak on the
+// counter (re-reading it when another thread got there first). It then
+// hands the cell over through the sequence, so the fast path is one CAS plus
+// one cell handoff and threads contending on *different* cells never
+// interfere.
 #pragma once
 
 #include <atomic>

@@ -1,13 +1,20 @@
 // Completion-object tests (paper Sec. 3.2.5 / 4.1.4): handler, completion
-// queue (both implementations), synchronizer, completion graph, and the
-// remote-completion registry.
+// queue (both implementations), synchronizer, completion graph, the
+// remote-completion registry, and active-message delivery into each kind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <iterator>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/lci.hpp"
+#include "core/packet.hpp"
 
 namespace {
 
@@ -192,9 +199,277 @@ TEST(Rcomp, RegistryLookupAndReuse) {
 TEST(CompErrors, WrongKindThrows) {
   with_runtime([] {
     lci::comp_t handler = lci::alloc_handler([](const lci::status_t&) {});
+    lci::comp_t cq = lci::alloc_cq();
+    lci::comp_t sync = lci::alloc_sync(1);
     EXPECT_THROW(lci::cq_pop(handler), lci::fatal_error_t);
     EXPECT_THROW(lci::sync_test(handler, nullptr), lci::fatal_error_t);
+    EXPECT_THROW(lci::cq_pop(sync), lci::fatal_error_t);
+    EXPECT_THROW(lci::sync_test(cq, nullptr), lci::fatal_error_t);
     lci::free_comp(&handler);
+    lci::free_comp(&cq);
+    lci::free_comp(&sync);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Active-message delivery (Sec. 3.3.1). An eager AM of at most 16 bytes rides
+// inside its completion-queue entry and cq_pop allocates its buffer; a larger
+// one, or one signaled to a handler or synchronizer, gets a buffer filled on
+// the progress path. Every consumer sees the same bytes, rank and tag and
+// releases the buffer with std::free.
+// ---------------------------------------------------------------------------
+
+// Both sides of the 16-byte inline cap, and the inject limit.
+constexpr std::size_t am_sizes[] = {0, 1, 8, 16, 17, 64};
+constexpr std::size_t am_count = std::size(am_sizes);
+
+char am_byte(int from, std::size_t size, std::size_t i) {
+  return static_cast<char>((from * 61 + size * 7 + i * 13 + 1) & 0xff);
+}
+
+// Sends one AM of each size in am_sizes to the peer, tagged by its index.
+void post_am_sizes(int rank, lci::rcomp_t rcomp, bool aggregate) {
+  char payload[64];
+  for (std::size_t k = 0; k < am_count; ++k) {
+    const std::size_t size = am_sizes[k];
+    for (std::size_t i = 0; i < size; ++i) payload[i] = am_byte(rank, size, i);
+    lci::status_t st;
+    while ((st = lci::post_am_x(1 - rank, payload, size, {}, rcomp)
+                     .tag(static_cast<lci::tag_t>(k))
+                     .allow_aggregation(aggregate)())
+               .error.is_retry())
+      lci::progress();
+    EXPECT_TRUE(st.error.is_done()) << size << " B";
+  }
+}
+
+// Checks one delivery from post_am_sizes against what `peer` sent. Returns
+// the index of its size, or am_count when the tag is out of range.
+std::size_t check_am(const lci::status_t& s, int peer) {
+  EXPECT_TRUE(s.error.is_done());
+  EXPECT_EQ(s.rank, peer);
+  EXPECT_EQ(s.user_context, nullptr);
+  if (s.tag >= am_count) {
+    ADD_FAILURE() << "unexpected tag " << s.tag;
+    return am_count;
+  }
+  const std::size_t size = am_sizes[s.tag];
+  EXPECT_EQ(s.buffer.size, size);
+  EXPECT_NE(s.buffer.base, nullptr) << size << " B";  // even when empty
+  const char* data = static_cast<const char*>(s.buffer.base);
+  for (std::size_t i = 0; data != nullptr && i < size && i < s.buffer.size;
+       ++i)
+    EXPECT_EQ(data[i], am_byte(peer, size, i)) << size << " B, byte " << i;
+  return s.tag;
+}
+
+enum class am_target_t { cq, handler, sync };
+
+class AmTarget : public ::testing::TestWithParam<am_target_t> {};
+
+TEST_P(AmTarget, EachSizeArrivesIntactAndIsFreed) {
+  const am_target_t target = GetParam();
+  lci::sim::spawn(2, [&](int rank) {
+    lci::runtime_attr_t attr;
+    attr.matching_engine_buckets = 256;
+    lci::g_runtime_init(attr);
+    const int peer = 1 - rank;
+    std::mutex lock;
+    std::vector<lci::status_t> handled;  // guarded by lock
+    lci::comp_t comp;
+    if (target == am_target_t::cq) {
+      comp = lci::alloc_cq();
+    } else if (target == am_target_t::handler) {
+      comp = lci::alloc_handler([&](const lci::status_t& s) {
+        std::lock_guard<std::mutex> guard(lock);
+        handled.push_back(s);
+      });
+    } else {
+      comp = lci::alloc_sync(am_count);
+    }
+    const lci::rcomp_t rcomp = lci::register_rcomp(comp);
+    lci::barrier();
+    for (const bool aggregate : {false, true}) {
+      const uint64_t coalesced = lci::get_counters().send_coalesced;
+      post_am_sizes(rank, rcomp, aggregate);
+      if (aggregate) {
+        EXPECT_EQ(lci::get_counters().send_coalesced - coalesced, am_count);
+      }
+      std::vector<lci::status_t> arrived;
+      while (arrived.size() < am_count) {
+        lci::progress();
+        if (target == am_target_t::cq) {
+          const lci::status_t s = lci::cq_pop(comp);
+          if (s.error.is_done()) arrived.push_back(s);
+        } else if (target == am_target_t::handler) {
+          std::lock_guard<std::mutex> guard(lock);
+          arrived.insert(arrived.end(), handled.begin(), handled.end());
+          handled.clear();
+        } else {
+          std::vector<lci::status_t> out(am_count);
+          if (lci::sync_test(comp, out.data())) arrived = out;
+        }
+      }
+      std::vector<int> per_size(am_count + 1, 0);
+      for (const lci::status_t& s : arrived) {
+        ++per_size[check_am(s, peer)];
+        std::free(s.buffer.base);
+      }
+      for (std::size_t k = 0; k < am_count; ++k)
+        EXPECT_EQ(per_size[k], 1) << am_sizes[k] << " B, aggregate "
+                                  << aggregate;
+      lci::barrier();
+    }
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&comp);
+    lci::g_runtime_fina();
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, AmTarget,
+                         ::testing::Values(am_target_t::cq,
+                                           am_target_t::handler,
+                                           am_target_t::sync),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case am_target_t::cq:
+                               return "cq";
+                             case am_target_t::handler:
+                               return "handler";
+                             default:
+                               return "sync";
+                           }
+                         });
+
+// Two posting threads on rank 1 and four threads popping one CQ on rank 0:
+// the 8 B AMs ride in their entries and the 24 B ones in buffers the queue
+// owns, and each (thread, seq) arrives exactly once, whoever pops it.
+TEST(AmDelivery, ConcurrentPoppersSeeEachAmOnce) {
+  constexpr uint32_t posters = 2, poppers = 4, per_poster = 4000;
+  lci::sim::spawn(2, [&](int rank) {
+    lci::runtime_attr_t attr;
+    attr.matching_engine_buckets = 256;
+    lci::g_runtime_init(attr);
+    lci::comp_t rcq = lci::alloc_cq();
+    const lci::rcomp_t rcomp = lci::register_rcomp(rcq);
+    lci::barrier();
+    const auto binding = lci::sim::current_binding();
+    std::vector<std::atomic<int>> seen(posters * per_poster);
+    std::atomic<uint32_t> received{0};
+    std::vector<std::thread> threads;
+    if (rank == 1) {
+      for (uint32_t t = 0; t < posters; ++t) {
+        threads.emplace_back([&, t] {
+          lci::sim::scoped_binding_t bound(binding);
+          for (uint32_t seq = 0; seq < per_poster; ++seq) {
+            uint32_t words[6] = {t, seq, seq + 2, seq + 3, seq + 4, seq + 5};
+            const std::size_t size = seq % 2 ? sizeof(words) : 8;
+            while (lci::post_am(0, words, size, {}, rcomp).error.is_retry())
+              lci::progress();
+          }
+        });
+      }
+    } else {
+      for (uint32_t p = 0; p < poppers; ++p) {
+        threads.emplace_back([&] {
+          lci::sim::scoped_binding_t bound(binding);
+          while (received.load() < posters * per_poster) {
+            lci::progress();
+            const lci::status_t s = lci::cq_pop(rcq);
+            if (!s.error.is_done()) continue;
+            uint32_t words[6] = {posters, per_poster};
+            std::memcpy(words, s.buffer.base,
+                        std::min(s.buffer.size, sizeof(words)));
+            std::free(s.buffer.base);
+            received.fetch_add(1);
+            const uint32_t t = words[0], seq = words[1];
+            if (t >= posters || seq >= per_poster) {
+              ADD_FAILURE() << "corrupt AM of " << s.buffer.size << " B";
+              continue;
+            }
+            EXPECT_EQ(s.buffer.size, seq % 2 ? sizeof(words) : 8);
+            for (uint32_t i = 2; seq % 2 && i < 6; ++i)
+              EXPECT_EQ(words[i], seq + i);
+            EXPECT_EQ(seen[t * per_poster + seq].fetch_add(1), 0)
+                << "duplicate " << t << "/" << seq;
+          }
+        });
+      }
+    }
+    for (std::thread& th : threads) th.join();
+    lci::barrier();
+    EXPECT_TRUE(lci::cq_pop(rcq).error.is_retry());
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&rcq);
+    lci::g_runtime_fina();
+  });
+}
+
+// With am_deliver_packets every AM, however small, is delivered inside its
+// packet and goes back with release_am_packet, not std::free.
+TEST(AmDelivery, PacketModeKeepsSmallAmsInPackets) {
+  lci::sim::spawn(2, [](int rank) {
+    lci::runtime_attr_t attr;
+    attr.matching_engine_buckets = 256;
+    attr.am_deliver_packets = true;
+    lci::g_runtime_init(attr);
+    const int peer = 1 - rank;
+    lci::comp_t rcq = lci::alloc_cq();
+    const lci::rcomp_t rcomp = lci::register_rcomp(rcq);
+    lci::barrier();
+    for (const bool aggregate : {false, true}) {
+      post_am_sizes(rank, rcomp, aggregate);
+      std::vector<int> per_size(am_count + 1, 0);
+      for (std::size_t arrived = 0; arrived < am_count;) {
+        lci::progress();
+        const lci::status_t s = lci::cq_pop(rcq);
+        if (!s.error.is_done()) continue;
+        ++arrived;
+        ++per_size[check_am(s, peer)];
+        lci::detail::am_packet_ref_t ref;
+        std::memcpy(&ref, static_cast<const char*>(s.buffer.base) - sizeof(ref),
+                    sizeof(ref));
+        EXPECT_EQ(ref.magic, lci::detail::am_packet_magic)
+            << s.buffer.size << " B, aggregate " << aggregate;
+        lci::release_am_packet(s);
+      }
+      for (std::size_t k = 0; k < am_count; ++k)
+        EXPECT_EQ(per_size[k], 1) << am_sizes[k] << " B";
+      lci::barrier();
+    }
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&rcq);
+    lci::g_runtime_fina();
+  });
+}
+
+// Freeing a CQ that still holds AMs nobody popped leaks nothing: an 8 B AM
+// held in its entry and a 1 KiB one whose buffer the queue owns. The ASan
+// build's LeakSanitizer checks it.
+TEST(AmDelivery, FreeingCqReleasesUnpoppedAms) {
+  lci::sim::spawn(2, [](int rank) {
+    lci::runtime_attr_t attr;
+    attr.matching_engine_buckets = 256;
+    lci::g_runtime_init(attr);
+    lci::comp_t rcq = lci::alloc_cq();
+    const lci::rcomp_t rcomp = lci::register_rcomp(rcq);
+    const uint64_t delivered = lci::get_counters().am_delivered;
+    lci::barrier();
+    if (rank == 1) {
+      std::vector<char> payload(1024, 'x');
+      for (const std::size_t size : {std::size_t{8}, payload.size()}) {
+        while (lci::post_am(0, payload.data(), size, {}, rcomp)
+                   .error.is_retry())
+          lci::progress();
+      }
+    } else {
+      while (lci::get_counters().am_delivered - delivered < 2)
+        lci::progress();
+    }
+    lci::barrier();
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&rcq);  // rank 0's queue still holds both AMs
+    lci::g_runtime_fina();
   });
 }
 

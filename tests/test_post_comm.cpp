@@ -119,8 +119,9 @@ TEST_P(ProtocolSizes, ActiveMessageRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(
     SizeSweep, ProtocolSizes,
-    // 1B and 64B: inject; 65B..4080B: buffer-copy; beyond: rendezvous.
-    ::testing::Values(1, 8, 64, 65, 1024, 4080, 4081, 16384, 262144),
+    // 1B..64B: inject (an AM of at most 16B rides in its CQ entry);
+    // 65B..4080B: buffer-copy; beyond: rendezvous.
+    ::testing::Values(1, 8, 16, 17, 64, 65, 1024, 4080, 4081, 16384, 262144),
     [](const auto& info) { return "bytes" + std::to_string(info.param); });
 
 // ---------------------------------------------------------------------------
