@@ -5,8 +5,9 @@
 //  * matching engine: the paper's 64Ki-bucket table (low load factor, inline
 //    fast path) vs a deliberately tiny table (high load factor, overflow
 //    paths exercised);
-//  * packet pool: thread-local steady state vs the stealing path (every
-//    packet starts on one thread's deque, so every other thread must steal).
+//  * packet pool: thread-local steady state vs the stealing path (the main
+//    thread gets every packet and puts it back before timing, so every
+//    packet starts on its deque and every worker must steal).
 #include <cstdio>
 #include <functional>
 #include <thread>
@@ -91,6 +92,7 @@ int main() {
       // Steady state: each thread quickly accumulates a working set in its
       // own deque (one steal at warmup, local thereafter).
       lci::detail::packet_pool_impl_t pool(8192, 1024);
+      bench::fill_calling_deque(pool);
       const double mops = run_threads(threads, ops, [&](int) {
         for (long i = 0; i < ops; ++i) {
           if (auto* p = pool.get()) pool.put(p);
@@ -102,6 +104,7 @@ int main() {
       // Adversarial: return every packet to where it came from never happens
       // — get from the pool, hand to a global stash, force constant steals.
       lci::detail::packet_pool_impl_t pool(8192, 1024);
+      bench::fill_calling_deque(pool);
       lci::util::lcrq_t<lci::detail::packet_t*> stash(8192);
       const double mops = run_threads(threads, ops, [&](int) {
         for (long i = 0; i < ops; ++i) {

@@ -109,6 +109,17 @@ inline void print_header(const char* title, const char* columns) {
   std::printf("\n## %s\n%s\n", title, columns);
 }
 
+// Gets every packet of a fresh packet pool on the calling thread and puts it
+// back, so all of them start in this thread's deque. A fresh pool carves a
+// packet only on demand, so without this each thread would carve its own
+// instead of stealing.
+template <class Pool>
+void fill_calling_deque(Pool& pool) {
+  std::vector<decltype(pool.get())> all;
+  while (auto* packet = pool.get()) all.push_back(packet);
+  for (auto* packet : all) pool.put(packet);
+}
+
 // Machine-readable results next to the human-readable tables: every bench
 // writes BENCH_<name>.json ({"bench": ..., "meta": {...}, "rows": [...]})
 // so sweeps can be scripted/plotted without scraping stdout.

@@ -95,8 +95,11 @@ int main() {
       std::printf("%7d  %-14s  %7.2f\n", threads, "matching engine", mops);
     }
     {
-      // Packet pool: get/put pairs on thread-local deques.
+      // Packet pool: get/put pairs on thread-local deques. Every packet
+      // starts on the main thread's deque, so each worker's first get
+      // steals.
       lci::detail::packet_pool_impl_t pool(8192, 1024);
+      bench::fill_calling_deque(pool);
       const double mops =
           run_threads(threads, ops, [&](int) {
             for (long i = 0; i < ops; ++i) {

@@ -13,6 +13,7 @@
 #
 # Environment:
 #   CTEST_PARALLEL  parallel ctest jobs (default: 8)
+#   CTEST_REPEAT    passed to ctest --repeat when set (e.g. until-fail:3)
 #   CMAKE_ARGS      extra arguments forwarded to all cmake configures
 #   LCI_TIER1_LEGS  space-separated subset of "default tsan asan ubsan"
 set -uo pipefail
@@ -23,6 +24,8 @@ tsan_dir="${2:-${repo_root}/build-tsan}"
 asan_dir="${3:-${repo_root}/build-asan}"
 ubsan_dir="${4:-${repo_root}/build-ubsan}"
 jobs="${CTEST_PARALLEL:-8}"
+repeat=()
+[[ -n "${CTEST_REPEAT:-}" ]] && repeat=(--repeat "${CTEST_REPEAT}")
 legs="${LCI_TIER1_LEGS:-default tsan asan ubsan}"
 
 summary_labels=()
@@ -39,8 +42,9 @@ configure_and_test() {
   # shellcheck disable=SC2086
   if cmake -S "${repo_root}" -B "${dir}" ${CMAKE_ARGS:-} "$@" &&
      cmake --build "${dir}" -j; then
-    echo "== ${label}: ctest -L tier1 -j ${jobs}"
-    if ! ctest --test-dir "${dir}" -L tier1 -j "${jobs}" --output-on-failure
+    echo "== ${label}: ctest -L tier1 -j ${jobs} ${repeat[*]}"
+    if ! ctest --test-dir "${dir}" -L tier1 -j "${jobs}" "${repeat[@]}" \
+         --output-on-failure
     then
       result="FAIL (tests)"
     fi

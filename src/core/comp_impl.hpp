@@ -40,6 +40,11 @@ class comp_impl_t {
     signal(delivered);
   }
 
+  // Delivers an active message whose payload already sits in a std::malloc'd
+  // `status.buffer` (a rendezvous AM at FIN); the consumer frees it. By
+  // default this is a plain signal.
+  virtual void signal_owned_am(const status_t& status) { signal(status); }
+
   kind_t kind() const noexcept { return kind_; }
 
  protected:
@@ -74,8 +79,9 @@ class handler_impl_t final : public comp_impl_t {
 // entry, and pop() allocates the std::free buffer on the popping thread: a
 // consumer that frees right after popping hands the chunk back to its own
 // thread's malloc cache, where the next pop finds it. A larger AM's buffer
-// is allocated by signal_am and owned by the queue until it is popped, so
-// freeing a queue with unpopped eager AMs leaks nothing.
+// (allocated by signal_am, or handed over by signal_owned_am) is owned by
+// the queue until it is popped, so freeing a queue with unpopped AMs leaks
+// nothing.
 class cq_impl_t final : public comp_impl_t {
  public:
   static constexpr std::size_t inline_am_max = 16;
@@ -110,6 +116,10 @@ class cq_impl_t final : public comp_impl_t {
     entry.size = size;
     std::memcpy(entry.am, data, size);
     push(entry);
+  }
+
+  void signal_owned_am(const status_t& status) override {
+    push(entry_t::of(status, holds_t::owned_am));
   }
 
   bool pop(status_t* out) {

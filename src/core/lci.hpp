@@ -309,6 +309,7 @@ struct runtime_attr_t {
   // eager threshold, if lower) are injected from the user buffer without
   // consuming a packet.
   std::size_t packet_size = 4096;
+  // Cap on the default packet pool; a packet is carved on first demand.
   std::size_t npackets = 8192;
   // Pre-posted receives the progress engine maintains per device.
   std::size_t prepost_depth = 128;
@@ -671,7 +672,7 @@ struct matching_engine_attr_t {
 struct packet_pool_attr_t {
   std::size_t npackets = 0;
   std::size_t packet_size = 0;   // payload capacity
-  std::size_t pooled = 0;        // currently in deques (approximate)
+  std::size_t pooled = 0;  // in deques or not yet carved (approximate)
 };
 struct comp_attr_t {
   enum class kind_t { handler, cq, sync, other } kind = kind_t::other;

@@ -8,14 +8,19 @@
 // complementary arrival matches instead of queueing). The fast path uses
 // fixed-size arrays — up to 3 queues inline per bucket and up to 2 entries
 // inline per queue — so a low-load-factor insertion costs a single cache
-// miss; overflow spills to heap containers. The table is the same flat
-// array at every device shard count: with far more buckets than threads, a
-// shard's keys rarely share a bucket lock with another shard's. Note:
-// set_make_key must be called before any traffic — entries inserted under
-// the default key derivation hash differently from a custom key.
+// miss; overflow spills to heap containers. The table is the same at every
+// device shard count: with far more buckets than threads, a shard's keys
+// rarely share a bucket lock with another shard's. The buckets are built in
+// chunks of `chunk_buckets`, each published by compare-and-swap the first
+// time a key hashes into it, so an engine touches only the chunks its keys
+// reach. Note: set_make_key must be called before any traffic — entries
+// inserted under the default key derivation hash differently from a custom
+// key.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <deque>
@@ -40,11 +45,20 @@ class matching_engine_impl_t {
   using make_key_fn_t = std::function<key_t(int rank, tag_t tag,
                                             matching_policy_t policy)>;
 
-  // One flat array of num_buckets rounded up to a power of two. (buckets_
-  // is sized in the initializer because bucket_t's spinlock makes it
-  // non-movable.)
+  // num_buckets rounded up to a power of two, in chunks of chunk_buckets
+  // (one chunk when the table is smaller); no chunk is built yet.
   explicit matching_engine_impl_t(std::size_t num_buckets)
-      : buckets_(round_pow2(num_buckets)), mask_(buckets_.size() - 1) {}
+      : mask_(round_pow2(num_buckets) - 1),
+        chunk_len_(std::min(chunk_buckets, mask_ + 1)),
+        chunk_shift_(std::countr_zero(chunk_len_)),
+        chunks_(std::make_unique<std::atomic<bucket_t*>[]>(chunk_count())) {}
+
+  ~matching_engine_impl_t() {
+    for (std::size_t c = 0; c < chunk_count(); ++c)
+      delete[] chunks_[c].load(std::memory_order_relaxed);
+  }
+  matching_engine_impl_t(const matching_engine_impl_t&) = delete;
+  matching_engine_impl_t& operator=(const matching_engine_impl_t&) = delete;
 
   // Default key: [2 bits policy][30 bits rank][32 bits tag] with the wildcard
   // component zeroed, so different policies never collide.
@@ -77,7 +91,7 @@ class matching_engine_impl_t {
   // oldest such value instead of inserting; otherwise inserts and returns
   // nullptr.
   void* insert(key_t key, void* value, type_t type) {
-    bucket_t& bucket = buckets_[bucket_index(key)];
+    bucket_t& bucket = bucket_for(key);
     std::lock_guard<util::spinlock_t> guard(bucket.lock);
     // Fast-path scan.
     for (std::size_t i = 0; i < bucket.nfast; ++i) {
@@ -111,7 +125,7 @@ class matching_engine_impl_t {
   // an unmatched one is re-staged into its own packet and insert()ed like any
   // other unexpected eager message.
   void* try_match_recv(key_t key) {
-    bucket_t& bucket = buckets_[bucket_index(key)];
+    bucket_t& bucket = bucket_for(key);
     std::lock_guard<util::spinlock_t> guard(bucket.lock);
     for (std::size_t i = 0; i < bucket.nfast; ++i) {
       if (bucket.fast[i].key == key)
@@ -132,7 +146,7 @@ class matching_engine_impl_t {
   // queued): whoever popped it owns its completion. The bucket lock is the
   // arbitration point between cancel/timeout/purge and the matching paths.
   bool remove(key_t key, void* value) {
-    bucket_t& bucket = buckets_[bucket_index(key)];
+    bucket_t& bucket = bucket_for(key);
     std::lock_guard<util::spinlock_t> guard(bucket.lock);
     for (std::size_t i = 0; i < bucket.nfast; ++i) {
       if (bucket.fast[i].key == key)
@@ -150,13 +164,14 @@ class matching_engine_impl_t {
   // Removes every queued entry the predicate claims; pred(value, type) must
   // be side-effect free. Removed entries are appended to `out` so the caller
   // can complete or recycle them (it now owns them exclusively). Takes every
-  // bucket lock in turn — a purge-rate operation, not a fast-path one.
+  // bucket lock of every published chunk in turn — a purge-rate operation,
+  // not a fast-path one.
   template <class Pred>
   std::size_t purge_if(Pred&& pred,
                        std::vector<std::pair<void*, type_t>>& out) {
     std::size_t removed = 0;
     std::vector<void*> vals;
-    for (auto& bucket : buckets_) {
+    for_each_published_bucket([&](bucket_t& bucket) {
       std::lock_guard<util::spinlock_t> guard(bucket.lock);
       // Backwards so remove_slot's swap-from-back only re-seats slots this
       // loop has already visited.
@@ -166,24 +181,35 @@ class matching_engine_impl_t {
         for (std::size_t i = bucket.overflow->size(); i-- > 0;)
           removed += purge_slot(bucket, /*in_fast=*/false, i, pred, out, vals);
       }
-    }
+    });
     return removed;
   }
 
-  // Total queued entries (for tests; takes every bucket lock).
+  // Total queued entries (for tests; takes every published bucket lock).
   std::size_t size_slow() const {
     std::size_t total = 0;
-    for (auto& bucket : buckets_) {
+    for_each_published_bucket([&](const bucket_t& bucket) {
       std::lock_guard<util::spinlock_t> guard(bucket.lock);
       for (std::size_t i = 0; i < bucket.nfast; ++i)
         total += bucket.fast[i].count;
       if (bucket.overflow)
         for (const auto& slot : *bucket.overflow) total += slot.count;
-    }
+    });
     return total;
   }
 
-  std::size_t num_buckets() const noexcept { return buckets_.size(); }
+  std::size_t num_buckets() const noexcept { return mask_ + 1; }
+  // Chunks built so far (for tests).
+  std::size_t chunks_published() const {
+    std::size_t n = 0;
+    for (std::size_t c = 0; c < chunk_count(); ++c)
+      n += published(c) != nullptr;
+    return n;
+  }
+  // Chunks the table is split into.
+  std::size_t chunk_count() const noexcept {
+    return (mask_ + 1) >> chunk_shift_;
+  }
 
   // Engine id within its runtime. Carried in message headers so the target
   // matches in the same engine the sender named; like rcomps, ids agree
@@ -198,10 +224,7 @@ class matching_engine_impl_t {
  private:
   static constexpr std::size_t fast_queues = 3;    // queues inline per bucket
   static constexpr std::size_t fast_entries = 2;   // entries inline per queue
-
-  std::size_t bucket_index(key_t key) const noexcept {
-    return hash(key) & mask_;
-  }
+  static constexpr std::size_t chunk_buckets = 256;  // 48 KiB per chunk
 
   // One per-key queue. FIFO; the first `fast_entries` live inline.
   struct slot_t {
@@ -266,6 +289,45 @@ class matching_engine_impl_t {
     std::unique_ptr<std::vector<slot_t>> overflow;
   };
   using overflow_t = std::vector<slot_t>;
+
+  // The bucket `key` hashes to, building and publishing its chunk on first
+  // use.
+  bucket_t& bucket_for(key_t key) {
+    const std::size_t i = hash(key) & mask_;
+    std::atomic<bucket_t*>& slot = chunks_[i >> chunk_shift_];
+    bucket_t* chunk = slot.load(std::memory_order_acquire);
+    if (chunk == nullptr) [[unlikely]] chunk = publish(slot);
+    return chunk[i & (chunk_len_ - 1)];
+  }
+
+  // Builds a chunk and publishes it in `slot`; a thread that loses the race
+  // frees its own chunk and returns the winner's. Out of line, so the
+  // bucket construction it runs once per chunk stays off the insert path.
+  [[gnu::noinline]] bucket_t* publish(std::atomic<bucket_t*>& slot) {
+    auto* fresh = new bucket_t[chunk_len_];
+    bucket_t* winner = nullptr;
+    if (slot.compare_exchange_strong(winner, fresh, std::memory_order_acq_rel,
+                                     std::memory_order_acquire))
+      return fresh;
+    delete[] fresh;
+    return winner;
+  }
+
+  // Calls fn(bucket) for each bucket of every published chunk; chunks no
+  // key ever reached are skipped.
+  template <class Fn>
+  void for_each_published_bucket(Fn&& fn) const {
+    for (std::size_t c = 0; c < chunk_count(); ++c)
+      if (bucket_t* chunk = published(c))
+        for (std::size_t b = 0; b < chunk_len_; ++b) fn(chunk[b]);
+  }
+
+  // The chunk published at index c, or nullptr. Read with a read-modify-
+  // write, so a walk that starts after an insert returned sees its chunk,
+  // just as taking the bucket lock would see the insert.
+  bucket_t* published(std::size_t c) const {
+    return chunks_[c].fetch_add(0, std::memory_order_acq_rel);
+  }
 
   // Caller holds the bucket lock; the slot at (in_fast, i) has `key`.
   void* resolve(bucket_t& bucket, bool in_fast, std::size_t i, void* value,
@@ -357,8 +419,11 @@ class matching_engine_impl_t {
     return static_cast<std::size_t>(key);
   }
 
-  std::vector<bucket_t> buckets_;
-  std::size_t mask_ = 0;  // buckets_.size() - 1
+  const std::size_t mask_;        // num_buckets() - 1
+  const std::size_t chunk_len_;   // buckets per chunk (a power of two)
+  const int chunk_shift_;         // log2(chunk_len_)
+  // One pointer per chunk; null until a key first hashes into the chunk.
+  const std::unique_ptr<std::atomic<bucket_t*>[]> chunks_;
   make_key_fn_t make_key_fn_;
   uint16_t id_ = 0;
 };

@@ -8,8 +8,14 @@
 // is a per-deque spinlock, so there is no contention during normal operation.
 // The pool is the same at every device shard count: a thread's deque is
 // private to it whichever shard it posts through.
+//
+// The slab behind the packets is reserved, not written: a packet is carved
+// from it (its header constructed) only when a get() finds its own deque
+// empty and its steal attempts fail. A runtime thus touches only the
+// packets its traffic keeps in flight, and npackets stays a hard cap.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -78,24 +84,35 @@ class packet_pool_impl_t {
   packet_pool_impl_t(const packet_pool_impl_t&) = delete;
   packet_pool_impl_t& operator=(const packet_pool_impl_t&) = delete;
 
-  // Non-blocking get: pops from the caller's deque, stealing on miss.
-  // Returns nullptr when the steal attempts fail (=> retry_nopacket).
+  // Non-blocking get: pops from the caller's deque, stealing on miss and
+  // carving a fresh packet when the steal attempts fail. Returns nullptr
+  // when every packet is carved and out of reach (=> retry_nopacket).
   packet_t* get();
   // Returns a packet to the caller's deque.
   void put(packet_t* packet);
 
   std::size_t packet_capacity() const noexcept { return packet_capacity_; }
   std::size_t total_packets() const noexcept { return npackets_; }
-  // Packets currently sitting in deques (approximate; excludes in-flight).
+  // Packets sitting in deques plus packets not yet carved (approximate;
+  // excludes in-flight).
   std::size_t pooled_approx() const noexcept;
+  // Packets carved from the slab so far.
+  std::size_t carved() const noexcept {
+    return std::min(carved_.load(std::memory_order_relaxed), npackets_);
+  }
 
  private:
   using deque_t = util::steal_deque_t<packet_t*>;
   deque_t* local_deque();
+  packet_t* carve();
 
   const std::size_t npackets_;
   const std::size_t packet_capacity_;
-  std::vector<std::unique_ptr<char[]>> slabs_;
+  const std::size_t stride_;  // header + payload, rounded to a cache line
+  std::unique_ptr<char[]> slab_;
+  char* base_ = nullptr;  // first cache-line-aligned byte of slab_
+  // Next slab slot to carve; runs past npackets_ only by failed carves.
+  std::atomic<std::size_t> carved_{0};
   util::mpmc_array_t<deque_t*> deques_{64};
   std::vector<std::unique_ptr<deque_t>> deque_storage_;  // guarded by reg_lock_
   util::spinlock_t reg_lock_;

@@ -19,24 +19,18 @@ std::size_t packet_stride(std::size_t capacity) {
 
 packet_pool_impl_t::packet_pool_impl_t(std::size_t npackets,
                                        std::size_t packet_capacity)
-    : npackets_(npackets), packet_capacity_(packet_capacity) {
-  const std::size_t stride = packet_stride(packet_capacity_);
-  // One slab, over-allocated for alignment.
-  auto slab = std::make_unique<char[]>(npackets_ * stride +
-                                       util::cache_line_size);
-  char* base = slab.get();
-  auto misalign = reinterpret_cast<uintptr_t>(base) % util::cache_line_size;
-  if (misalign != 0) base += util::cache_line_size - misalign;
-  slabs_.push_back(std::move(slab));
-
-  // All packets start in the creating thread's deque; work stealing spreads
-  // them to other threads on demand.
-  deque_t* local = local_deque();
-  for (std::size_t i = 0; i < npackets_; ++i) {
-    auto* packet = new (base + i * stride) packet_t;
-    packet->pool = this;
-    local->push_tail(packet);
-  }
+    : npackets_(npackets),
+      packet_capacity_(packet_capacity),
+      stride_(packet_stride(packet_capacity)),
+      // One slab, over-allocated for alignment and left uninitialized, so a
+      // page no carve reaches is never touched (glibc serves a slab this
+      // size with mmap).
+      slab_(std::make_unique_for_overwrite<char[]>(npackets_ * stride_ +
+                                                   util::cache_line_size)) {
+  base_ = slab_.get();
+  const auto misalign = reinterpret_cast<uintptr_t>(base_) %
+                        util::cache_line_size;
+  if (misalign != 0) base_ += util::cache_line_size - misalign;
 }
 
 packet_pool_impl_t::~packet_pool_impl_t() = default;
@@ -65,11 +59,10 @@ packet_t* packet_pool_impl_t::get() {
 
   // Local deque empty: try stealing half the packets from a few randomly
   // selected victims (paper: one random victim per failed get; we allow a
-  // small number of attempts before reporting retry_nopacket).
+  // small number of attempts before carving or reporting retry_nopacket).
   thread_local util::xoshiro256_t rng(0x243f6a8885a308d3ull ^
                                       util::thread_id());
   const std::size_t n = deques_.size();
-  if (n == 0) return nullptr;
   std::vector<packet_t*> stolen;
   for (int attempt = 0; attempt < 3; ++attempt) {
     deque_t* victim = deques_.get(rng.below(n));
@@ -82,7 +75,19 @@ packet_t* packet_pool_impl_t::get() {
       return packet;
     }
   }
-  return nullptr;
+  // Carving only after stealing keeps the touched packets close to the
+  // working set: packets that pile up in the deque of a thread that puts
+  // more than it gets are found before the slab grows.
+  return carve();
+}
+
+packet_t* packet_pool_impl_t::carve() {
+  if (carved_.load(std::memory_order_relaxed) >= npackets_) return nullptr;
+  const std::size_t i = carved_.fetch_add(1, std::memory_order_relaxed);
+  if (i >= npackets_) return nullptr;
+  auto* packet = new (base_ + i * stride_) packet_t;
+  packet->pool = this;
+  return packet;
 }
 
 void packet_pool_impl_t::put(packet_t* packet) {
@@ -97,7 +102,7 @@ void packet_pool_impl_t::put(packet_t* packet) {
 }
 
 std::size_t packet_pool_impl_t::pooled_approx() const noexcept {
-  std::size_t total = 0;
+  std::size_t total = npackets_ - carved();
   const std::size_t n = deques_.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (const deque_t* d = deques_.get(i)) total += d->size_approx();

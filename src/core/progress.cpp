@@ -588,7 +588,12 @@ bool device_impl_t::handle_cqe(const net::cqe_t& cqe, net::device_t& ep) {
                           ? 0
                           : static_cast<uint8_t>(status.error.code),
                       state.peer_rank, state.tag, state.size);
-        signal_comp(state.comp, status);
+        // A rendezvous AM hands its buffer to the consumer; a CQ that is
+        // freed before the AM is popped then frees it.
+        if (state.runtime_owned_buffer)
+          state.comp->signal_owned_am(status);
+        else
+          signal_comp(state.comp, status);
         return true;
       }
       // RMA-with-signal notification at the target.

@@ -1,7 +1,18 @@
-// OFF allocation variants and resource-attribute queries (Sec. 3.1 / 3.2.3).
+// OFF allocation variants and resource-attribute queries (Sec. 3.1 / 3.2.3),
+// and the memory the packet pool and a default runtime touch.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <fstream>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "core/lci.hpp"
+#include "core/packet.hpp"
 
 namespace {
 
@@ -136,6 +147,138 @@ TEST(Attrs, EngineEntriesCountQueuedMessages) {
     while (lci::get_attr(engine).entries != 0) lci::progress();
     lci::free_matching_engine(&engine);
     lci::g_runtime_fina();
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Packet pool: packets are carved from the slab on first demand
+// ---------------------------------------------------------------------------
+
+using pool_t = lci::detail::packet_pool_impl_t;
+using packet_t = lci::detail::packet_t;
+
+TEST(PacketPool, CarvesOnFirstDemandAndReusesBeforeCarving) {
+  pool_t pool(64, 1024);
+  EXPECT_EQ(pool.pooled_approx(), 64u);
+  EXPECT_EQ(pool.carved(), 0u);
+  std::vector<packet_t*> held;
+  for (int i = 0; i < 10; ++i) held.push_back(pool.get());
+  EXPECT_EQ(pool.carved(), 10u);
+  EXPECT_EQ(pool.pooled_approx(), 54u);
+  for (packet_t* p : held) pool.put(p);
+  EXPECT_EQ(pool.pooled_approx(), 64u);
+  // A second round finds the returned packets and carves nothing.
+  for (packet_t*& p : held) p = pool.get();
+  EXPECT_EQ(pool.carved(), 10u);
+  for (packet_t* p : held) pool.put(p);
+  EXPECT_EQ(pool.pooled_approx(), 64u);
+}
+
+// Threads that get until the pool says no receive every packet once, each a
+// distinct cache-line-aligned slot of the one slab.
+TEST(PacketPool, ConcurrentGettersReceiveEveryPacketOnce) {
+  constexpr std::size_t npackets = 1000, capacity = 100;
+  constexpr std::size_t stride = 192;  // 64 B header + 100 B, rounded up
+  pool_t pool(npackets, capacity);
+  constexpr int nthreads = 4;
+  std::vector<std::vector<packet_t*>> got(nthreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < nthreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      while (packet_t* p = pool.get()) got[t].push_back(p);
+    });
+  }
+  go.store(true);
+  for (auto& th : threads) th.join();
+
+  std::vector<std::uintptr_t> addrs;
+  for (const auto& mine : got)
+    for (packet_t* p : mine) {
+      EXPECT_EQ(p->pool, &pool);
+      addrs.push_back(reinterpret_cast<std::uintptr_t>(p));
+    }
+  ASSERT_EQ(addrs.size(), npackets);
+  EXPECT_EQ(pool.carved(), npackets);
+  EXPECT_EQ(pool.pooled_approx(), 0u);
+  std::sort(addrs.begin(), addrs.end());
+  EXPECT_EQ(addrs.front() % 64, 0u);
+  // Distinct, and exactly the slab's npackets consecutive slots.
+  for (std::size_t i = 1; i < addrs.size(); ++i)
+    ASSERT_EQ(addrs[i] - addrs[i - 1], stride) << "packet " << i;
+
+  threads.clear();
+  for (int t = 0; t < nthreads; ++t)
+    threads.emplace_back([&, t] {
+      for (packet_t* p : got[t]) pool.put(p);
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(pool.pooled_approx(), npackets);
+  EXPECT_EQ(pool.carved(), npackets);
+}
+
+// get_attr(pool).pooled may be read from any thread while others get and
+// put (the TSan build checks the deque sizes it reads).
+TEST(PacketPool, OccupancyReadsWhileOthersGetAndPut) {
+  lci::sim::spawn(1, [](int) {
+    lci::g_runtime_init(small_attr());
+    lci::packet_pool_t pool = lci::alloc_packet_pool_x().npackets(64)();
+    std::atomic<bool> go{false};
+    std::atomic<int> running{2};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 2; ++t) {
+      workers.emplace_back([&] {
+        while (!go.load()) std::this_thread::yield();
+        std::vector<packet_t*> held;
+        for (int i = 0; i < 20000; ++i) {
+          if (packet_t* p = pool.p->get()) held.push_back(p);
+          if (held.size() > 8 || (i % 3 == 0 && !held.empty())) {
+            pool.p->put(held.back());
+            held.pop_back();
+          }
+        }
+        for (packet_t* p : held) pool.p->put(p);
+        running.fetch_sub(1);
+      });
+    }
+    go.store(true);
+    do {
+      (void)lci::get_attr(pool).pooled;
+    } while (running.load() != 0);
+    for (auto& th : workers) th.join();
+    EXPECT_EQ(lci::get_attr(pool).pooled, 64u);
+    lci::free_packet_pool(&pool);
+    lci::g_runtime_fina();
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Footprint: a default runtime touches only the memory it uses
+// ---------------------------------------------------------------------------
+
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0, resident = 0;
+  statm >> pages >> resident;
+  return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+// The default packet pool (8192 packets of 4 KiB) and matching table (65,536
+// buckets) reserve 44.5 MiB; initializing a runtime must not write it.
+TEST(Footprint, DefaultRuntimeInitTouchesLittleMemory) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators and shadow memory skew the count";
+#endif
+  lci::sim::spawn(1, [](int) {
+    const std::size_t before = resident_bytes();
+    lci::g_runtime_init();
+    const std::size_t after = resident_bytes();
+    lci::g_runtime_fina();
+    const std::size_t rise = after > before ? after - before : 0;
+    EXPECT_LT(rise, std::size_t{8} << 20)
+        << "g_runtime_init raised the resident set by " << (rise >> 10)
+        << " KiB";
   });
 }
 

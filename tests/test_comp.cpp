@@ -444,8 +444,9 @@ TEST(AmDelivery, PacketModeKeepsSmallAmsInPackets) {
 }
 
 // Freeing a CQ that still holds AMs nobody popped leaks nothing: an 8 B AM
-// held in its entry and a 1 KiB one whose buffer the queue owns. The ASan
-// build's LeakSanitizer checks it.
+// held in its entry, a 1 KiB one whose buffer the queue owns, and a 16 KiB
+// rendezvous AM whose buffer is handed over at FIN. The ASan build's
+// LeakSanitizer checks it.
 TEST(AmDelivery, FreeingCqReleasesUnpoppedAms) {
   lci::sim::spawn(2, [](int rank) {
     lci::runtime_attr_t attr;
@@ -456,19 +457,33 @@ TEST(AmDelivery, FreeingCqReleasesUnpoppedAms) {
     const uint64_t delivered = lci::get_counters().am_delivered;
     lci::barrier();
     if (rank == 1) {
-      std::vector<char> payload(1024, 'x');
-      for (const std::size_t size : {std::size_t{8}, payload.size()}) {
+      std::vector<char> payload(16 * 1024, 'x');
+      for (const std::size_t size : {std::size_t{8}, std::size_t{1024}}) {
         while (lci::post_am(0, payload.data(), size, {}, rcomp)
                    .error.is_retry())
           lci::progress();
       }
+      // Rendezvous: its send completes after rank 0 took the RTS.
+      lci::comp_t sent = lci::alloc_sync(1);
+      lci::status_t s;
+      while ((s = lci::post_am(0, payload.data(), payload.size(), sent, rcomp))
+                 .error.is_retry())
+        lci::progress();
+      EXPECT_TRUE(s.error.is_posted());
+      if (s.error.is_posted()) lci::sync_wait(sent, nullptr);
+      lci::free_comp(&sent);
     } else {
       while (lci::get_counters().am_delivered - delivered < 2)
         lci::progress();
     }
     lci::barrier();
+    // Rank 0 took the RTS before the barrier; progress until its FIN landed.
+    if (rank == 0) {
+      EXPECT_EQ(lci::drain({}, 30'000'000), 0u);
+    }
+    lci::barrier();
     lci::deregister_rcomp(rcomp);
-    lci::free_comp(&rcq);  // rank 0's queue still holds both AMs
+    lci::free_comp(&rcq);  // rank 0's queue still holds all three AMs
     lci::g_runtime_fina();
   });
 }

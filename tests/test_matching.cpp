@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/matching.hpp"
@@ -161,6 +162,83 @@ TEST(Matching, BucketCountRoundsToPowerOfTwo) {
   EXPECT_EQ(engine.num_buckets(), 1024u);
   engine_t tiny(0);
   EXPECT_GE(tiny.num_buckets(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Chunked table: a chunk of buckets is built when a key first reaches it
+// ---------------------------------------------------------------------------
+
+// Four threads race to publish the chunks: two insert one send per key, two
+// insert one receive per key, all walking the keys in the same order. Each
+// key matches exactly once, with its own partner.
+TEST(Matching, ConcurrentFirstUseOfChunksMatchesEachKeyOnce) {
+  engine_t engine(65536);
+  EXPECT_EQ(engine.chunks_published(), 0u);
+  constexpr int nkeys = 4096;
+  std::vector<int> sends(nkeys), recvs(nkeys);
+  std::vector<std::atomic<int>> matched(nkeys);
+  std::atomic<int> wrong{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      const bool send = t < 2;
+      while (!go.load()) std::this_thread::yield();
+      for (int k = t % 2; k < nkeys; k += 2) {
+        const auto key =
+            engine.make_key(k % 7, static_cast<lci::tag_t>(k),
+                            matching_policy_t::rank_tag);
+        void* mine = send ? static_cast<void*>(&sends[k]) : &recvs[k];
+        void* partner = send ? static_cast<void*>(&recvs[k]) : &sends[k];
+        void* got = engine.insert(key, mine, send ? type_t::send
+                                                  : type_t::recv);
+        if (got == nullptr) continue;
+        if (got != partner) wrong.fetch_add(1);
+        matched[k].fetch_add(1);
+      }
+    });
+  }
+  go.store(true);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  for (int k = 0; k < nkeys; ++k) ASSERT_EQ(matched[k].load(), 1) << k;
+  EXPECT_EQ(engine.size_slow(), 0u);
+  EXPECT_GE(engine.chunks_published(), 8u);
+}
+
+// size_slow and purge_if walk every published chunk; a purge of a fresh
+// engine builds none.
+TEST(Matching, WalksSeeEntriesInEveryChunk) {
+  engine_t fresh(65536);
+  std::vector<std::pair<void*, type_t>> out;
+  EXPECT_EQ(fresh.purge_if([](void*, type_t) { return true; }, out), 0u);
+  EXPECT_EQ(fresh.size_slow(), 0u);
+  EXPECT_EQ(fresh.chunks_published(), 0u);
+
+  engine_t engine(65536);
+  constexpr int nkeys = 8192;
+  std::vector<int> values(nkeys);
+  for (int k = 0; k < nkeys; ++k) {
+    const auto key = engine.make_key(1, static_cast<lci::tag_t>(k),
+                                     matching_policy_t::rank_tag);
+    ASSERT_EQ(engine.insert(key, &values[k], type_t::recv), nullptr);
+  }
+  ASSERT_EQ(engine.chunks_published(), engine.chunk_count());
+  EXPECT_EQ(engine.size_slow(), static_cast<std::size_t>(nkeys));
+  // Purge the even values, then the rest.
+  const auto is_even = [&](void* v, type_t) {
+    return (static_cast<int*>(v) - values.data()) % 2 == 0;
+  };
+  EXPECT_EQ(engine.purge_if(is_even, out), static_cast<std::size_t>(nkeys / 2));
+  EXPECT_EQ(engine.size_slow(), static_cast<std::size_t>(nkeys / 2));
+  for (const auto& [v, type] : out) {
+    EXPECT_TRUE(is_even(v, type));
+    EXPECT_EQ(type, type_t::recv);
+  }
+  out.clear();
+  EXPECT_EQ(engine.purge_if([](void*, type_t) { return true; }, out),
+            static_cast<std::size_t>(nkeys / 2));
+  EXPECT_EQ(engine.size_slow(), 0u);
 }
 
 }  // namespace
