@@ -10,12 +10,14 @@
 // inline per queue — so a low-load-factor insertion costs a single cache
 // miss; overflow spills to heap containers. The table is the same at every
 // device shard count: with far more buckets than threads, a shard's keys
-// rarely share a bucket lock with another shard's. The buckets are built in
-// chunks of `chunk_buckets`, each published by compare-and-swap the first
-// time a key hashes into it, so an engine touches only the chunks its keys
-// reach. Note: set_make_key must be called before any traffic — entries
-// inserted under the default key derivation hash differently from a custom
-// key.
+// rarely share a bucket lock with another shard's. The table's storage is
+// one block, reserved but not written (util/reserved_memory.hpp); its
+// buckets are constructed in place in chunks of `chunk_buckets`, the first
+// time a key hashes into a chunk, so an engine touches only the chunks its
+// keys reach. Being one block, the table stays apart from the small heap
+// objects the matching paths allocate, whatever order chunks are built in.
+// Note: set_make_key must be called before any traffic — entries inserted
+// under the default key derivation hash differently from a custom key.
 #pragma once
 
 #include <algorithm>
@@ -31,7 +33,9 @@
 #include <vector>
 
 #include "core/lci.hpp"
+#include "util/backoff.hpp"
 #include "util/cacheline.hpp"
+#include "util/reserved_memory.hpp"
 #include "util/spinlock.hpp"
 
 namespace lci::detail {
@@ -51,11 +55,18 @@ class matching_engine_impl_t {
       : mask_(round_pow2(num_buckets) - 1),
         chunk_len_(std::min(chunk_buckets, mask_ + 1)),
         chunk_shift_(std::countr_zero(chunk_len_)),
-        chunks_(std::make_unique<std::atomic<bucket_t*>[]>(chunk_count())) {}
+        // A page no chunk reaches is never touched. Keys land at random, so
+        // with huge pages a chunk's first key touches its whole huge page
+        // (the default table is six), but a lookup no longer takes a page
+        // walk of its own.
+        storage_((mask_ + 1) * sizeof(bucket_t)),
+        buckets_(reinterpret_cast<bucket_t*>(storage_.data())),
+        state_(std::make_unique<std::atomic<uint8_t>[]>(chunk_count())) {}
 
   ~matching_engine_impl_t() {
     for (std::size_t c = 0; c < chunk_count(); ++c)
-      delete[] chunks_[c].load(std::memory_order_relaxed);
+      if (state_[c].load(std::memory_order_relaxed) == built)
+        std::destroy_n(chunk(c), chunk_len_);
   }
   matching_engine_impl_t(const matching_engine_impl_t&) = delete;
   matching_engine_impl_t& operator=(const matching_engine_impl_t&) = delete;
@@ -203,7 +214,7 @@ class matching_engine_impl_t {
   std::size_t chunks_published() const {
     std::size_t n = 0;
     for (std::size_t c = 0; c < chunk_count(); ++c)
-      n += published(c) != nullptr;
+      n += published(c);
     return n;
   }
   // Chunks the table is split into.
@@ -290,43 +301,53 @@ class matching_engine_impl_t {
   };
   using overflow_t = std::vector<slot_t>;
 
-  // The bucket `key` hashes to, building and publishing its chunk on first
-  // use.
+  // A chunk's state: empty until a key first hashes into it, building while
+  // one thread constructs its buckets, then built.
+  enum : uint8_t { empty, building, built };
+
+  // The bucket `key` hashes to, building its chunk on first use.
   bucket_t& bucket_for(key_t key) {
     const std::size_t i = hash(key) & mask_;
-    std::atomic<bucket_t*>& slot = chunks_[i >> chunk_shift_];
-    bucket_t* chunk = slot.load(std::memory_order_acquire);
-    if (chunk == nullptr) [[unlikely]] chunk = publish(slot);
-    return chunk[i & (chunk_len_ - 1)];
+    const std::size_t c = i >> chunk_shift_;
+    if (state_[c].load(std::memory_order_acquire) != built) [[unlikely]]
+      build(c);
+    return buckets_[i];
   }
 
-  // Builds a chunk and publishes it in `slot`; a thread that loses the race
-  // frees its own chunk and returns the winner's. Out of line, so the
+  // Constructs chunk c's buckets in place and marks it built; a thread that
+  // finds another building it waits until it is built. Out of line, so the
   // bucket construction it runs once per chunk stays off the insert path.
-  [[gnu::noinline]] bucket_t* publish(std::atomic<bucket_t*>& slot) {
-    auto* fresh = new bucket_t[chunk_len_];
-    bucket_t* winner = nullptr;
-    if (slot.compare_exchange_strong(winner, fresh, std::memory_order_acq_rel,
-                                     std::memory_order_acquire))
-      return fresh;
-    delete[] fresh;
-    return winner;
+  [[gnu::noinline]] void build(std::size_t c) {
+    std::atomic<uint8_t>& state = state_[c];
+    uint8_t expected = empty;
+    if (state.compare_exchange_strong(expected, building,
+                                      std::memory_order_acquire)) {
+      std::uninitialized_default_construct_n(chunk(c), chunk_len_);
+      state.store(built, std::memory_order_release);
+      return;
+    }
+    util::backoff_t backoff;
+    while (state.load(std::memory_order_acquire) != built) backoff.spin();
   }
 
-  // Calls fn(bucket) for each bucket of every published chunk; chunks no
-  // key ever reached are skipped.
+  bucket_t* chunk(std::size_t c) const noexcept {
+    return buckets_ + (c << chunk_shift_);
+  }
+
+  // Calls fn(bucket) for each bucket of every built chunk; chunks no key
+  // ever reached are skipped.
   template <class Fn>
   void for_each_published_bucket(Fn&& fn) const {
     for (std::size_t c = 0; c < chunk_count(); ++c)
-      if (bucket_t* chunk = published(c))
-        for (std::size_t b = 0; b < chunk_len_; ++b) fn(chunk[b]);
+      if (published(c))
+        for (std::size_t b = 0; b < chunk_len_; ++b) fn(chunk(c)[b]);
   }
 
-  // The chunk published at index c, or nullptr. Read with a read-modify-
-  // write, so a walk that starts after an insert returned sees its chunk,
-  // just as taking the bucket lock would see the insert.
-  bucket_t* published(std::size_t c) const {
-    return chunks_[c].fetch_add(0, std::memory_order_acq_rel);
+  // Whether chunk c is built. Read with a read-modify-write, so a walk that
+  // starts after an insert returned sees its chunk, just as taking the
+  // bucket lock would see the insert.
+  bool published(std::size_t c) const {
+    return state_[c].fetch_add(0, std::memory_order_acq_rel) == built;
   }
 
   // Caller holds the bucket lock; the slot at (in_fast, i) has `key`.
@@ -422,8 +443,10 @@ class matching_engine_impl_t {
   const std::size_t mask_;        // num_buckets() - 1
   const std::size_t chunk_len_;   // buckets per chunk (a power of two)
   const int chunk_shift_;         // log2(chunk_len_)
-  // One pointer per chunk; null until a key first hashes into the chunk.
-  const std::unique_ptr<std::atomic<bucket_t*>[]> chunks_;
+  const util::reserved_memory_t storage_;  // room for every bucket
+  bucket_t* const buckets_;                // storage_, page aligned
+  // One state per chunk; buckets of a chunk not yet built are raw storage.
+  const std::unique_ptr<std::atomic<uint8_t>[]> state_;
   make_key_fn_t make_key_fn_;
   uint16_t id_ = 0;
 };

@@ -12,7 +12,10 @@
 // The slab behind the packets is reserved, not written: a packet is carved
 // from it (its header constructed) only when a get() finds its own deque
 // empty and its steal attempts fail. A runtime thus touches only the
-// packets its traffic keeps in flight, and npackets stays a hard cap.
+// packets its traffic keeps in flight, and npackets stays a hard cap. The
+// slab asks for huge pages (util/reserved_memory.hpp): the preposted
+// receives cycle through a hundred-odd packets, which would otherwise each
+// take a TLB entry of their own.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +26,7 @@
 
 #include "util/cacheline.hpp"
 #include "util/mpmc_array.hpp"
+#include "util/reserved_memory.hpp"
 #include "util/rng.hpp"
 #include "util/steal_deque.hpp"
 #include "util/thread.hpp"
@@ -109,8 +113,7 @@ class packet_pool_impl_t {
   const std::size_t npackets_;
   const std::size_t packet_capacity_;
   const std::size_t stride_;  // header + payload, rounded to a cache line
-  std::unique_ptr<char[]> slab_;
-  char* base_ = nullptr;  // first cache-line-aligned byte of slab_
+  const util::reserved_memory_t slab_;
   // Next slab slot to carve; runs past npackets_ only by failed carves.
   std::atomic<std::size_t> carved_{0};
   util::mpmc_array_t<deque_t*> deques_{64};

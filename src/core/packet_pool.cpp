@@ -22,16 +22,9 @@ packet_pool_impl_t::packet_pool_impl_t(std::size_t npackets,
     : npackets_(npackets),
       packet_capacity_(packet_capacity),
       stride_(packet_stride(packet_capacity)),
-      // One slab, over-allocated for alignment and left uninitialized, so a
-      // page no carve reaches is never touched (glibc serves a slab this
-      // size with mmap).
-      slab_(std::make_unique_for_overwrite<char[]>(npackets_ * stride_ +
-                                                   util::cache_line_size)) {
-  base_ = slab_.get();
-  const auto misalign = reinterpret_cast<uintptr_t>(base_) %
-                        util::cache_line_size;
-  if (misalign != 0) base_ += util::cache_line_size - misalign;
-}
+      // Carves run from the slab's start, so the pages a runtime touches
+      // are a prefix of it.
+      slab_(npackets_ * stride_) {}
 
 packet_pool_impl_t::~packet_pool_impl_t() = default;
 
@@ -85,7 +78,7 @@ packet_t* packet_pool_impl_t::carve() {
   if (carved_.load(std::memory_order_relaxed) >= npackets_) return nullptr;
   const std::size_t i = carved_.fetch_add(1, std::memory_order_relaxed);
   if (i >= npackets_) return nullptr;
-  auto* packet = new (base_ + i * stride_) packet_t;
+  auto* packet = new (slab_.data() + i * stride_) packet_t;
   packet->pool = this;
   return packet;
 }

@@ -12,6 +12,7 @@
 #include "util/lcrq.hpp"
 #include "util/mpmc_array.hpp"
 #include "util/mpmc_ring.hpp"
+#include "util/reserved_memory.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
 #include "util/steal_deque.hpp"
@@ -409,6 +410,22 @@ TEST(ThreadId, DenseAndStable) {
   EXPECT_EQ(ids.size(), 8u);  // all distinct
   EXPECT_EQ(ids.count(mine), 0u);
   EXPECT_GT(lci::util::thread_id_bound(), mine);
+}
+
+// A region that spans a huge page starts on one, so touching it from the
+// start fills whole huge pages; a smaller one is page aligned. Both read as
+// zero and take writes at either end.
+TEST(ReservedMemory, AlignsAndStartsZeroed) {
+  constexpr std::size_t huge = lci::util::reserved_memory_t::huge_page_size;
+  for (const std::size_t bytes : {std::size_t{100}, huge + 4096, 3 * huge}) {
+    const lci::util::reserved_memory_t region(bytes);
+    const auto start = reinterpret_cast<uintptr_t>(region.data());
+    EXPECT_EQ(start % (bytes >= huge ? huge : 4096), 0u) << bytes;
+    EXPECT_EQ(region.data()[0], 0);
+    EXPECT_EQ(region.data()[bytes - 1], 0);
+    region.data()[0] = 1;
+    region.data()[bytes - 1] = 1;
+  }
 }
 
 }  // namespace
