@@ -6,6 +6,9 @@
 // reproduction target (see EXPERIMENTS.md).
 #pragma once
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -13,6 +16,7 @@
 #include <cstdlib>
 #include <ctime>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -109,15 +113,63 @@ inline void print_header(const char* title, const char* columns) {
   std::printf("\n## %s\n%s\n", title, columns);
 }
 
-// Gets every packet of a fresh packet pool on the calling thread and puts it
-// back, so all of them start in this thread's deque. A fresh pool carves a
-// packet only on demand, so without this each thread would carve its own
-// instead of stealing.
-template <class Pool>
-void fill_calling_deque(Pool& pool) {
-  std::vector<decltype(pool.get())> all;
-  while (auto* packet = pool.get()) all.push_back(packet);
-  for (auto* packet : all) pool.put(packet);
+// The CPUs this process may run on, in order.
+inline std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+      if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  }
+  if (cpus.empty()) cpus.push_back(0);
+  return cpus;
+}
+
+// Passes per run_threads call: one untimed warm-up, which pays the lazy
+// set-up a cell's first touches trigger (matching chunks built, packets
+// stolen into the workers' deques), then the timed ones.
+inline constexpr int timed_passes = 5;
+
+// Runs fn(t) on `threads` workers, worker t pinned to the (t mod n)-th
+// allowed CPU (perfbench's placement), for a warm-up pass and then
+// `timed_passes` timed passes. Each worker stamps its own start after the
+// pass's start barrier and its own end when fn returns; a pass's window runs
+// from the earliest start to the latest end, as in pingpong.hpp. So a
+// descheduled thread can lengthen a window but never shorten it below the
+// time the work took. Returns the timed passes' windows in seconds.
+inline std::vector<double> run_threads(int threads,
+                                       const std::function<void(int)>& fn) {
+  constexpr int passes = 1 + timed_passes;
+  const std::vector<int> cpus = allowed_cpus();
+  const auto n = static_cast<std::size_t>(threads);
+  std::vector<double> starts(passes * n), ends(passes * n);
+  thread_barrier_t barrier(threads);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < n; ++t) {
+    workers.emplace_back([&, t] {
+      // Best effort: an unpinned worker is still timed correctly.
+      cpu_set_t set;
+      CPU_ZERO(&set);
+      CPU_SET(cpus[t % cpus.size()], &set);
+      pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+      for (std::size_t p = 0; p < passes; ++p) {
+        barrier.arrive_and_wait();
+        starts[p * n + t] = now_sec();
+        fn(static_cast<int>(t));
+        ends[p * n + t] = now_sec();
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  std::vector<double> windows;
+  for (std::size_t p = 1; p < passes; ++p) {
+    const double* pass_starts = &starts[p * n];
+    const double* pass_ends = &ends[p * n];
+    windows.push_back(*std::max_element(pass_ends, pass_ends + n) -
+                      *std::min_element(pass_starts, pass_starts + n));
+  }
+  return windows;
 }
 
 // Machine-readable results next to the human-readable tables: every bench

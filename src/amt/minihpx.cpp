@@ -148,8 +148,6 @@ parcelport_t::parcelport_t(const parcelport_config_t& config,
       config.backend == lcw::backend_t::mpi ? 1 : config.ndevices;
   lcw_config.max_am_size = config.max_parcel_size + sizeof(parcel_header_t);
   lcw_config.nprogress_threads = config.nprogress_threads;
-  lcw_config.enable_aggregation = config.enable_aggregation;
-  lcw_config.aggregation_flush_us = config.aggregation_flush_us;
   impl_->ctx = lcw::alloc_context(config.backend, lcw_config);
   impl_->scheduler = scheduler;
 }

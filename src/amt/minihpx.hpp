@@ -88,12 +88,6 @@ struct parcelport_config_t {
   // completion queues for arrived parcels, the "dedicated progress thread"
   // configuration of the HPX+LCI study.
   int nprogress_threads = 0;
-  // Coalesce small parcels into per-peer batches (lci backend only): maps to
-  // lcw::config_t::enable_aggregation.
-  bool enable_aggregation = false;
-  // Batch hold time in microseconds (lci backend, with enable_aggregation):
-  // maps to lcw::config_t::aggregation_flush_us. 0 flushes every poll.
-  uint64_t aggregation_flush_us = 0;
 };
 
 class parcelport_t {

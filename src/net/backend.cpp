@@ -78,11 +78,7 @@ fault_config_t fault_env_config(const fault_config_t& base) {
   fault.delay_rate = env_rate("LCI_FAULT_DELAY_RATE", fault.delay_rate);
   fault.delay_polls = static_cast<uint32_t>(
       env_u64("LCI_FAULT_DELAY_POLLS", fault.delay_polls));
-  fault.retry_rate = env_rate("LCI_FAULT_RETRY_RATE", fault.retry_rate);
-  fault.lock_fraction =
-      env_rate("LCI_FAULT_LOCK_FRACTION", fault.lock_fraction);
   fault.seed = env_u64("LCI_FAULT_SEED", fault.seed);
-  fault.max_faults = env_u64("LCI_FAULT_MAX", fault.max_faults);
   const char* kill = std::getenv("LCI_FAULT_KILL_RANK");
   if (kill != nullptr && kill[0] != '\0') fault.kill_rank = std::atoi(kill);
   fault.kill_after_ops =

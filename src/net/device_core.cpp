@@ -218,7 +218,7 @@ post_result_t device_core_t::inject_fault(const fault_config_t& fault) {
   {
     std::lock_guard<util::spinlock_t> guard(fault_lock_);
     if (fault_rng_.uniform() >= fault.retry_rate) return post_result_t::ok;
-    as_lock_miss = fault_rng_.uniform() < fault.lock_fraction;
+    as_lock_miss = fault_rng_.uniform() < 0.5;  // half read as lock misses
   }
   injected_faults_.fetch_add(1, std::memory_order_relaxed);
   return as_lock_miss ? post_result_t::retry_lock : post_result_t::retry_full;

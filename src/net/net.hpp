@@ -79,8 +79,8 @@ enum class td_strategy_t : uint8_t { per_qp, all_qp, none };
 // per-device, seeded RNG force those results on demand:
 //
 //  * retry_rate — probability that post_send/post_write/post_read bounces
-//    with a retry result before touching any fabric state (split between
-//    retry_lock and retry_full by lock_fraction),
+//    with a retry result before touching any fabric state (an even split
+//    between retry_lock and retry_full),
 //  * send_depth — shrink the effective send-queue depth used by the
 //    backpressure check, forcing organic retry_full under modest traffic,
 //  * delay_rate / delay_polls — hold a wire message back for a number of
@@ -105,7 +105,6 @@ enum class td_strategy_t : uint8_t { per_qp, all_qp, none };
 // operation draws each decision.
 struct fault_config_t {
   double retry_rate = 0.0;     // [0,1] forced-retry probability per post
-  double lock_fraction = 0.5;  // injected retries reported as retry_lock
   uint64_t seed = 0x5eed5eedull;
   // Cap on injected retries per device (0 = unlimited). A nonzero cap
   // guarantees forward progress even at retry_rate == 1.0.
@@ -318,8 +317,7 @@ int bootstrap_rank();
 int bootstrap_nranks();
 
 // Fault policy from the environment, overlaid on `base`: LCI_FAULT_LOSS_RATE,
-// LCI_FAULT_DELAY_RATE, LCI_FAULT_DELAY_POLLS, LCI_FAULT_RETRY_RATE,
-// LCI_FAULT_LOCK_FRACTION, LCI_FAULT_SEED, LCI_FAULT_MAX,
+// LCI_FAULT_DELAY_RATE, LCI_FAULT_DELAY_POLLS, LCI_FAULT_SEED,
 // LCI_FAULT_KILL_RANK, LCI_FAULT_KILL_AFTER_OPS, LCI_FAULT_TCP_RESET_RATE,
 // LCI_FAULT_TCP_SHORT_WRITE_RATE, LCI_FAULT_SHM_RING_SHRINK. This is how a
 // launch_local.sh job (forked ranks, env contract) injects faults into the

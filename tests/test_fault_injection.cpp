@@ -67,7 +67,7 @@ TEST(FaultNet, SameSeedSameDecisionSequence) {
                     [](post_result_t r) { return r != post_result_t::ok; }));
   EXPECT_GT(faults, 0u);
   EXPECT_LT(faults, a.size());
-  // Both retry flavors appear at lock_fraction 0.5.
+  // Both retry flavors appear: injected refusals split evenly between them.
   EXPECT_TRUE(std::find(a.begin(), a.end(), post_result_t::retry_lock) !=
               a.end());
   EXPECT_TRUE(std::find(a.begin(), a.end(), post_result_t::retry_full) !=
