@@ -67,9 +67,7 @@ void run_mode(bench::json_report_t& report, const char* title, const char* mode,
           .field("aggregation", variant.aggregation ? 1 : 0)
           .field("msg_size", static_cast<long>(params.msg_size))
           .field("mmsg_per_sec", result.mmsg_per_sec)
-          .field("retry_lock", static_cast<long>(result.retry_lock))
-          .field("route_cache_hits",
-                 static_cast<long>(result.route_cache_hits));
+          .field("retry_lock", static_cast<long>(result.retry_lock));
     }
   }
 }

@@ -62,7 +62,6 @@ struct pingpong_result_t {
   // zero on backends without them). retry_lock == 0 is the lock-free
   // receive-path invariant checked by scripts/check_bench.py.
   uint64_t retry_lock = 0;
-  uint64_t route_cache_hits = 0;
 };
 
 inline pingpong_result_t run_pingpong(const pingpong_params_t& params_in) {
@@ -77,7 +76,6 @@ inline pingpong_result_t run_pingpong(const pingpong_params_t& params_in) {
   std::vector<double> start_times(static_cast<std::size_t>(participants));
   std::vector<double> end_times(static_cast<std::size_t>(participants));
   std::atomic<uint64_t> total_retry_lock{0};
-  std::atomic<uint64_t> total_route_cache_hits{0};
 
   lci::sim::spawn(
       R,
@@ -261,8 +259,6 @@ inline pingpong_result_t run_pingpong(const pingpong_params_t& params_in) {
         // goes away; summed across ranks in the result.
         const lcw::counters_t c = ctx->counters();
         total_retry_lock.fetch_add(c.retry_lock, std::memory_order_relaxed);
-        total_route_cache_hits.fetch_add(c.route_cache_hits,
-                                         std::memory_order_relaxed);
       },
       p.fabric);
 
@@ -279,8 +275,6 @@ inline pingpong_result_t run_pingpong(const pingpong_params_t& params_in) {
   result.gb_per_sec = total_uni_msgs * static_cast<double>(p.msg_size) /
                       result.seconds / 1e9;
   result.retry_lock = total_retry_lock.load(std::memory_order_relaxed);
-  result.route_cache_hits =
-      total_route_cache_hits.load(std::memory_order_relaxed);
   return result;
 }
 

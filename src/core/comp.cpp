@@ -12,10 +12,8 @@ comp_t alloc_handler(handler_fn_t fn, runtime_t) {
 
 comp_t alloc_cq(runtime_t runtime) { return alloc_cq_x().runtime(runtime)(); }
 
-comp_t alloc_sync(std::size_t threshold, runtime_t) {
-  comp_t comp;
-  comp.p = new detail::sync_impl_t(threshold);
-  return comp;
+comp_t alloc_sync(std::size_t threshold, runtime_t runtime) {
+  return alloc_sync_x().runtime(runtime).threshold(threshold)();
 }
 
 void free_comp(comp_t* comp) {
@@ -97,7 +95,7 @@ namespace lci {
 device_t alloc_device_x::operator()() const {
   auto* rt = detail::resolve_runtime(runtime_);
   device_t device;
-  device.p = new detail::device_impl_t(rt, prepost_depth_, auto_progress_);
+  device.p = new detail::device_impl_t(rt, auto_progress_);
   return device;
 }
 

@@ -65,10 +65,6 @@ struct counters_t {
   uint64_t batches_flushed = 0;
   uint64_t batch_flush_ordering = 0;
   uint64_t recv_batches = 0;
-  // Shard routing: hashed-fallback routes served by the thread-local
-  // (rank, tag) -> shard memo instead of recomputing the mix+mod. Pinned
-  // threads bypass the hash entirely and count nothing here.
-  uint64_t route_cache_hits = 0;
   // Retries forced by the simulated fabric's fault-injection policy. Summed
   // over the runtime's live devices at snapshot time (not a runtime counter
   // cell, so reset_counters does not clear it).
@@ -127,7 +123,6 @@ enum class counter_id_t : int {
   batches_flushed,
   batch_flush_ordering,
   recv_batches,
-  route_cache_hits,
   count_  // sentinel
 };
 
@@ -185,7 +180,6 @@ class counter_block_t {
     out.batches_flushed = sum(counter_id_t::batches_flushed);
     out.batch_flush_ordering = sum(counter_id_t::batch_flush_ordering);
     out.recv_batches = sum(counter_id_t::recv_batches);
-    out.route_cache_hits = sum(counter_id_t::route_cache_hits);
     return out;
   }
 

@@ -20,14 +20,14 @@ thread_local int tls_shard_pin = -1;
 
 int thread_shard_hint() noexcept { return tls_shard_pin; }
 
-device_impl_t::device_impl_t(runtime_impl_t* runtime,
-                             std::size_t prepost_depth, bool auto_progress)
+device_impl_t::device_impl_t(runtime_impl_t* runtime, bool auto_progress)
     : runtime_(runtime),
-      prepost_depth_(prepost_depth ? prepost_depth
-                                   : runtime->attr().prepost_depth),
+      // The receive budget leaves at least half the pool for sends, so a
+      // small pool still has packets to stage with.
+      prepost_depth_(
+          std::min(max_prepost_depth, runtime->attr().npackets / 2)),
       auto_progress_(auto_progress) {
-  counters_ = &runtime_->counters();
-  backlog_.bind_counters(counters_);
+  backlog_.bind_counters(&runtime_->counters());
   // The eager-coalescing limits follow the packet geometry: a batch fills
   // at most one packet's payload, and a sub-message must fit one with its
   // header. One aggregation slot per (shard, peer).
@@ -112,10 +112,7 @@ void device_impl_t::repost(packet_t* packet, net::device_t& ep) {
 namespace lci {
 
 device_t alloc_device(runtime_t runtime) {
-  auto* rt = detail::resolve_runtime(runtime);
-  device_t device;
-  device.p = new detail::device_impl_t(rt, 0);
-  return device;
+  return alloc_device_x().runtime(runtime)();
 }
 
 void free_device(device_t* device) {

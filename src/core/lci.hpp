@@ -311,8 +311,6 @@ struct runtime_attr_t {
   std::size_t packet_size = 4096;
   // Cap on the default packet pool; a packet is carved on first demand.
   std::size_t npackets = 8192;
-  // Pre-posted receives the progress engine maintains per device.
-  std::size_t prepost_depth = 128;
   std::size_t matching_engine_buckets = 65536;
   // VCI-style device sharding (paper Sec. 4.2): each device owns this many
   // internal shards, each with its own fabric endpoint (wire mailbox + CQ +
@@ -562,8 +560,6 @@ class alloc_device_x {
  public:
   alloc_device_x() = default;
   alloc_device_x& runtime(runtime_t v) { runtime_ = v; return *this; }
-  // Pre-posted receive depth override (0 = runtime default).
-  alloc_device_x& prepost_depth(std::size_t v) { prepost_depth_ = v; return *this; }
   // Hand this device to the runtime's auto-progress engine (started lazily
   // with max(1, runtime_attr_t::nprogress_threads) threads). Explicit
   // progress() on the device remains legal alongside.
@@ -572,7 +568,6 @@ class alloc_device_x {
 
  private:
   runtime_t runtime_{};
-  std::size_t prepost_depth_ = 0;
   bool auto_progress_ = false;
 };
 
@@ -648,6 +643,7 @@ class alloc_packet_pool_x {
 
 // Attribute snapshots, queried with get_attr overloads.
 struct device_attr_t {
+  // Pre-posted receive budget, over all shards: min(128, npackets / 2).
   std::size_t prepost_depth = 0;
   int net_index = -1;           // routing index of shard 0 within the context
   std::size_t device_shards = 0;  // internal shards (fabric endpoints)

@@ -116,7 +116,11 @@ class packet_pool_impl_t {
   const util::reserved_memory_t slab_;
   // Next slab slot to carve; runs past npackets_ only by failed carves.
   std::atomic<std::size_t> carved_{0};
+  // Each thread's deque, by util::thread_id(): the lookup of every get/put.
   util::mpmc_array_t<deque_t*> deques_{64};
+  // The same deques, densely: steal victims are drawn from here, not from
+  // the thread-id slots of threads that never touched this pool.
+  util::mpmc_array_t<deque_t*> members_{8};
   std::vector<std::unique_ptr<deque_t>> deque_storage_;  // guarded by reg_lock_
   util::spinlock_t reg_lock_;
 };

@@ -41,6 +41,7 @@ packet_pool_impl_t::deque_t* packet_pool_impl_t::local_deque() {
   }
   deque_storage_.push_back(std::make_unique<deque_t>());
   deque_t* d = deque_storage_.back().get();
+  members_.push_back(d);
   deques_.put_extend(tid, d);
   return d;
 }
@@ -53,13 +54,15 @@ packet_t* packet_pool_impl_t::get() {
   // Local deque empty: try stealing half the packets from a few randomly
   // selected victims (paper: one random victim per failed get; we allow a
   // small number of attempts before carving or reporting retry_nopacket).
+  // Each victim is drawn uniformly from the pool's other deques: the
+  // caller's own, which is among the first n, trades places with the last.
   thread_local util::xoshiro256_t rng(0x243f6a8885a308d3ull ^
                                       util::thread_id());
-  const std::size_t n = deques_.size();
+  const std::size_t n = members_.size();
   std::vector<packet_t*> stolen;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    deque_t* victim = deques_.get(rng.below(n));
-    if (victim == nullptr || victim == local) continue;
+  for (int attempt = 0; attempt < 3 && n > 1; ++attempt) {
+    deque_t* victim = members_.get(rng.below(n - 1));
+    if (victim == local) victim = members_.get(n - 1);
     stolen.clear();
     if (victim->try_steal_half(stolen) > 0) {
       packet = stolen.back();
@@ -96,10 +99,8 @@ void packet_pool_impl_t::put(packet_t* packet) {
 
 std::size_t packet_pool_impl_t::pooled_approx() const noexcept {
   std::size_t total = npackets_ - carved();
-  const std::size_t n = deques_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (const deque_t* d = deques_.get(i)) total += d->size_approx();
-  }
+  const std::size_t n = members_.size();
+  for (std::size_t i = 0; i < n; ++i) total += members_.get(i)->size_approx();
   return total;
 }
 

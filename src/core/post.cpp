@@ -427,6 +427,58 @@ status_t post_receive(const resolved_t& r, const post_args_t& args,
   return status;
 }
 
+// RMA put (OUT) or get (IN), with or without a remote completion; a get
+// with one is the read-with-notification extension (see DESIGN.md). An op
+// that delivers a remote completion must not overtake a buffered batch
+// (matching-order rule); a plain one carries no completion the peer can
+// observe against the batch, so it may pass.
+status_t post_rma(const resolved_t& r, const post_args_t& args) {
+  if (args.buffers != nullptr)
+    throw fatal_error_t("buffer lists are not supported for put/get");
+  const bool has_remote_comp = args.remote_comp != rcomp_null;
+  if (has_remote_comp && r.device->has_armed_aggregation()) {
+    // Per-peer obligation: the signal must not pass any buffered batch for
+    // the peer, whichever shard buffers it (shard -1 = all).
+    const errorcode_t flushed =
+        r.device->flush_peer_for_ordering(args.rank, -1);
+    if (error_t{flushed}.is_retry()) return retry_status(flushed);
+  }
+  auto* ctx = new op_ctx_t;
+  ctx->comp = args.local_comp.p;
+  ctx->user_context = args.user_context;
+  ctx->buffer = args.local_buffer;
+  ctx->size = args.size;
+  ctx->rank = args.rank;
+  ctx->tag = args.tag;
+  const bool put = args.direction == direction_t::out;
+  const uint32_t imm =
+      has_remote_comp ? encode_signal_imm(args.remote_comp, args.tag) : 0;
+  net::device_t& net = r.device->net(r.shard);
+  net::post_result_t result;
+  try {
+    result = put ? net.post_write(args.rank, args.local_buffer, args.size,
+                                  args.remote_buffer.id, args.remote_offset,
+                                  has_remote_comp, imm, ctx)
+                 : net.post_read(args.rank, args.local_buffer, args.size,
+                                 args.remote_buffer.id, args.remote_offset,
+                                 has_remote_comp, imm, ctx);
+  } catch (...) {
+    // Posting-time fatal (bad MR / bounds): the op context never reached
+    // the network, so it is still ours to free.
+    delete ctx;
+    throw;
+  }
+  if (result != net::post_result_t::ok) {
+    delete ctx;
+    return failed_post_status(r, args, result);
+  }
+  r.runtime->counters().add(put ? counter_id_t::rma_put
+                                : counter_id_t::rma_get);
+  status_t status;
+  status.error.code = errorcode_t::posted;
+  return status;
+}
+
 // ---------------------------------------------------------------------------
 // Dispatch: Table-1 argument decoding. `post_span` is the (possibly null)
 // span covering the user's post_* call; the accepted-op paths open their
@@ -445,152 +497,57 @@ status_t post_comm_dispatch(const post_args_t& args,
   const bool has_remote_buffer = args.remote_buffer.is_valid();
   const bool has_remote_comp = args.remote_comp != rcomp_null;
 
-  if (args.direction == direction_t::out) {
-    if (has_remote_buffer) {
-      // RMA put, with or without signal. A signaling put delivers a remote
-      // completion, so it must not overtake a buffered batch (matching-order
-      // rule); a plain put carries no completion the peer can observe
-      // against the batch, so it may pass.
-      if (args.buffers != nullptr)
-        throw fatal_error_t("buffer lists are not supported for put/get");
+  if (has_remote_buffer) {
+    status = post_rma(r, args);
+  } else if (args.direction == direction_t::out) {
+    // Send (no remote comp) or active message (remote comp given).
+    const uint8_t eager_kind = has_remote_comp ? msg_header_t::eager_am
+                                               : msg_header_t::eager_send;
+    const uint8_t rdv_kind =
+        has_remote_comp ? msg_header_t::rts_am : msg_header_t::rts;
+    const std::size_t size = payload_size(args);
+    // Eager-message coalescing: small single-buffer sends/AMs append into
+    // the peer's aggregation slot instead of going out alone. The
+    // single-poster bypass skips runtime-default coalescing while only one
+    // thread posts to this device — buffering cannot raise a lone poster's
+    // rate, and the flush-age wait only adds latency (the 1-thread fig3
+    // regression). Explicit per-post aggregation is never bypassed.
+    const bool agg_on = args.aggregation >= 0
+                            ? args.aggregation == 1
+                            : r.device->aggregation_default();
+    if (agg_on && !args.from_packet && args.buffers == nullptr &&
+        size <= r.device->agg_eager_max() &&
+        !r.device->aggregation_bypass(args.aggregation)) {
+      status =
+          r.device->agg_append(args, eager_kind, r.pool, r.engine, post_span);
+    } else {
+      // Matching-order rule: nothing may overtake a buffered batch on this
+      // key's shard (earlier same-key traffic can only be buffered there).
+      // A retry here bounces this post too; peer_down lets the normal path
+      // below report the fatal itself (the slot was aborted).
       bool blocked = false;
-      if (has_remote_comp && r.device->has_armed_aggregation()) {
-        // Per-peer obligation: the signal must not pass any buffered batch
-        // for the peer, whichever shard buffers it (shard -1 = all).
-        const errorcode_t flushed =
-            r.device->flush_peer_for_ordering(args.rank, -1);
+      if (r.device->has_armed_aggregation()) {
+        const errorcode_t flushed = r.device->flush_peer_for_ordering(
+            args.rank, static_cast<int>(r.shard));
         if (error_t{flushed}.is_retry()) {
           blocked = true;
           status = retry_status(flushed);
         }
       }
       if (!blocked) {
-        auto* ctx = new op_ctx_t;
-        ctx->kind = ctx_kind_t::rma_put;
-        ctx->comp = args.local_comp.p;
-        ctx->user_context = args.user_context;
-        ctx->buffer = args.local_buffer;
-        ctx->size = args.size;
-        ctx->rank = args.rank;
-        ctx->tag = args.tag;
-        const uint32_t imm =
-            has_remote_comp ? encode_signal_imm(args.remote_comp, args.tag)
-                            : 0;
-        net::post_result_t result;
-        try {
-          result = r.device->net(r.shard).post_write(
-              args.rank, args.local_buffer, args.size, args.remote_buffer.id,
-              args.remote_offset, has_remote_comp, imm, ctx);
-        } catch (...) {
-          // Posting-time fatal (bad MR / bounds): the op context never
-          // reached the network, so it is still ours to free.
-          delete ctx;
-          throw;
-        }
-        if (result != net::post_result_t::ok) {
-          delete ctx;
-          status = failed_post_status(r, args, result);
-        } else {
-          r.runtime->counters().add(counter_id_t::rma_put);
-          status.error.code = errorcode_t::posted;
-        }
-      }
-    } else {
-      // Send (no remote comp) or active message (remote comp given).
-      const uint8_t eager_kind = has_remote_comp ? msg_header_t::eager_am
-                                                 : msg_header_t::eager_send;
-      const uint8_t rdv_kind =
-          has_remote_comp ? msg_header_t::rts_am : msg_header_t::rts;
-      const std::size_t size = payload_size(args);
-      // Eager-message coalescing: small single-buffer sends/AMs append into
-      // the peer's aggregation slot instead of going out alone. The
-      // single-poster bypass skips runtime-default coalescing while only one
-      // thread posts to this device — buffering cannot raise a lone poster's
-      // rate, and the flush-age wait only adds latency (the 1-thread fig3
-      // regression). Explicit per-post aggregation is never bypassed.
-      const bool agg_on = args.aggregation >= 0
-                              ? args.aggregation == 1
-                              : r.device->aggregation_default();
-      if (agg_on && !args.from_packet && args.buffers == nullptr &&
-          size <= r.device->agg_eager_max() &&
-          !r.device->aggregation_bypass(args.aggregation)) {
-        status =
-            r.device->agg_append(args, eager_kind, r.pool, r.engine, post_span);
-      } else {
-        // Matching-order rule: nothing may overtake a buffered batch on this
-        // key's shard (earlier same-key traffic can only be buffered there).
-        // A retry here bounces this post too; peer_down lets the normal path
-        // below report the fatal itself (the slot was aborted).
-        bool blocked = false;
-        if (r.device->has_armed_aggregation()) {
-          const errorcode_t flushed = r.device->flush_peer_for_ordering(
-              args.rank, static_cast<int>(r.shard));
-          if (error_t{flushed}.is_retry()) {
-            blocked = true;
-            status = retry_status(flushed);
-          }
-        }
-        if (!blocked) {
-          if (size <= r.runtime->eager_threshold())
-            status = post_eager_out(r, args, eager_kind, /*via_backlog=*/false,
-                                    post_span);
-          else
-            status = post_rendezvous_out(r, args, rdv_kind, post_span);
-        }
+        if (size <= r.runtime->eager_threshold())
+          status = post_eager_out(r, args, eager_kind, /*via_backlog=*/false,
+                                  post_span);
+        else
+          status = post_rendezvous_out(r, args, rdv_kind, post_span);
       }
     }
   } else {
-    if (has_remote_buffer) {
-      // RMA get; with a remote comp this is the read-with-notification
-      // extension (see DESIGN.md). Like a signaling put, a notifying get
-      // must not overtake a buffered batch.
-      if (args.buffers != nullptr)
-        throw fatal_error_t("buffer lists are not supported for put/get");
-      bool blocked = false;
-      if (has_remote_comp && r.device->has_armed_aggregation()) {
-        const errorcode_t flushed =
-            r.device->flush_peer_for_ordering(args.rank, -1);
-        if (error_t{flushed}.is_retry()) {
-          blocked = true;
-          status = retry_status(flushed);
-        }
-      }
-      if (!blocked) {
-        auto* ctx = new op_ctx_t;
-        ctx->kind = ctx_kind_t::rma_get;
-        ctx->comp = args.local_comp.p;
-        ctx->user_context = args.user_context;
-        ctx->buffer = args.local_buffer;
-        ctx->size = args.size;
-        ctx->rank = args.rank;
-        ctx->tag = args.tag;
-        const uint32_t imm =
-            has_remote_comp ? encode_signal_imm(args.remote_comp, args.tag)
-                            : 0;
-        net::post_result_t result;
-        try {
-          result = r.device->net(r.shard).post_read(
-              args.rank, args.local_buffer, args.size, args.remote_buffer.id,
-              args.remote_offset, has_remote_comp, imm, ctx);
-        } catch (...) {
-          delete ctx;
-          throw;
-        }
-        if (result != net::post_result_t::ok) {
-          delete ctx;
-          status = failed_post_status(r, args, result);
-        } else {
-          r.runtime->counters().add(counter_id_t::rma_get);
-          status.error.code = errorcode_t::posted;
-        }
-      }
-    } else {
-      if (has_remote_comp)
-        throw fatal_error_t(
-            "invalid post_comm: IN direction with a remote completion but no "
-            "remote buffer (Table 1)");
-      return post_receive(r, args, post_span);
-    }
+    if (has_remote_comp)
+      throw fatal_error_t(
+          "invalid post_comm: IN direction with a remote completion but no "
+          "remote buffer (Table 1)");
+    return post_receive(r, args, post_span);
   }
 
   // allow_retry=false: the user cannot handle retry; queue on the backlog

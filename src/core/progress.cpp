@@ -438,7 +438,6 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
       }
       const void* src = send.staged ? send.staged.get() : send.buffer;
       auto* ctx = new op_ctx_t;
-      ctx->kind = ctx_kind_t::rdv_write;
       ctx->comp = send.comp;
       ctx->user_context = send.user_context;
       ctx->buffer = send.buffer;

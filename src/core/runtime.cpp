@@ -53,8 +53,8 @@ runtime_impl_t::runtime_impl_t(std::shared_ptr<net::fabric_t> fabric, int rank,
   // retain before any device can emit. The first retain installs ring
   // capacity and sampling; later retains keep the gate open.
   if (attr_.trace) trace::retain(attr_.trace_ring_size, attr_.trace_sample);
-  default_device_ = std::make_unique<device_impl_t>(this, attr_.prepost_depth,
-                                                    attr_.auto_progress_default);
+  default_device_ =
+      std::make_unique<device_impl_t>(this, attr_.auto_progress_default);
   LCI_LOG_(info,
            "runtime up: rank %d/%d packet_size=%zu npackets=%zu "
            "buckets=%zu",
@@ -221,13 +221,7 @@ void progress_resume(runtime_t runtime) {
 
 matching_engine_t alloc_matching_engine(runtime_t runtime,
                                         std::size_t num_buckets) {
-  auto* rt = detail::resolve_runtime(runtime);
-  matching_engine_t engine;
-  engine.p = new detail::matching_engine_impl_t(
-      num_buckets ? num_buckets : rt->attr().matching_engine_buckets);
-  rt->register_engine(engine.p);
-  engine.p->owner = rt;
-  return engine;
+  return alloc_matching_engine_x().runtime(runtime).num_buckets(num_buckets)();
 }
 
 void free_matching_engine(matching_engine_t* engine) {
@@ -239,12 +233,10 @@ void free_matching_engine(matching_engine_t* engine) {
 
 packet_pool_t alloc_packet_pool(runtime_t runtime, std::size_t npackets,
                                 std::size_t packet_size) {
-  auto* rt = detail::resolve_runtime(runtime);
-  packet_pool_t pool;
-  pool.p = new detail::packet_pool_impl_t(
-      npackets ? npackets : rt->attr().npackets,
-      packet_size ? packet_size : rt->attr().packet_size);
-  return pool;
+  return alloc_packet_pool_x()
+      .runtime(runtime)
+      .npackets(npackets)
+      .packet_size(packet_size)();
 }
 
 void free_packet_pool(packet_pool_t* pool) {

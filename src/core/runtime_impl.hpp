@@ -342,9 +342,7 @@ struct alignas(util::cache_line_size) agg_slot_t {
 };
 
 // Context attached to network operations so completions can be dispatched.
-enum class ctx_kind_t : uint8_t { rdv_write, rma_put, rma_get };
 struct op_ctx_t {
-  ctx_kind_t kind = ctx_kind_t::rma_put;
   comp_impl_t* comp = nullptr;
   void* user_context = nullptr;
   void* buffer = nullptr;
@@ -363,6 +361,8 @@ struct op_ctx_t {
 // Upper bound of the CQ poll burst (sizes the progress loop's stack CQE
 // array); the fabric's poll_burst is clamped to it.
 inline constexpr std::size_t max_cq_poll_burst = 64;
+// Cap of a device's pre-posted receive budget (see the constructor).
+inline constexpr std::size_t max_prepost_depth = 128;
 // Eager coalescing: messages of at most max_agg_eager_size bytes coalesce,
 // and a batch carries at most max_batch_msgs of them (and at most one
 // packet's payload).
@@ -371,8 +371,7 @@ inline constexpr std::size_t max_batch_msgs = 64;
 
 class device_impl_t {
  public:
-  device_impl_t(runtime_impl_t* runtime, std::size_t prepost_depth,
-                bool auto_progress = false);
+  device_impl_t(runtime_impl_t* runtime, bool auto_progress = false);
   ~device_impl_t();
   device_impl_t(const device_impl_t&) = delete;
   device_impl_t& operator=(const device_impl_t&) = delete;
@@ -395,30 +394,12 @@ class device_impl_t {
     if (n == 1) return 0;
     const int pin = thread_shard_hint();
     if (pin >= 0) return static_cast<std::size_t>(pin) % n;
-    const uint64_t key =
-        (static_cast<uint64_t>(static_cast<uint32_t>(rank)) << 32) |
-        static_cast<uint64_t>(static_cast<uint32_t>(tag));
-    // TLS memo of the last hashed route: an unpinned thread usually posts a
-    // run of operations on one (rank, tag) stream, so the mix+mod is paid
-    // once per stream change, not per post. Keyed on the shard count too —
-    // one process can hold devices with different shard counts.
-    struct route_cache_t {
-      uint64_t key;
-      std::size_t n;
-      std::size_t shard;
-      bool valid;
-    };
-    thread_local route_cache_t cache{};
-    if (cache.valid && cache.key == key && cache.n == n) {
-      counters_->add(counter_id_t::route_cache_hits);
-      return cache.shard;
-    }
-    uint64_t h = key;
+    uint64_t h = (static_cast<uint64_t>(static_cast<uint32_t>(rank)) << 32) |
+                 static_cast<uint64_t>(static_cast<uint32_t>(tag));
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdull;
     h ^= h >> 33;
-    cache = route_cache_t{key, n, static_cast<std::size_t>(h % n), true};
-    return cache.shard;
+    return static_cast<std::size_t>(h % n);
   }
   net::device_t& net_for(int rank, tag_t tag) noexcept {
     return net(route_shard(rank, tag));
@@ -566,9 +547,6 @@ class device_impl_t {
                           errorcode_t code);
 
   runtime_impl_t* const runtime_;
-  // Cached so header-inline paths (route_shard) can count without the
-  // complete runtime_impl_t type; set in the constructor.
-  counter_block_t* counters_ = nullptr;
   const std::size_t prepost_depth_;
   // prepost_depth_ split over the shards (see the constructor).
   std::size_t prepost_per_shard_ = 1;

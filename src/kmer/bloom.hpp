@@ -9,18 +9,23 @@
 //
 // This is the "hand-written atomic-based Bloom filter" of the paper's
 // multithreaded implementation: bit arrays of std::atomic<uint64_t>, set via
-// fetch_or, probed with double hashing. insert() is linearizable per bit;
-// the two-layer "was it present?" check is approximate under concurrency
-// exactly as a Bloom filter is approximate anyway.
+// fetch_or, probed with double hashing. Each bit is set atomically, but the
+// "was it present?" check reads several bits, so two threads inserting the
+// same k-mer could each find one layer-1 bit unset and neither would mark
+// layer 2: a k-mer seen twice would never be counted. Inserts of one k-mer
+// therefore run under one of 256 striped spinlocks, keyed by its first
+// hash; inserts of different k-mers mostly take different locks.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "kmer/kmer.hpp"
+#include "util/spinlock.hpp"
 
 namespace kmer {
 
@@ -76,6 +81,8 @@ class two_layer_bloom_t {
   bool insert(kmer_t kmer) noexcept {
     const uint64_t h1 = hash_kmer(kmer);
     const uint64_t h2 = hash_kmer(h1 ^ 0x5851f42d4c957f2dull) | 1;
+    std::lock_guard<lci::util::spinlock_t> guard(
+        insert_locks_[h1 & (insert_lock_count - 1)]);
     bool was_in_layer1 = true;
     for (int i = 0; i < num_hashes_; ++i) {
       was_in_layer1 &=
@@ -103,9 +110,12 @@ class two_layer_bloom_t {
   }
 
  private:
+  static constexpr std::size_t insert_lock_count = 256;
+
   const int num_hashes_;
   atomic_bitset_t layer1_;
   atomic_bitset_t layer2_;
+  lci::util::spinlock_t insert_locks_[insert_lock_count];
 };
 
 }  // namespace kmer

@@ -75,7 +75,6 @@ class device_t {
 // hold it at zero.
 struct counters_t {
   uint64_t retry_lock = 0;
-  uint64_t route_cache_hits = 0;
 };
 
 class context_t {

@@ -152,7 +152,6 @@ class lci_context_t final : public context_t {
     const lci::counters_t c = lci::get_counters(runtime_);
     counters_t out;
     out.retry_lock = c.retry_lock;
-    out.route_cache_hits = c.route_cache_hits;
     return out;
   }
 

@@ -315,7 +315,7 @@ bool device_core_t::deliver_one(wire_msg_t& msg, uint64_t& now_cache,
     if (now_cache < msg.ready_ns) return false;
   }
   if (msg.kind == op_t::send) {
-    auto prepost = srq_.try_pop();
+    auto prepost = srq_.try_pop_owned();
     if (!prepost) return false;  // receiver-not-ready
     // Never overrun the pre-posted buffer. The CQE still reports the full
     // wire length, so the consumer sees the overrun: the LCI progress
@@ -370,7 +370,7 @@ std::size_t device_core_t::deliver_inbound(cqe_t* out, std::size_t max,
 std::size_t device_core_t::pop_cqes(cqe_t* out, std::size_t max) {
   std::size_t count = 0;
   while (count < max) {
-    auto cqe = cq_.try_pop();
+    auto cqe = cq_.try_pop_owned();
     if (!cqe) break;
     out[count++] = *cqe;
   }

@@ -36,7 +36,7 @@
 #include "util/cacheline.hpp"
 #include "util/lcrq.hpp"
 #include "util/mpmc_array.hpp"
-#include "util/mpsc_queue.hpp"
+#include "util/mpmc_ring.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
 #include "util/thread.hpp"
@@ -480,10 +480,10 @@ class device_core_t : public device_t {
   std::size_t send_depth_limit_ = 0;
 
   util::lcrq_t<wire_msg_t> wire_{1024};
-  // The completion queue: a bounded lock-free MPSC ring of local
-  // completions. Posts on any thread produce; its single consumer is whoever
-  // holds the polling lock (see poll_cq).
-  util::mpsc_queue_t<cqe_t> cq_;
+  // The completion queue: a bounded lock-free ring of local completions.
+  // Posts on any thread produce; its single consumer is whoever holds the
+  // polling lock (see poll_cq), and pops with try_pop_owned.
+  util::mpmc_ring_t<cqe_t> cq_;
   std::deque<wire_msg_t> rnr_stash_;  // guarded by the polling lock
   // Mirror of rnr_stash_.size(), readable without the polling lock: the
   // empty fast path must see stalled messages without taking the lock.
@@ -509,7 +509,7 @@ class device_core_t : public device_t {
   // simgex 512, simmpi 256); a post beyond it returns retry_full, like a
   // post past a hardware SRQ's max_wr.
   static constexpr std::size_t srq_capacity = 1024;
-  util::mpsc_queue_t<prepost_t> srq_{srq_capacity};
+  util::mpmc_ring_t<prepost_t> srq_{srq_capacity};
 
   // Lock layout (paper Sec. 4.2.3/4.2.4). ibv: per-object locks; ofi: one
   // endpoint lock used for every operation. The polling lock is cq_lock_

@@ -9,6 +9,17 @@
 // hands the cell over through the sequence, so the fast path is one CAS plus
 // one cell handoff and threads contending on *different* cells never
 // interfere.
+//
+// The device core's CQ ring and shared receive queue (paper Sec. 4.1.4 /
+// 4.2.3) use the same ring with one consumer at a time: try_pop_owned()
+// exploits that single-consumership, so a pop is a plain load of the head
+// cursor, one acquire load of the cell sequence, and two relaxed/release
+// stores — no CAS, no RMW on shared state. The ring does not serialize those
+// consumers itself: their owner pops only under a lock of its own (the
+// device's lock-model try-lock), whose release/acquire pair orders one
+// consumer's head cursor and cell writes before the next consumer's pops —
+// consumer *rotation* is safe, concurrent consumption is not. A ring is
+// popped through one of the two methods, never both.
 #pragma once
 
 #include <atomic>
@@ -40,8 +51,8 @@ class mpmc_ring_t {
   mpmc_ring_t& operator=(const mpmc_ring_t&) = delete;
 
   ~mpmc_ring_t() {
-    // Destroy any elements still enqueued.
-    while (try_pop().has_value()) {
+    // Destroy any elements still enqueued (destruction is single-threaded).
+    while (try_pop_owned().has_value()) {
     }
     delete[] cells_;
   }
@@ -99,15 +110,34 @@ class mpmc_ring_t {
     return result;
   }
 
+  // Non-blocking pop for the one consumer its owner admits at a time. The
+  // caller must be the only consumer: its owner serializes consumers under a
+  // lock that also orders one consumer's pops before the next's.
+  std::optional<T> try_pop_owned() {
+    const std::size_t pos = head_.value.load(std::memory_order_relaxed);
+    cell_t* cell = &cells_[pos & mask_];
+    const std::size_t seq = cell->sequence.load(std::memory_order_acquire);
+    if (seq != pos + 1) return std::nullopt;  // empty (or producer mid-write)
+    T* slot = reinterpret_cast<T*>(&cell->storage);
+    std::optional<T> result(std::move(*slot));
+    slot->~T();
+    cell->sequence.store(pos + capacity_, std::memory_order_release);
+    head_.value.store(pos + 1, std::memory_order_relaxed);
+    return result;
+  }
+
   std::size_t capacity() const noexcept { return capacity_; }
 
-  // Approximate size; exact only in quiescence.
+  // Approximate size; exact only in quiescence. Safe from any thread.
   std::size_t size_approx() const noexcept {
     const std::size_t tail = tail_.value.load(std::memory_order_relaxed);
     const std::size_t head = head_.value.load(std::memory_order_relaxed);
     return tail >= head ? tail - head : 0;
   }
 
+  // The idle fast path: two relaxed loads, no RMW. A concurrent push may be
+  // missed this round; the caller polls again, so visibility is eventual
+  // (the doorbell/poll loop, not this load, is the wakeup mechanism).
   bool empty_approx() const noexcept { return size_approx() == 0; }
 
  private:

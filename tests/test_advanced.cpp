@@ -31,8 +31,7 @@ TEST(PacketApi, GetPutRoundTrip) {
 
 TEST(PacketApi, ExhaustionReturnsInvalidHandle) {
   lci::runtime_attr_t attr = small_attr();
-  attr.npackets = 16;
-  attr.prepost_depth = 8;
+  attr.npackets = 16;  // a prepost budget of 8 (half the pool)
   lci::sim::spawn(1, [&](int) {
     lci::g_runtime_init(attr);
     std::vector<lci::packet_handle_t> held;

@@ -13,6 +13,7 @@
 
 #include "core/lci.hpp"
 #include "core/packet.hpp"
+#include "util/thread.hpp"
 
 namespace {
 
@@ -35,14 +36,21 @@ TEST(Attrs, RuntimeAttrRoundTrips) {
   });
 }
 
+// A device's prepost budget is derived: min(128, npackets / 2).
 TEST(Attrs, DeviceOffAndAttrs) {
   lci::sim::spawn(1, [](int) {
     lci::g_runtime_init(small_attr());
-    lci::device_t device = lci::alloc_device_x().prepost_depth(17)();
-    const lci::device_attr_t attr = lci::get_attr(device);
-    EXPECT_EQ(attr.prepost_depth, 17u);
-    EXPECT_GE(attr.net_index, 0);
-    EXPECT_EQ(attr.backlog_size, 0u);
+    EXPECT_EQ(lci::get_attr(lci::device_t{}).prepost_depth, 128u);
+    lci::g_runtime_fina();
+
+    lci::runtime_attr_t attr = small_attr();
+    attr.npackets = 34;
+    lci::g_runtime_init(attr);
+    lci::device_t device = lci::alloc_device_x()();
+    const lci::device_attr_t dattr = lci::get_attr(device);
+    EXPECT_EQ(dattr.prepost_depth, 17u);
+    EXPECT_GE(dattr.net_index, 0);
+    EXPECT_EQ(dattr.backlog_size, 0u);
     lci::free_device(&device);
     lci::g_runtime_fina();
   });
@@ -216,6 +224,36 @@ TEST(PacketPool, ConcurrentGettersReceiveEveryPacketOnce) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(pool.pooled_approx(), npackets);
   EXPECT_EQ(pool.carved(), npackets);
+}
+
+// A get that finds its own deque empty steals from the pool's other deques,
+// however many threads of the process took thread ids in between: here one
+// thread holds every packet, so the pool is carved out and stealing from
+// that thread is the only way to a packet.
+TEST(PacketPool, StealsFromOtherDequesWhateverTheThreadIds) {
+  for (int trial = 0; trial < 10; ++trial) {
+    pool_t pool(64, 1024);
+    std::thread holder([&] {
+      std::vector<packet_t*> held;
+      while (packet_t* p = pool.get()) held.push_back(p);
+      for (packet_t* p : held) pool.put(p);
+    });
+    holder.join();
+    ASSERT_EQ(pool.carved(), 64u);
+    // Threads that never touch the pool take the next thread ids.
+    std::vector<std::thread> bystanders;
+    for (int t = 0; t < 32; ++t)
+      bystanders.emplace_back([] { (void)lci::util::thread_id(); });
+    for (auto& th : bystanders) th.join();
+    packet_t* got = nullptr;
+    std::thread getter([&] {
+      got = pool.get();
+      if (got != nullptr) pool.put(got);
+    });
+    getter.join();
+    EXPECT_NE(got, nullptr) << "trial " << trial;
+    EXPECT_EQ(pool.pooled_approx(), 64u);
+  }
 }
 
 // get_attr(pool).pooled may be read from any thread while others get and

@@ -416,7 +416,9 @@ TEST_P(KillSweep, EveryOpNamingTheDeadRankFailsExactlyOnce) {
       n,
       [&](int rank) {
         lci::runtime_attr_t attr = small_attr();
-        attr.prepost_depth = 16;  // keep preposts below the kill threshold
+        // A prepost budget of 16 (half the pool) keeps preposts below the
+        // kill threshold.
+        attr.npackets = 32;
         if (auto_prog) {
           attr.auto_progress_default = true;
           attr.nprogress_threads = 2;

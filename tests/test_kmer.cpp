@@ -2,6 +2,7 @@
 // read generation, and the distributed pipeline against a serial oracle.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -94,6 +95,32 @@ TEST(Bloom, ConcurrentInsertsAllLand) {
     bloom.insert(i);
     EXPECT_TRUE(bloom.seen_twice(i));
   }
+}
+
+// Two threads insert each k-mer at the same moment: every round releases
+// both on one fresh k-mer, so their layer-1 probes interleave. Whatever the
+// interleaving, a k-mer inserted twice must read seen_twice afterwards.
+TEST(Bloom, RacingInsertsOfOneKmerMarkTheSecond) {
+  constexpr uint64_t rounds = 50000;
+  kmer::two_layer_bloom_t bloom(rounds, 3, 12);
+  std::atomic<uint64_t> inserted{0};  // inserts finished, both threads
+  auto racer = [&] {
+    for (uint64_t round = 0; round < rounds; ++round) {
+      // Wait for both inserts of the previous round: the two threads then
+      // leave together and race on this round's k-mer.
+      while (inserted.load(std::memory_order_acquire) < 2 * round)
+        std::this_thread::yield();
+      bloom.insert(round);
+      inserted.fetch_add(1, std::memory_order_acq_rel);
+    }
+  };
+  std::thread a(racer), b(racer);
+  a.join();
+  b.join();
+  uint64_t missed = 0;
+  for (uint64_t kmer = 0; kmer < rounds; ++kmer)
+    missed += bloom.seen_twice(kmer) ? 0 : 1;
+  EXPECT_EQ(missed, 0u) << "k-mers inserted twice but not seen twice";
 }
 
 TEST(Hashmap, BasicCounting) {

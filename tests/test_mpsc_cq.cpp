@@ -1,7 +1,8 @@
 // Torture tests for the lock-free receive path (docs/INTERNALS.md "Lock
-// layout"): the bounded MPSC completion queue — producers on every thread,
-// consumers rotating under a try-lock as the sim device's pollers do,
-// wraparound and full/empty ring edges — the matching engine racing a
+// layout"): the bounded ring's owner pop, which the device core's CQ ring
+// and SRQ consume through — producers on every thread, consumers rotating
+// under a try-lock as the device's pollers do, wraparound and full/empty
+// ring edges — the matching engine racing a
 // dead-peer purge with device_shards = 4, and the receive-packet cycle:
 // consumed packets reposted on their own endpoint, with the pool as the
 // fallback. Runs in the tsan tier-1 leg: every test here must stay
@@ -21,7 +22,7 @@
 
 #include "core/lci.hpp"
 #include "core/runtime_impl.hpp"
-#include "util/mpsc_queue.hpp"
+#include "util/mpmc_ring.hpp"
 #include "util/spinlock.hpp"
 
 namespace {
@@ -31,7 +32,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(MpscQueue, WraparoundFullEmptyEdges) {
-  lci::util::mpsc_queue_t<int> q(3);  // rounds up to 4
+  lci::util::mpmc_ring_t<int> q(3);  // rounds up to 4
   ASSERT_EQ(q.capacity(), 4u);
   int next_push = 0;
   int next_pop = 0;
@@ -40,13 +41,13 @@ TEST(MpscQueue, WraparoundFullEmptyEdges) {
   // exercised at both the full and the empty edge every cycle.
   for (int cycle = 0; cycle < 5; ++cycle) {
     EXPECT_TRUE(q.empty_approx());
-    EXPECT_FALSE(q.try_pop().has_value());  // empty edge
+    EXPECT_FALSE(q.try_pop_owned().has_value());  // empty edge
     for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(next_push++));
     EXPECT_FALSE(q.try_push(-1));  // full edge: push refused, nothing lost
     EXPECT_EQ(q.size_approx(), 4u);
     // Partial drain then refill: head and tail wrap at different offsets.
     for (int i = 0; i < 2; ++i) {
-      const std::optional<int> v = q.try_pop();
+      const std::optional<int> v = q.try_pop_owned();
       ASSERT_TRUE(v.has_value());
       EXPECT_EQ(*v, next_pop++);
     }
@@ -54,7 +55,7 @@ TEST(MpscQueue, WraparoundFullEmptyEdges) {
     EXPECT_TRUE(q.try_push(next_push++));
     EXPECT_FALSE(q.try_push(-1));  // full again at a rotated position
     for (int i = 0; i < 4; ++i) {
-      const std::optional<int> v = q.try_pop();
+      const std::optional<int> v = q.try_pop_owned();
       ASSERT_TRUE(v.has_value());
       EXPECT_EQ(*v, next_pop++);  // FIFO held across the wrap
     }
@@ -85,7 +86,7 @@ TEST(MpscQueue, ProducersEverywhereConsumerRotation) {
   constexpr long kPerProducer = 20000;
   constexpr long kTotal = kProducers * kPerProducer;
 
-  lci::util::mpsc_queue_t<uint64_t> q(64);
+  lci::util::mpmc_ring_t<uint64_t> q(64);
   lci::util::spinlock_t consumer_lock;
   std::atomic<long> popped{0};
   std::atomic<int> live_consumers{0};
@@ -118,7 +119,7 @@ TEST(MpscQueue, ProducersEverywhereConsumerRotation) {
         // Short tenure: pop a batch, then release so the claim genuinely
         // rotates between the consumer threads.
         for (int batch = 0; batch < 32; ++batch) {
-          const std::optional<uint64_t> v = q.try_pop();
+          const std::optional<uint64_t> v = q.try_pop_owned();
           if (!v.has_value()) break;
           const int producer = static_cast<int>(*v >> 32);
           const long seq = static_cast<long>(*v & 0xffffffffu);

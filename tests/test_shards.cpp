@@ -11,6 +11,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -62,60 +63,65 @@ TEST(Shards, PinIsPerThread) {
 // Routing determinism: every post on one (rank, tag) key from an unpinned
 // thread lands on the same shard, so with aggregation on they all park in
 // one slot and the explicit flush posts exactly one batch. A second tag may
-// hash elsewhere — flushing both keys posts exactly two.
+// hash elsewhere — flushing both keys posts one or two batches, and exactly
+// one on an unsharded device.
 TEST(Shards, SameKeyRoutesToOneShard) {
-  lci::runtime_attr_t attr = sharded_attr(4);
-  attr.allow_aggregation = true;
-  attr.aggregation_flush_us = 1000000;  // no age flush: flush() is the only exit
-  lci::sim::spawn(2, [&](int rank) {
-    lci::g_runtime_init(attr);
-    if (rank == 0) {
-      constexpr int per_tag = 5;
-      lci::comp_t cq = lci::alloc_cq();
-      char out[8] = "routed";
-      const lci::counters_t base = lci::get_counters();
-      for (lci::tag_t tag = 0; tag < 2; ++tag) {
-        for (int i = 0; i < per_tag; ++i) {
-          lci::status_t ss;
-          do {
-            // Opt in per post: the single-poster bypass would send a lone
-            // poster's default posts out one by one.
-            ss = lci::post_send_x(1, out, sizeof(out), tag, cq)
-                     .allow_done(false)
-                     .allow_aggregation(true)();
-            if (ss.error.is_retry()) lci::progress();
-          } while (ss.error.is_retry());
-          ASSERT_TRUE(ss.error.is_posted());
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("device_shards = " + std::to_string(shards));
+    lci::runtime_attr_t attr = sharded_attr(shards);
+    attr.allow_aggregation = true;
+    // No age flush: flush() is the only exit.
+    attr.aggregation_flush_us = 1000000;
+    lci::sim::spawn(2, [&](int rank) {
+      lci::g_runtime_init(attr);
+      if (rank == 0) {
+        constexpr int per_tag = 5;
+        lci::comp_t cq = lci::alloc_cq();
+        char out[8] = "routed";
+        const lci::counters_t base = lci::get_counters();
+        for (lci::tag_t tag = 0; tag < 2; ++tag) {
+          for (int i = 0; i < per_tag; ++i) {
+            lci::status_t ss;
+            do {
+              // Opt in per post: the single-poster bypass would send a lone
+              // poster's default posts out one by one.
+              ss = lci::post_send_x(1, out, sizeof(out), tag, cq)
+                       .allow_done(false)
+                       .allow_aggregation(true)();
+              if (ss.error.is_retry()) lci::progress();
+            } while (ss.error.is_retry());
+            ASSERT_TRUE(ss.error.is_posted());
+          }
         }
-      }
-      lci::counters_t c = lci::get_counters();
-      EXPECT_EQ(c.send_coalesced - base.send_coalesced, 2u * per_tag);
-      EXPECT_EQ(c.batches_flushed - base.batches_flushed, 0u);
+        lci::counters_t c = lci::get_counters();
+        EXPECT_EQ(c.send_coalesced - base.send_coalesced, 2u * per_tag);
+        EXPECT_EQ(c.batches_flushed - base.batches_flushed, 0u);
 
-      // One armed slot per distinct key's shard: flush() posts them all.
-      const std::size_t batches = lci::flush();
-      EXPECT_GE(batches, 1u);
-      EXPECT_LE(batches, 2u);  // equal keys never split across shards
-      int owed = 2 * per_tag;
-      while (owed > 0) {
-        lci::progress();
-        if (lci::cq_pop(cq).error.is_done()) --owed;
+        // One armed slot per distinct key's shard: flush() posts them all.
+        const std::size_t batches = lci::flush();
+        EXPECT_GE(batches, 1u);
+        EXPECT_LE(batches, shards == 1 ? 1u : 2u);  // equal keys never split
+        int owed = 2 * per_tag;
+        while (owed > 0) {
+          lci::progress();
+          if (lci::cq_pop(cq).error.is_done()) --owed;
+        }
+        lci::free_comp(&cq);
+      } else {
+        // Sink: absorb everything as unexpected AM-style tagged receives.
+        std::vector<std::array<char, 8>> inbox(10);
+        lci::comp_t rsync = lci::alloc_sync(10);
+        for (int i = 0; i < 10; ++i)
+          (void)lci::post_recv_x(0, inbox[static_cast<std::size_t>(i)].data(),
+                                 8, static_cast<lci::tag_t>(i / 5), rsync)
+              .allow_done(false)();
+        lci::sync_wait(rsync, nullptr);
+        lci::free_comp(&rsync);
       }
-      lci::free_comp(&cq);
-    } else {
-      // Sink: absorb everything as unexpected AM-style tagged receives.
-      std::vector<std::array<char, 8>> inbox(10);
-      lci::comp_t rsync = lci::alloc_sync(10);
-      for (int i = 0; i < 10; ++i)
-        (void)lci::post_recv_x(0, inbox[static_cast<std::size_t>(i)].data(), 8,
-                               static_cast<lci::tag_t>(i / 5), rsync)
-            .allow_done(false)();
-      lci::sync_wait(rsync, nullptr);
-      lci::free_comp(&rsync);
-    }
-    lci::barrier();
-    lci::g_runtime_fina();
-  });
+      lci::barrier();
+      lci::g_runtime_fina();
+    });
+  }
 }
 
 // Pinned multithreaded traffic: one worker per shard, each pinned to its own
@@ -379,53 +385,6 @@ TEST(Shards, DrainFlushesEveryShard) {
       for (int i = 0; i < 8; ++i)
         (void)lci::post_recv_x(0, inbox[static_cast<std::size_t>(i)].data(),
                                16, static_cast<lci::tag_t>(i), rsync)
-            .allow_done(false)();
-      lci::sync_wait(rsync, nullptr);
-      lci::free_comp(&rsync);
-    }
-    lci::barrier();
-    lci::g_runtime_fina();
-  });
-}
-
-// The hashed routing fallback memoizes its last (rank, tag) -> shard answer
-// per thread: an unpinned sender streaming one key hits the cache on every
-// post after the first, and the hits surface in route_cache_hits. A pinned
-// thread never hashes, so the same traffic counts nothing.
-TEST(Shards, RouteCacheCountsHashedFallbackHits) {
-  lci::sim::spawn(2, [](int rank) {
-    lci::g_runtime_init(sharded_attr(4));
-    constexpr int messages = 16;
-    if (rank == 0) {
-      lci::comp_t cq = lci::alloc_cq();
-      char buf[8] = "payload";
-      const lci::counters_t before = lci::get_counters();
-      for (int i = 0; i < messages; ++i) {
-        lci::status_t ss;
-        do {
-          ss = lci::post_send_x(1, buf, sizeof(buf), /*tag=*/7, cq)
-                   .allow_done(false)();
-          if (ss.error.is_retry()) lci::progress();
-        } while (ss.error.is_retry());
-        ASSERT_TRUE(ss.error.is_posted());
-      }
-      int done = 0;
-      while (done < messages) {
-        lci::progress();
-        if (lci::cq_pop(cq).error.is_done()) ++done;
-      }
-      const lci::counters_t after = lci::get_counters();
-      // Same key every time: at most the first post (and stray internal
-      // routes) miss; the stream must be nearly all hits.
-      EXPECT_GE(after.route_cache_hits - before.route_cache_hits,
-                static_cast<uint64_t>(messages - 2));
-      lci::free_comp(&cq);
-    } else {
-      lci::comp_t rsync = lci::alloc_sync(messages);
-      std::vector<std::array<char, 8>> inbox(messages);
-      for (int i = 0; i < messages; ++i)
-        (void)lci::post_recv_x(0, inbox[static_cast<std::size_t>(i)].data(),
-                               8, /*tag=*/7, rsync)
             .allow_done(false)();
       lci::sync_wait(rsync, nullptr);
       lci::free_comp(&rsync);

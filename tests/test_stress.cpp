@@ -135,13 +135,12 @@ TEST(Stress, DedicatedDevicesPerThread) {
   });
 }
 
-// Packet-pool exhaustion: with a pool sized barely above the pre-post
-// depth, buffer-copy sends must hit retry_nopacket under a burst and then
-// recover once arrivals recycle packets.
+// Packet-pool exhaustion: with a 16-packet pool, half of it pre-posted,
+// buffer-copy sends must hit retry_nopacket under a burst and then recover
+// once arrivals recycle packets.
 TEST(FailureInjection, PacketPoolExhaustionRecovers) {
   lci::runtime_attr_t attr = small_attr();
-  attr.npackets = 40;
-  attr.prepost_depth = 32;  // leaves ~8 packets for send staging
+  attr.npackets = 16;  // a prepost budget of 8 leaves ~8 for send staging
   lci::sim::spawn(2, [&](int rank) {
     lci::g_runtime_init(attr);
     const int peer = 1 - rank;
