@@ -59,14 +59,10 @@ inline long iters(long dflt) {
   return smoke() ? std::min(dflt, 2000L) : dflt;
 }
 
-// Optional wire timing model for every bench: LCI_BENCH_LATENCY_US and
-// LCI_BENCH_BW_GBPS (0 = structural model only). Failure knobs for the
-// robustness sweeps: LCI_BENCH_KILL_RANK/LCI_BENCH_KILL_AFTER schedule a
-// peer death, LCI_BENCH_LOSS_RATE drops wire messages silently.
+// Failure knobs for the robustness sweeps: LCI_BENCH_KILL_RANK and
+// LCI_BENCH_KILL_AFTER schedule a peer death, LCI_BENCH_LOSS_RATE drops wire
+// messages silently.
 inline void apply_net_env(lci::net::config_t* config) {
-  config->latency_us = env_double("LCI_BENCH_LATENCY_US", config->latency_us);
-  config->bandwidth_gbps =
-      env_double("LCI_BENCH_BW_GBPS", config->bandwidth_gbps);
   config->fault.kill_rank = static_cast<int>(
       env_long("LCI_BENCH_KILL_RANK", config->fault.kill_rank));
   config->fault.kill_after_ops = static_cast<uint64_t>(env_long(

@@ -15,12 +15,11 @@
 // copies anything; a flush skips a busy slot and its caller comes back. Only
 // the abort path blocks.
 //
-// Receive side: handle_batch_recv walks the sub-messages of one received
-// packet and runs the regular per-message logic on payload slices: matched
-// sends complete in place, unmatched ones are re-staged as standalone
-// eager_send packets so the retained-packet flow (matching-engine insert,
-// dead-peer purge) owns them unchanged, and active messages are delivered
-// from the shared packet under a reference count in packet-delivery mode.
+// Receive side: the eager walk in progress.cpp, which reads a plain eager
+// packet as a batch of one entry. Entries that meet a waiting receive
+// complete from the batch packet in place, unexpected sends are re-staged
+// into packets of their own, and in packet-delivery mode active messages
+// are lent out of the batch packet under a reference count.
 //
 // Completion semantics: a buffered sub-op that owes nothing (allow_done and
 // untracked) completes `done` at copy time exactly like a bcopy send. One
@@ -29,10 +28,7 @@
 // fatal_peer_down on a dead peer, fatal_canceled on a drain abort — and for
 // tracked entries the record-state CAS arbitrates against cancel()/the
 // deadline sweep, so every sub-op completes exactly once.
-#include <algorithm>
-#include <cassert>
 #include <cstring>
-#include <new>
 
 #include "core/runtime_impl.hpp"
 #include "util/log.hpp"
@@ -91,18 +87,6 @@ std::size_t resolve_agg_pending(runtime_impl_t* runtime, int rank,
   }
   entries.clear();
   return delivered;
-}
-
-// Overflow packet for re-staging an unmatched batch sub-message when the pool
-// is dry. Carries the real pool pointer so the eventual put() routes into the
-// heap_orphan branch and frees it.
-packet_t* alloc_orphan_packet(packet_pool_impl_t* pool, std::size_t bytes) {
-  void* raw = ::operator new(sizeof(packet_t) + bytes,
-                             std::align_val_t{util::cache_line_size});
-  auto* packet = new (raw) packet_t;
-  packet->pool = pool;
-  packet->heap_orphan = 1;
-  return packet;
 }
 
 }  // namespace
@@ -385,142 +369,6 @@ std::size_t device_impl_t::abort_aggregation(int rank, errorcode_t code) {
     }
   }
   return completed;
-}
-
-// ---------------------------------------------------------------------------
-// Receive side: unpack one eager_batch.
-// ---------------------------------------------------------------------------
-void device_impl_t::handle_batch_recv(const net::cqe_t& cqe,
-                                      net::device_t& ep) {
-  auto* packet = static_cast<packet_t*>(cqe.user_context);
-  const char* payload =
-      static_cast<const char*>(cqe.buffer) + sizeof(msg_header_t);
-  // Only the bytes that landed in the packet are walked. A batch longer than
-  // the packet (the sender's packet_size is larger) arrived truncated: the
-  // first sub-message whose data does not fit completes with
-  // fatal_truncated, and the walk ends there, since no later sub-header
-  // arrived.
-  const std::size_t payload_bytes =
-      std::min(cqe.length, packet->pool->packet_capacity()) -
-      sizeof(msg_header_t);
-  const auto cut_short = [payload_bytes](std::size_t off,
-                                         const batch_sub_header_t& sub) {
-    return off + sizeof(sub) + sub.size > payload_bytes;
-  };
-  runtime_->counters().add(counter_id_t::recv_batches);
-  const bool packets_mode = runtime_->attr().am_deliver_packets;
-
-  // Packet-delivery mode shares this one packet between every AM consumer in
-  // the batch: count them first so release_am_packet returns the packet to
-  // its pool exactly when the last reference (including the walker's own)
-  // drops.
-  uint32_t refs = 1;
-  if (packets_mode) {
-    std::size_t off = 0;
-    while (off + sizeof(batch_sub_header_t) <= payload_bytes) {
-      batch_sub_header_t sub;
-      std::memcpy(&sub, payload + off, sizeof(sub));
-      if (sub.kind == msg_header_t::eager_am && !cut_short(off, sub)) ++refs;
-      off += batch_entry_bytes(sub.size);
-    }
-  }
-  packet->refs.store(refs, std::memory_order_relaxed);
-
-  std::size_t off = 0;
-  while (off + sizeof(batch_sub_header_t) <= payload_bytes) {
-    batch_sub_header_t sub;
-    std::memcpy(&sub, payload + off, sizeof(sub));
-    char* data =
-        const_cast<char*>(payload) + off + sizeof(batch_sub_header_t);
-    const std::size_t data_size = sub.size;
-    // A cut-short entry is the last one: the advance below ends the walk.
-    const bool cut = cut_short(off, sub);
-    off += batch_entry_bytes(sub.size);
-
-    if (sub.kind == msg_header_t::eager_send) {
-      matching_engine_impl_t* engine = runtime_->lookup_engine(sub.engine_id);
-      if (engine == nullptr)
-        throw fatal_error_t("batch sub-message names an unknown engine");
-      const auto policy = static_cast<matching_policy_t>(sub.policy);
-      const auto key = engine->make_key(cqe.peer_rank, sub.tag, policy);
-      if (void* matched = engine->try_match_recv(key)) {
-        runtime_->counters().add(counter_id_t::recv_matched);
-        trace::instant(trace::kind_t::match,
-                       static_cast<recv_entry_t*>(matched)->span.id,
-                       cqe.peer_rank, sub.tag, data_size);
-        complete_eager_recv(runtime_, static_cast<recv_entry_t*>(matched),
-                            cqe.peer_rank, sub.tag, cut ? nullptr : data,
-                            data_size, nullptr, /*signal=*/true);
-        continue;
-      }
-      // Unexpected: re-stage as a standalone eager_send packet so the
-      // retained-packet flow (match on a later post, dead-peer purge) owns
-      // it exactly as if it had arrived uncoalesced. A cut-short one keeps
-      // only its header and the truncated stamp.
-      const std::size_t kept = cut ? 0 : data_size;
-      packet_t* standalone = runtime_->default_pool().get();
-      if (standalone == nullptr)
-        standalone = alloc_orphan_packet(&runtime_->default_pool(),
-                                         sizeof(msg_header_t) + kept);
-      msg_header_t h;
-      h.kind = msg_header_t::eager_send;
-      h.policy = sub.policy;
-      h.engine_id = sub.engine_id;
-      h.tag = sub.tag;
-      h.rcomp = sub.rcomp;
-      std::memcpy(standalone->payload(), &h, sizeof(h));
-      std::memcpy(standalone->payload() + sizeof(h), data, kept);
-      standalone->peer_rank = cqe.peer_rank;
-      standalone->payload_size = static_cast<uint32_t>(data_size);
-      standalone->truncated = cut ? 1 : 0;
-      void* matched = engine->insert(key, standalone,
-                                     matching_engine_impl_t::type_t::send);
-      if (matched != nullptr) {
-        // A receive landed between the try_match and the insert.
-        runtime_->counters().add(counter_id_t::recv_matched);
-        trace::instant(trace::kind_t::match,
-                       static_cast<recv_entry_t*>(matched)->span.id,
-                       cqe.peer_rank, sub.tag, data_size);
-        complete_eager_recv(
-            runtime_, static_cast<recv_entry_t*>(matched), cqe.peer_rank,
-            sub.tag, cut ? nullptr : standalone->payload() + sizeof(h),
-            data_size, nullptr, /*signal=*/true);
-        standalone->pool->put(standalone);
-      }
-      continue;
-    }
-
-    // eager_am sub-message.
-    comp_impl_t* comp = runtime_->lookup_rcomp(sub.rcomp);
-    if (comp == nullptr)
-      throw fatal_error_t("batch active message names an unknown rcomp");
-    if (cut) {
-      comp->signal(make_fatal_status(runtime_, errorcode_t::fatal_truncated,
-                                     cqe.peer_rank, sub.tag, nullptr,
-                                     data_size, nullptr));
-      continue;
-    }
-    runtime_->counters().add(counter_id_t::am_delivered);
-    status_t status;
-    status.error.code = errorcode_t::done;
-    status.rank = cqe.peer_rank;
-    status.tag = sub.tag;
-    if (packets_mode) {
-      // Deliver the slice in place; the ref record written over the parsed
-      // sub-header lets release_am_packet find the shared owner.
-      am_packet_ref_t ref;
-      ref.owner = packet;
-      ref.magic = am_packet_magic;
-      std::memcpy(data - sizeof(ref), &ref, sizeof(ref));
-      status.buffer = buffer_t{data, data_size};
-      comp->signal(status);
-    } else {
-      comp->signal_am(status, data, data_size);
-    }
-  }
-
-  if (packet->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    repost(packet, ep);
 }
 
 }  // namespace lci::detail

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -212,7 +211,9 @@ class sync_impl_t final : public comp_impl_t {
 
   void signal(const status_t& status) override {
     const std::size_t i = arrivals_.fetch_add(1, std::memory_order_acq_rel);
-    assert(i < threshold_ && "synchronizer signaled more than its threshold");
+    // Checked in every build: the slot past the threshold is past slots_.
+    if (i >= threshold_)
+      throw fatal_error_t("synchronizer signaled more than its threshold");
     slots_[i] = status;
     committed_.fetch_add(1, std::memory_order_release);
   }

@@ -131,9 +131,9 @@ class matching_engine_impl_t {
   }
 
   // Pops the oldest queued *receive* for `key`, or returns nullptr without
-  // inserting anything. Used by the eager_batch walker: a batched sub-message
-  // that finds a waiting receive completes it zero-copy from the batch slice;
-  // an unmatched one is re-staged into its own packet and insert()ed like any
+  // inserting anything. Used by the eager walker: a batch entry that finds
+  // a waiting receive completes it from the batch packet in place; an
+  // unmatched one is re-staged into its own packet and insert()ed like any
   // other unexpected eager message.
   void* try_match_recv(key_t key) {
     bucket_t& bucket = bucket_for(key);

@@ -48,15 +48,15 @@ struct alignas(util::cache_line_size) packet_t {
   // so only its header is usable; the receive it matches completes with
   // fatal_truncated.
   uint32_t truncated = 0;
-  // Reference count for shared ownership of one received packet by several
-  // consumers (an eager_batch delivering multiple AM payloads in
-  // packet-delivery mode). 0 outside that path; armed by the batch walker and
-  // decremented by release_am_packet, which returns the packet to its pool
-  // when the count hits zero.
+  // References to a received packet whose AM payloads the eager walker
+  // lent out in packet-delivery mode: one per lent payload plus the
+  // walker's own. 0 outside that path. release_am_packet and the walker
+  // each drop theirs; release_am_packet returns the packet to its pool when
+  // it drops the last one, the walker to the receive queue.
   std::atomic<uint32_t> refs{0};
-  // Set on packets heap-allocated by the batch unpacker when the pool ran
-  // dry while re-staging an unmatched sub-message; put() frees them instead
-  // of pushing them into a deque, so the pool never grows.
+  // Set on packets heap-allocated by the eager walker when the pool ran dry
+  // while re-staging an unexpected batch entry; put() frees them instead of
+  // pushing them into a deque, so the pool never grows.
   uint32_t heap_orphan = 0;
 
   char* payload() noexcept {

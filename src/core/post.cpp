@@ -374,56 +374,28 @@ status_t post_receive(const resolved_t& r, const post_args_t& args,
     status.error.code = errorcode_t::posted;
     return status;
   }
-  r.runtime->counters().add(counter_id_t::recv_matched);
 
-  // (9)/(10): the posting procedure itself found the match.
+  // (9)/(10): the posting procedure itself found the match, in a packet the
+  // progress engine stamped when it kept the message.
   auto* packet = static_cast<packet_t*>(matched);
-  trace::instant(trace::kind_t::match, entry->span.id, packet->peer_rank,
-                 args.tag, packet->payload_size);
   const auto* header =
       reinterpret_cast<const msg_header_t*>(packet->payload());
-  const char* data = packet->payload() + sizeof(msg_header_t);
-  if (header->kind == msg_header_t::eager_send) {
-    // Immediate completion: return `done` without signaling the comp, unless
-    // the user forbade the done shortcut.
-    const bool force_signal = !args.allow_done && entry->comp != nullptr;
-    status_t status;
-    complete_eager_recv(r.runtime, entry, packet->peer_rank, header->tag,
-                        packet->truncated != 0 ? nullptr : data,
-                        packet->payload_size, &status, force_signal);
-    if (force_signal) status.error.code = errorcode_t::posted;
-    packet->pool->put(packet);
-    return status;
-  }
-  assert(header->kind == msg_header_t::rts);
-  const int peer_rank = packet->peer_rank;
-  rts_payload_t rts;
-  std::memcpy(&rts, data, sizeof(rts));
-  rdv_recv_t state;
-  state.buffer = entry->buffer;
-  state.size = entry->size;
-  state.comp = entry->comp;
-  state.user_context = entry->user_context;
-  state.list = std::move(entry->list);
-  state.record = std::move(entry->record);
-  state.span = entry->span;
-  if (state.record) {
-    std::lock_guard<util::spinlock_t> guard(state.record->lock);
-    state.record->engine = nullptr;
-    state.record->entry = nullptr;
-  }
-  delete entry;
-  if (record) {
+  if (record && header->kind == msg_header_t::rts) {
     // The receive continues as a rendezvous: the record stays live (re-homed
-    // by start_rendezvous_recv) and cancel/deadline still apply.
+    // by match_recv) and cancel/deadline still apply.
     r.runtime->track_op(record);
     if (args.out_op != nullptr) args.out_op->p = record;
   }
-  start_rendezvous_recv(r.runtime, r.device, peer_rank, header->tag,
-                        rts.rdv_id, rts.size, std::move(state));
+  // An eager match returns `done` without signaling the comp, unless the
+  // user forbade the done shortcut.
+  const status_t status = match_recv(
+      r.runtime, r.device, entry,
+      {header->kind, packet->peer_rank, header->tag,
+       packet->truncated != 0 ? nullptr
+                              : packet->payload() + sizeof(msg_header_t),
+       packet->payload_size},
+      /*signal=*/!args.allow_done && entry->comp != nullptr);
   packet->pool->put(packet);
-  status_t status;
-  status.error.code = errorcode_t::posted;
   return status;
 }
 

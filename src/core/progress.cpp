@@ -1,13 +1,22 @@
 // The progress engine (paper Sec. 3.2.6 / 4.4).
 //
 // progress(): (3) retry backlogged requests; (4) poll the network device and
-// react to completions — (5) insert incoming sends into the matching engine,
-// (6) signal completion objects, (7) replenish pre-posted receives, (8) post
-// rendezvous continuations. All reactions that cannot be submitted right away
-// go to the device's backlog queue.
+// react once to each completion — (5) insert incoming sends into the
+// matching engine, (6) signal completion objects, (7) replenish pre-posted
+// receives, (8) post rendezvous continuations. All reactions that cannot be
+// submitted right away go to the device's backlog queue.
+//
+// The receive path is one path. handle_recv answers the rendezvous control
+// messages itself and hands every eager packet to one walker, handle_eager:
+// a plain eager_send or eager_am packet is a batch of one entry, a coalesced
+// eager_batch (coalesce.cpp) a batch of many. Wherever a receive meets a
+// message — in the walker, on an RTS here, or in post_receive — match_recv
+// finishes it.
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "core/runtime_impl.hpp"
 #include "util/log.hpp"
@@ -42,34 +51,9 @@ struct rtr_msg_t {
   rtr_payload_t payload;
 };
 
-}  // namespace
-
-status_t make_fatal_status(runtime_impl_t* runtime, errorcode_t code, int rank,
-                           tag_t tag, void* buffer, std::size_t size,
-                           void* user_context) {
-  runtime->counters().add(counter_id_t::comp_fatal);
-  switch (code) {
-    case errorcode_t::fatal_canceled:
-      runtime->counters().add(counter_id_t::ops_canceled);
-      break;
-    case errorcode_t::fatal_timeout:
-      runtime->counters().add(counter_id_t::ops_timed_out);
-      break;
-    case errorcode_t::fatal_peer_down:
-      runtime->counters().add(counter_id_t::peer_down_completions);
-      break;
-    default:
-      break;
-  }
-  status_t status;
-  status.error.code = code;
-  status.rank = rank;
-  status.tag = tag;
-  status.buffer = buffer_t{buffer, size};
-  status.user_context = user_context;
-  return status;
-}
-
+// Sends the RTR handshake for a matched rendezvous. `mr_offset` locates the
+// receive buffer inside `mr` (nonzero when the registration cache served a
+// wider interval). Returns done/retry.
 status_t send_rtr(device_impl_t* device, int peer_rank, uint32_t rdv_id,
                   uint32_t pending_id, net::mr_id_t mr, uint64_t mr_offset) {
   // Matching-order rule: an RTR unlocks an RDMA write into this rank, which
@@ -98,6 +82,11 @@ status_t send_rtr(device_impl_t* device, int peer_rank, uint32_t rdv_id,
   return status;
 }
 
+// Continues a matched rendezvous on the receive side: registers the target
+// buffer, records the pending receive, and sends the RTR (falling back to the
+// device backlog when the network pushes back). If the incoming message is
+// larger than the posted buffer, the receive completes with fatal_truncated
+// and a refusal RTR (mr == net::invalid_mr) tells the sender to fail too.
 void start_rendezvous_recv(runtime_impl_t* runtime, device_impl_t* device,
                            int peer_rank, tag_t tag, uint32_t rdv_id,
                            uint64_t total_size, rdv_recv_t state) {
@@ -193,9 +182,15 @@ void start_rendezvous_recv(runtime_impl_t* runtime, device_impl_t* device,
   }
 }
 
-void complete_eager_recv(runtime_impl_t* runtime, recv_entry_t* entry,
-                         int peer_rank, tag_t tag, const char* data,
-                         std::size_t size, status_t* out_status, bool signal) {
+// Delivers an eager payload into a matched receive, signaling its comp when
+// `signal`, and consumes (deletes) the entry. An oversized payload (posted
+// buffer or buffer list too small) completes the receive with
+// fatal_truncated instead of writing past the buffer, and so does
+// data == nullptr: the message arrived truncated (longer than the packet
+// that received it) and `size` is the length its sender sent.
+status_t complete_eager_recv(runtime_impl_t* runtime, recv_entry_t* entry,
+                             int peer_rank, tag_t tag, const char* data,
+                             std::size_t size, bool signal) {
   status_t status;
   status.error.code = errorcode_t::done;
   status.rank = peer_rank;
@@ -242,8 +237,102 @@ void complete_eager_recv(runtime_impl_t* runtime, recv_entry_t* entry,
                     : static_cast<uint8_t>(status.error.code),
                 peer_rank, tag, size);
   if (signal) signal_comp(entry->comp, status);
-  if (out_status != nullptr) *out_status = status;
   delete entry;
+  return status;
+}
+
+// Moves an unexpected batch entry into a packet of its own, laid out as a
+// plain eager_send (a cut-short entry keeps only its header), so that the
+// matching engine and the dead-peer purge hold it like any other unexpected
+// message. When the pool is dry the packet comes from the heap, marked
+// heap_orphan: put() frees it, so the pool never grows past npackets.
+packet_t* restage(packet_pool_impl_t& pool, const batch_sub_header_t& sub,
+                  const char* data, std::size_t kept) {
+  packet_t* packet = pool.get();
+  if (packet == nullptr) {
+    void* raw = ::operator new(sizeof(packet_t) + sizeof(msg_header_t) + kept,
+                               std::align_val_t{util::cache_line_size});
+    packet = new (raw) packet_t;
+    packet->pool = &pool;
+    packet->heap_orphan = 1;
+  }
+  msg_header_t header;
+  header.kind = msg_header_t::eager_send;
+  header.policy = sub.policy;
+  header.engine_id = sub.engine_id;
+  header.tag = sub.tag;
+  header.rcomp = sub.rcomp;
+  std::memcpy(packet->payload(), &header, sizeof(header));
+  std::memcpy(packet->payload() + sizeof(header), data, kept);
+  return packet;
+}
+
+}  // namespace
+
+status_t make_fatal_status(runtime_impl_t* runtime, errorcode_t code, int rank,
+                           tag_t tag, void* buffer, std::size_t size,
+                           void* user_context) {
+  runtime->counters().add(counter_id_t::comp_fatal);
+  switch (code) {
+    case errorcode_t::fatal_canceled:
+      runtime->counters().add(counter_id_t::ops_canceled);
+      break;
+    case errorcode_t::fatal_timeout:
+      runtime->counters().add(counter_id_t::ops_timed_out);
+      break;
+    case errorcode_t::fatal_peer_down:
+      runtime->counters().add(counter_id_t::peer_down_completions);
+      break;
+    default:
+      break;
+  }
+  status_t status;
+  status.error.code = code;
+  status.rank = rank;
+  status.tag = tag;
+  status.buffer = buffer_t{buffer, size};
+  status.user_context = user_context;
+  return status;
+}
+
+status_t match_recv(runtime_impl_t* runtime, device_impl_t* device,
+                    recv_entry_t* entry, const matched_msg_t& msg,
+                    bool signal) {
+  runtime->counters().add(counter_id_t::recv_matched);
+  trace::instant(trace::kind_t::match, entry->span.id, msg.peer_rank, msg.tag,
+                 msg.size);
+  if (msg.kind == msg_header_t::eager_send) {
+    status_t status = complete_eager_recv(runtime, entry, msg.peer_rank,
+                                          msg.tag, msg.data, msg.size, signal);
+    if (signal) status.error.code = errorcode_t::posted;
+    return status;
+  }
+  // A matching engine holds eager sends and RTS only.
+  assert(msg.kind == msg_header_t::rts);
+  rts_payload_t rts;
+  std::memcpy(&rts, msg.data, sizeof(rts));
+  rdv_recv_t state;
+  state.buffer = entry->buffer;
+  state.size = entry->size;
+  state.comp = entry->comp;
+  state.user_context = entry->user_context;
+  state.list = std::move(entry->list);
+  state.record = std::move(entry->record);
+  state.span = entry->span;
+  if (state.record) {
+    // The receive is leaving the matching engine for the pending-recv
+    // table; blank its old location before the entry is freed (see
+    // complete_eager_recv for why this must precede the delete).
+    std::lock_guard<util::spinlock_t> guard(state.record->lock);
+    state.record->engine = nullptr;
+    state.record->entry = nullptr;
+  }
+  delete entry;
+  start_rendezvous_recv(runtime, device, msg.peer_rank, msg.tag, rts.rdv_id,
+                        rts.size, std::move(state));
+  status_t status;
+  status.error.code = errorcode_t::posted;
+  return status;
 }
 
 // ---------------------------------------------------------------------------
@@ -262,8 +351,8 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
   // The fabric never writes past the receive packet but reports the length
   // the sender sent (on shm/tcp, input from another process). Shorter than
   // a header is corrupt. Longer than the packet (the sender's packet_size is
-  // larger) means only the first bytes landed: the eager kinds complete
-  // their operation with fatal_truncated, never done, and a rendezvous
+  // larger) means only the first bytes landed: the eager walk completes the
+  // entry cut short with fatal_truncated, never done, and a rendezvous
   // control message cut short cannot be answered.
   if (cqe.length < sizeof(msg_header_t)) {
     repost(packet, ep);
@@ -274,7 +363,6 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
   const char* data =
       static_cast<const char*>(cqe.buffer) + sizeof(msg_header_t);
   const std::size_t data_size = cqe.length - sizeof(msg_header_t);
-  const auto policy = static_cast<matching_policy_t>(header->policy);
   const auto control_fits = [&](std::size_t payload_bytes) {
     if (!truncated && data_size >= payload_bytes) return;
     repost(packet, ep);
@@ -282,63 +370,6 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
   };
 
   switch (header->kind) {
-    case msg_header_t::eager_send: {
-      matching_engine_impl_t* engine =
-          runtime_->lookup_engine(header->engine_id);
-      if (engine == nullptr)
-        throw fatal_error_t("message names an unknown matching engine");
-      packet->peer_rank = cqe.peer_rank;
-      packet->payload_size = static_cast<uint32_t>(data_size);
-      packet->truncated = truncated ? 1 : 0;
-      const auto key = engine->make_key(cqe.peer_rank, header->tag, policy);
-      void* matched =
-          engine->insert(key, packet, matching_engine_impl_t::type_t::send);
-      if (matched == nullptr) return;  // unexpected: packet retained
-      auto* entry = static_cast<recv_entry_t*>(matched);
-      runtime_->counters().add(counter_id_t::recv_matched);
-      trace::instant(trace::kind_t::match, entry->span.id, cqe.peer_rank,
-                     header->tag, data_size);
-      complete_eager_recv(runtime_, entry, cqe.peer_rank, header->tag,
-                          truncated ? nullptr : data, data_size, nullptr,
-                          /*signal=*/true);
-      repost(packet, ep);
-      return;
-    }
-    case msg_header_t::eager_am: {
-      comp_impl_t* comp = runtime_->lookup_rcomp(header->rcomp);
-      if (comp == nullptr)
-        throw fatal_error_t("active message names an unknown rcomp");
-      if (truncated) {
-        comp->signal(make_fatal_status(runtime_, errorcode_t::fatal_truncated,
-                                       cqe.peer_rank, header->tag, nullptr,
-                                       data_size, nullptr));
-        repost(packet, ep);
-        return;
-      }
-      runtime_->counters().add(counter_id_t::am_delivered);
-      status_t status;
-      status.error.code = errorcode_t::done;
-      status.rank = cqe.peer_rank;
-      status.tag = header->tag;
-      if (runtime_->attr().am_deliver_packets) {
-        // Deliver inside the packet (no copy); the consumer returns it with
-        // release_am_packet (Sec. 3.3.1). The ref record written over the
-        // already-parsed header makes the release path uniform with batch
-        // slices, whose payloads are not header-adjacent to the packet.
-        packet->refs.store(1, std::memory_order_relaxed);
-        am_packet_ref_t ref;
-        ref.owner = packet;
-        ref.magic = am_packet_magic;
-        std::memcpy(const_cast<char*>(data) - sizeof(ref), &ref, sizeof(ref));
-        status.buffer = buffer_t{const_cast<char*>(data), data_size};
-        comp->signal(status);
-      } else {
-        // Deliver in a plain buffer the upper layer frees with std::free.
-        comp->signal_am(status, data, data_size);
-        repost(packet, ep);
-      }
-      return;
-    }
     case msg_header_t::rts: {
       control_fits(sizeof(rts_payload_t));
       matching_engine_impl_t* engine =
@@ -347,35 +378,17 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
         throw fatal_error_t("RTS names an unknown matching engine");
       packet->peer_rank = cqe.peer_rank;
       packet->payload_size = static_cast<uint32_t>(data_size);
-      const auto key = engine->make_key(cqe.peer_rank, header->tag, policy);
+      packet->truncated = 0;
+      const auto key = engine->make_key(
+          cqe.peer_rank, header->tag,
+          static_cast<matching_policy_t>(header->policy));
       void* matched =
           engine->insert(key, packet, matching_engine_impl_t::type_t::send);
       if (matched == nullptr) return;  // no receive yet: packet retained
-      auto* entry = static_cast<recv_entry_t*>(matched);
-      runtime_->counters().add(counter_id_t::recv_matched);
-      trace::instant(trace::kind_t::match, entry->span.id, cqe.peer_rank,
-                     header->tag, data_size);
-      rts_payload_t rts;
-      std::memcpy(&rts, data, sizeof(rts));
-      rdv_recv_t state;
-      state.buffer = entry->buffer;
-      state.size = entry->size;
-      state.comp = entry->comp;
-      state.user_context = entry->user_context;
-      state.list = std::move(entry->list);
-      state.record = std::move(entry->record);
-      state.span = entry->span;
-      if (state.record) {
-        // The receive is leaving the matching engine for the pending-recv
-        // table; blank its old location before the entry is freed (see
-        // complete_eager_recv for why this must precede the delete).
-        std::lock_guard<util::spinlock_t> guard(state.record->lock);
-        state.record->engine = nullptr;
-        state.record->entry = nullptr;
-      }
-      delete entry;
-      start_rendezvous_recv(runtime_, this, cqe.peer_rank, header->tag,
-                            rts.rdv_id, rts.size, std::move(state));
+      match_recv(runtime_, this, static_cast<recv_entry_t*>(matched),
+                 {msg_header_t::rts, cqe.peer_rank, header->tag, data,
+                  data_size},
+                 /*signal=*/true);
       repost(packet, ep);
       return;
     }
@@ -512,13 +525,134 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
       repost(packet, ep);
       return;
     }
-    case msg_header_t::eager_batch:
-      // Coalesced eager sub-messages; the walker owns the packet from here
-      // (it is shared with AM consumers in packet-delivery mode).
-      handle_batch_recv(cqe, ep);
+    default:
+      // eager_send, eager_am and eager_batch; the walk refuses other kinds.
+      handle_eager(cqe, ep);
       return;
   }
-  throw fatal_error_t("corrupt message header");
+}
+
+// ---------------------------------------------------------------------------
+// The eager walk: one reaction per eager message, whether it arrived alone
+// or inside a batch. Only storage differs. A plain eager_send that finds no
+// receive waits in the matching engine in its own packet; an unexpected
+// batch entry is re-staged into a packet of its own. In packet-delivery
+// mode, active messages are lent out of the received packet in place.
+// ---------------------------------------------------------------------------
+void device_impl_t::handle_eager(const net::cqe_t& cqe, net::device_t& ep) {
+  auto* packet = static_cast<packet_t*>(cqe.user_context);
+  char* const buffer = static_cast<char*>(cqe.buffer);
+  // Only the bytes that landed in the packet are walked. A message longer
+  // than the packet (the sender's packet_size is larger) arrived truncated:
+  // the first entry whose data does not fit completes with fatal_truncated,
+  // and the walk ends there, since no later entry header arrived.
+  const std::size_t landed =
+      std::min(cqe.length, packet->pool->packet_capacity());
+  msg_header_t header;
+  std::memcpy(&header, buffer, sizeof(header));
+  const bool batch = header.kind == msg_header_t::eager_batch;
+  if (batch) runtime_->counters().add(counter_id_t::recv_batches);
+  const bool packets_mode = runtime_->attr().am_deliver_packets;
+  // Payloads lent to AM consumers. The first lend also takes the walker's
+  // own reference, dropped at the end: release_am_packet and the walker
+  // each drop theirs, and whoever drops the last returns the packet.
+  uint32_t lent = 0;
+  std::size_t off = batch ? sizeof(msg_header_t) : 0;
+  while (off + sizeof(batch_sub_header_t) <= landed) {
+    // A plain packet is a batch of one entry: its msg_header_t carries the
+    // fields of an entry header, and the entry is the rest of the message.
+    batch_sub_header_t sub;
+    if (batch) {
+      std::memcpy(&sub, buffer + off, sizeof(sub));
+    } else {
+      sub.kind = header.kind;
+      sub.policy = header.policy;
+      sub.engine_id = header.engine_id;
+      sub.size = static_cast<uint32_t>(cqe.length - sizeof(msg_header_t));
+      sub.tag = header.tag;
+      sub.rcomp = header.rcomp;
+    }
+    char* data = buffer + off + sizeof(sub);
+    // A cut-short entry is the last one: the advance below ends the walk.
+    const bool cut = off + sizeof(sub) + sub.size > landed;
+    off += batch ? batch_entry_bytes(sub.size) : cqe.length;
+
+    switch (sub.kind) {
+      case msg_header_t::eager_send: {
+        matching_engine_impl_t* engine = runtime_->lookup_engine(sub.engine_id);
+        if (engine == nullptr)
+          throw fatal_error_t("message names an unknown matching engine");
+        const auto key =
+            engine->make_key(cqe.peer_rank, sub.tag,
+                             static_cast<matching_policy_t>(sub.policy));
+        // A plain packet goes into the engine as it is. A batch entry first
+        // looks for a waiting receive, which takes the payload where it
+        // lies, and otherwise moves into a packet of its own.
+        void* matched = batch ? engine->try_match_recv(key) : nullptr;
+        if (matched == nullptr) {
+          packet_t* stored =
+              batch ? restage(runtime_->default_pool(), sub, data,
+                              cut ? 0 : sub.size)
+                    : packet;
+          stored->peer_rank = cqe.peer_rank;
+          stored->payload_size = sub.size;
+          stored->truncated = cut ? 1 : 0;
+          matched = engine->insert(key, stored,
+                                   matching_engine_impl_t::type_t::send);
+          // Unexpected: the engine keeps the entry, and a plain packet
+          // with it.
+          if (matched == nullptr) {
+            if (!batch) return;
+            continue;
+          }
+          // A receive was posted between the try_match_recv and the insert.
+          if (stored != packet) stored->pool->put(stored);
+        }
+        match_recv(runtime_, this, static_cast<recv_entry_t*>(matched),
+                   {msg_header_t::eager_send, cqe.peer_rank, sub.tag,
+                    cut ? nullptr : data, sub.size},
+                   /*signal=*/true);
+        continue;
+      }
+      case msg_header_t::eager_am: {
+        comp_impl_t* comp = runtime_->lookup_rcomp(sub.rcomp);
+        if (comp == nullptr)
+          throw fatal_error_t("active message names an unknown rcomp");
+        if (cut) {
+          comp->signal(make_fatal_status(runtime_,
+                                         errorcode_t::fatal_truncated,
+                                         cqe.peer_rank, sub.tag, nullptr,
+                                         sub.size, nullptr));
+          continue;
+        }
+        runtime_->counters().add(counter_id_t::am_delivered);
+        status_t status;
+        status.error.code = errorcode_t::done;
+        status.rank = cqe.peer_rank;
+        status.tag = sub.tag;
+        if (packets_mode) {
+          // Lend the payload in place (Sec. 3.3.1); the ref record written
+          // over the entry's parsed header lets release_am_packet find the
+          // packet. Until the walker drops its reference, no release can
+          // return the packet, so the later lends need no ordering.
+          packet->refs.fetch_add(lent++ == 0 ? 2 : 1,
+                                 std::memory_order_relaxed);
+          const am_packet_ref_t ref{packet, am_packet_magic};
+          std::memcpy(data - sizeof(ref), &ref, sizeof(ref));
+          status.buffer = buffer_t{data, sub.size};
+          comp->signal(status);
+        } else {
+          // Deliver in a plain buffer the upper layer frees with std::free.
+          comp->signal_am(status, data, sub.size);
+        }
+        continue;
+      }
+      default:
+        throw fatal_error_t("corrupt message header");
+    }
+  }
+  if (lent == 0 || packet->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    repost(packet, ep);
 }
 
 bool device_impl_t::handle_cqe(const net::cqe_t& cqe, net::device_t& ep) {

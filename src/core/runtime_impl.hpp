@@ -527,8 +527,8 @@ class device_impl_t {
   // from, where consumed receive packets are reposted).
   bool handle_cqe(const net::cqe_t& cqe, net::device_t& ep);
   void handle_recv(const net::cqe_t& cqe, net::device_t& ep);
-  void handle_batch_recv(const net::cqe_t& cqe,
-                         net::device_t& ep);  // defined in coalesce.cpp
+  // The one eager walk: every eager_send, eager_am and eager_batch packet.
+  void handle_eager(const net::cqe_t& cqe, net::device_t& ep);
   agg_slot_t& agg_slot(std::size_t shard, int rank) noexcept {
     return shards_[shard].agg_slots[static_cast<std::size_t>(rank)];
   }
@@ -798,30 +798,28 @@ void finish_failed_send(runtime_impl_t* runtime, rdv_send_t& send,
 void finish_failed_recv(runtime_impl_t* runtime, rdv_recv_t& recv,
                         errorcode_t code);
 
-// Sends the RTR handshake for a matched rendezvous. `mr_offset` locates the
-// receive buffer inside `mr` (nonzero when the registration cache served a
-// wider interval). Returns done/retry.
-status_t send_rtr(device_impl_t* device, int peer_rank, uint32_t rdv_id,
-                  uint32_t pending_id, net::mr_id_t mr, uint64_t mr_offset);
+// A message that met a posted receive in a matching engine: an eager
+// payload, or a request-to-send (RTS) whose data is its rts_payload_t.
+struct matched_msg_t {
+  uint8_t kind = msg_header_t::eager_send;  // eager_send or rts
+  int peer_rank = -1;
+  tag_t tag = 0;
+  const char* data = nullptr;  // eager: nullptr = arrived truncated
+  std::size_t size = 0;        // payload bytes as the sender sent them
+};
 
-// Continues a matched rendezvous on the receive side: registers the target
-// buffer, records the pending receive, and sends the RTR (falling back to the
-// device backlog when the network pushes back). If the incoming message is
-// larger than the posted buffer, the receive completes with fatal_truncated
-// and a refusal RTR (mr == net::invalid_mr) tells the sender to fail too.
-void start_rendezvous_recv(runtime_impl_t* runtime, device_impl_t* device,
-                           int peer_rank, tag_t tag, uint32_t rdv_id,
-                           uint64_t total_size, rdv_recv_t state);
-
-// Delivers an eager payload into a matched receive and signals its comp.
-// Consumes (deletes) the entry. An oversized payload (posted buffer or
-// buffer list too small) completes the receive with fatal_truncated instead
-// of writing past the buffer, and so does data == nullptr: the message
-// arrived truncated (longer than the packet that received it) and `size`
-// is the length its sender sent.
-void complete_eager_recv(runtime_impl_t* runtime, recv_entry_t* entry,
-                         int peer_rank, tag_t tag, const char* data,
-                         std::size_t size, status_t* out_status, bool signal);
+// Finishes a receive entry that met a message; the eager walk, an arriving
+// RTS and post_receive all end here. Counts recv_matched and records the
+// match instant, then either completes the eager receive, signaling its comp
+// when `signal`, or moves the entry into the pending-receive table and sends
+// the RTR (backlogged when the network pushes back). Consumes the entry.
+// Returns what post_receive reports: the unsignaled eager completion, or
+// posted. A message that does not fit the receive, or arrived truncated,
+// completes it with fatal_truncated; a rendezvous refusal RTR
+// (mr == net::invalid_mr) makes the sender fail too.
+status_t match_recv(runtime_impl_t* runtime, device_impl_t* device,
+                    recv_entry_t* entry, const matched_msg_t& msg,
+                    bool signal);
 
 // Builds the status delivered with a fatal completion and bumps comp_fatal
 // plus the per-code failure counter (ops_canceled / ops_timed_out /

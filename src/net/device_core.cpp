@@ -1,7 +1,6 @@
 #include "net/device_core.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 // Recording-side tracing only (header-inline; lci_net does not link the core
@@ -290,8 +289,7 @@ void device_core_t::drop(const wire_msg_t& msg, int rank) {
   end_wire_span(msg.trace_id, wire_err_dropped, rank, msg.size);
 }
 
-bool device_core_t::deliver_one(wire_msg_t& msg, uint64_t& now_cache,
-                                cqe_t& out) {
+bool device_core_t::deliver_one(wire_msg_t& msg, cqe_t& out) {
   if (msg.is_cqe) {
     std::memcpy(&out, msg.data(), sizeof(out));
     return true;
@@ -301,18 +299,6 @@ bool device_core_t::deliver_one(wire_msg_t& msg, uint64_t& now_cache,
     // head of its FIFO (inbound queue or RNR stash), so order holds.
     --msg.defer_polls;
     return false;
-  }
-  if (msg.ready_ns != 0) {
-    // Timing model: not yet "on this side of the wire". FIFO per sender, so
-    // head-of-line blocking here is the modelled serialization. One clock
-    // read per poll: the caller's cache persists across messages.
-    if (now_cache == 0) {
-      now_cache = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count());
-    }
-    if (now_cache < msg.ready_ns) return false;
   }
   if (msg.kind == op_t::send) {
     auto prepost = srq_.try_pop_owned();
@@ -331,8 +317,7 @@ bool device_core_t::deliver_one(wire_msg_t& msg, uint64_t& now_cache,
   return true;
 }
 
-std::size_t device_core_t::deliver_inbound(cqe_t* out, std::size_t max,
-                                           uint64_t& now_cache) {
+std::size_t device_core_t::deliver_inbound(cqe_t* out, std::size_t max) {
   std::size_t delivered = 0;
   // Messages stalled earlier on receiver-not-ready go first (they are older).
   // Late completions exist only on shm/tcp, whose senders never evaporate.
@@ -344,7 +329,7 @@ std::size_t device_core_t::deliver_inbound(cqe_t* out, std::size_t max,
       rnr_depth_.fetch_sub(1, std::memory_order_relaxed);
       continue;
     }
-    if (!deliver_one(rnr_stash_.front(), now_cache, out[delivered]))
+    if (!deliver_one(rnr_stash_.front(), out[delivered]))
       return delivered;
     rnr_stash_.pop_front();
     rnr_depth_.fetch_sub(1, std::memory_order_relaxed);
@@ -357,7 +342,7 @@ std::size_t device_core_t::deliver_inbound(cqe_t* out, std::size_t max,
       drop(*msg, msg->src_rank);
       continue;
     }
-    if (!deliver_one(*msg, now_cache, out[delivered])) {
+    if (!deliver_one(*msg, out[delivered])) {
       rnr_stash_.push_back(std::move(*msg));
       rnr_depth_.fetch_add(1, std::memory_order_relaxed);
       break;
@@ -400,17 +385,16 @@ std::size_t device_core_t::poll_owned(cqe_t* out, std::size_t max) {
   // the other fills the rest, and the leader tops up whatever is left — so
   // neither source can starve the other, even at max == 1. The inbound side
   // tops up only if its first turn filled its share: a stalled head (RNR,
-  // delay, timing model) is attempted once per poll, since each attempt
-  // burns one of a delayed message's polls.
+  // delay) is attempted once per poll, since each attempt burns one of a
+  // delayed message's polls.
   inbound_first_ = !inbound_first_;
   const std::size_t share = max - max / 2;
   std::size_t inbound_left =
       std::min(max, fabric_->config().poll_burst);  // NIC event burst
-  uint64_t now_cache = 0;
   std::size_t count = 0;
   const auto inbound = [&](std::size_t limit) {
     const std::size_t want = std::min(limit - count, inbound_left);
-    const std::size_t got = deliver_inbound(out + count, want, now_cache);
+    const std::size_t got = deliver_inbound(out + count, want);
     count += got;
     inbound_left -= got;
     return got == want;

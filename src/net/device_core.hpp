@@ -62,7 +62,6 @@ struct wire_msg_t {
   int src_rank = -1;
   uint32_t imm = 0;
   uint32_t size = 0;
-  uint64_t ready_ns = 0;    // timing model: deliverable once now >= ready_ns
   uint32_t defer_polls = 0; // fault injection: delivery attempts to skip
   uint64_t trace_id = 0;    // wire span id (0 = untraced); see core/trace.hpp
   std::unique_ptr<char[]> heap;
@@ -457,13 +456,10 @@ class device_core_t : public device_t {
   std::size_t poll_owned(cqe_t* out, std::size_t max);
   // Under the polling lock: writes up to `max` deliverable inbound messages
   // (RNR stash first) as CQEs straight into out[]; they never pass through
-  // the CQ. now_cache amortizes the clock read across a poll: 0 = not read
-  // yet, filled on the first timed message.
-  std::size_t deliver_inbound(cqe_t* out, std::size_t max,
-                              uint64_t& now_cache);
-  // false: not deliverable yet (deferred, not ready, or RNR: no pre-posted
-  // recv).
-  bool deliver_one(wire_msg_t& msg, uint64_t& now_cache, cqe_t& out);
+  // the CQ.
+  std::size_t deliver_inbound(cqe_t* out, std::size_t max);
+  // false: not deliverable yet (deferred, or RNR: no pre-posted recv).
+  bool deliver_one(wire_msg_t& msg, cqe_t& out);
   bool sender_gone(const wire_msg_t& msg) const {
     return inbound_is_wire_ && fabric_->is_dead(msg.src_rank);
   }

@@ -1,4 +1,3 @@
-#include <chrono>
 #include <stdexcept>
 #include <string>
 
@@ -43,18 +42,6 @@ bool sim_fabric_t::kill_rank(int rank) {
   // path would.
   for (int r = 0; r < nranks_; ++r) registry(r).ring_all();
   return true;
-}
-
-uint64_t sim_fabric_t::ready_time_ns(std::size_t size) const {
-  if (config_.latency_us <= 0.0 && config_.bandwidth_gbps <= 0.0) return 0;
-  const auto now = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  double delay_ns = config_.latency_us * 1e3;
-  if (config_.bandwidth_gbps > 0.0)
-    delay_ns += static_cast<double>(size) / config_.bandwidth_gbps;  // B/GBps = ns
-  return now + static_cast<uint64_t>(delay_ns);
 }
 
 char* sim_fabric_t::resolve_remote(int rank, mr_id_t id, std::size_t offset,

@@ -147,13 +147,6 @@ struct config_t {
   std::size_t wire_depth = 65536;
   // Max entries delivered from the wire per poll (models NIC event burst).
   std::size_t poll_burst = 64;
-  // Optional timing model: when nonzero, a message becomes deliverable at
-  // send-time + latency + size/bandwidth. Zero (default) = instantaneous
-  // wire, the pure lock-structure model. RDMA data movement itself stays
-  // synchronous; notifications ride the modelled wire, which approximates
-  // transfer time at the completion-visibility level.
-  double latency_us = 0.0;
-  double bandwidth_gbps = 0.0;  // 0 = infinite
   // Deterministic fault injection (off by default; see fault_config_t).
   fault_config_t fault{};
   // Heartbeat liveness timeout for the real backends (0 = off, the default):

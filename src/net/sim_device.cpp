@@ -30,7 +30,6 @@ post_result_t sim_device_t::post_send(int peer_rank, const void* buffer,
   msg.kind = op_t::send;
   msg.src_rank = rank_;
   msg.imm = imm;
-  msg.ready_ns = sim_->ready_time_ns(size);
   msg.set_payload(buffer, size);
   // Wire span: opened here so its id travels with the message; a rejected
   // push ends it immediately (the retried post opens a fresh one). The tag
@@ -61,7 +60,6 @@ void sim_device_t::push_notification(device_core_t* target, op_t kind,
   msg.src_rank = rank_;
   msg.imm = imm;
   msg.size = static_cast<uint32_t>(size);
-  msg.ready_ns = sim_->ready_time_ns(size);
   const trace::span_t wire_span =
       trace::begin(trace::kind_t::wire, peer_rank,
                    static_cast<uint32_t>(index_), size);

@@ -94,10 +94,6 @@ class sim_fabric_t final : public core_fabric_t,
   char* resolve_remote(int rank, mr_id_t id, std::size_t offset,
                        std::size_t size) const;
 
-  // Timing model: earliest delivery time for a message of `size` bytes sent
-  // now (0 when the model is off).
-  uint64_t ready_time_ns(std::size_t size) const;
-
  private:
   struct rank_state_t {
     // Peers inside route() -> push -> ring pin cells on their own lines

@@ -673,6 +673,82 @@ TEST(Coalesce, TruncatedBatchFailsTheCutSubMessage) {
   });
 }
 
+// An unexpected batch entry is re-staged into a packet of its own. A burst
+// of them several times larger than the receiver's free packets drains its
+// pool, and the rest are re-staged into heap packets, which put() frees when
+// their receives take them. Every payload still arrives intact and in
+// per-tag order, and the pool ends where it began (ASan: nothing leaks).
+TEST(Coalesce, UnexpectedBurstPastADryPoolArrivesIntact) {
+  constexpr int tags = 4;
+  constexpr int per_tag = 24;  // 96 sends against 8 free packets
+  constexpr std::size_t size = 16;
+  const auto fill = [](int tag, int i, char* out) {
+    for (std::size_t k = 0; k < size; ++k)
+      out[k] = static_cast<char>(tag * 61 + i * 7 + static_cast<int>(k));
+  };
+  // Set by the receiver once it has counted its pool; until then the sender
+  // posts nothing, so no packet is in flight while the receiver counts.
+  std::atomic<bool> counted{false};
+  lci::sim::spawn(2, [&](int rank) {
+    lci::runtime_attr_t attr = agg_attr();
+    attr.aggregation_flush_us = 1000000;  // full slots and flush() post
+    if (rank == 1) attr.npackets = 16;    // 8 pre-posted, 8 free
+    lci::g_runtime_init(attr);
+    // One shard: the batches reach the receiver before the barrier does.
+    lci::pin_thread_shard(0);
+    lci::packet_pool_t pool;
+    pool.p = &lci::detail::resolve_runtime({})->default_pool();
+    const std::size_t pooled_before = lci::get_attr(pool).pooled;
+    lci::barrier();
+    if (rank == 0) {
+      char out[size];
+      for (int i = 0; i < per_tag; ++i) {
+        for (int t = 0; t < tags; ++t) {
+          fill(t, i, out);
+          lci::status_t st;
+          while ((st = lci::post_send_x(1, out, size, t, {})
+                           .allow_aggregation(true)())
+                     .error.is_retry())
+            lci::progress();
+          EXPECT_TRUE(st.error.is_done());
+        }
+      }
+      lci::flush();
+    }
+    lci::barrier();
+    if (rank == 0) {
+      while (!counted.load(std::memory_order_acquire)) lci::progress();
+    } else {
+      lci::comp_t cq = lci::alloc_cq();
+      for (int t = 0; t < tags; ++t) {
+        for (int i = 0; i < per_tag; ++i) {
+          char in[size] = {};
+          lci::status_t st = lci::post_recv(0, in, size, t, cq);
+          if (st.error.is_posted()) {
+            do {
+              lci::progress();
+              st = lci::cq_pop(cq);
+            } while (st.error.is_retry());
+          }
+          EXPECT_TRUE(st.error.is_done()) << t << "/" << i;
+          char expect[size];
+          fill(t, i, expect);
+          EXPECT_EQ(std::memcmp(in, expect, size), 0) << t << "/" << i;
+        }
+      }
+      // The barrier's own message may have waited in the matching engine
+      // and gone back to the pool; progress() refills the receive queue.
+      for (int i = 0; i < 10; ++i) lci::progress();
+      EXPECT_EQ(lci::get_attr(pool).pooled, pooled_before);
+      lci::free_comp(&cq);
+      counted.store(true, std::memory_order_release);
+    }
+    lci::barrier();
+    lci::pin_thread_shard(-1);
+    lci::g_runtime_fina();
+  });
+}
+
 // drain() force-flushes armed slots in its cooperative phase: buffered
 // sub-operations complete done, not fatal_canceled.
 TEST(Coalesce, DrainFlushesBufferedSubOps) {

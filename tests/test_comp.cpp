@@ -211,6 +211,24 @@ TEST(CompErrors, WrongKindThrows) {
   });
 }
 
+// A synchronizer signaled past its threshold throws in every build, as
+// cq_pop on a synchronizer does, instead of writing past its status slots.
+// The signals it accepted still make it ready.
+TEST(CompErrors, OverSignaledSynchronizerThrows) {
+  with_runtime([] {
+    lci::comp_t sync = lci::alloc_sync(1);
+    lci::status_t status;
+    status.error.code = lci::errorcode_t::done;
+    status.tag = 7;
+    lci::comp_signal(sync, status);
+    EXPECT_THROW(lci::comp_signal(sync, status), lci::fatal_error_t);
+    lci::status_t out;
+    EXPECT_TRUE(lci::sync_test(sync, &out));
+    EXPECT_EQ(out.tag, 7u);
+    lci::free_comp(&sync);
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Active-message delivery (Sec. 3.3.1). An eager AM of at most 16 bytes rides
 // inside its completion-queue entry and cq_pop allocates its buffer; a larger

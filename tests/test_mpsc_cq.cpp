@@ -472,4 +472,59 @@ TEST(RecvPath, PollBurstOneServesBothDirections) {
       fabric);
 }
 
+// A batch entry of a kind that is neither eager_send nor eager_am is refused
+// as a corrupt header, exactly like a plain message of that kind: it is not
+// delivered as an active message. Rank 1 puts the raw batch on the wire
+// below the runtime once rank 0 is out of the barrier, and sends nothing
+// more until rank 0 has refused it.
+TEST(RecvPath, UnknownBatchEntryKindIsRejected) {
+  std::atomic<int> stage{0};  // 1: rank 0 left the barrier; 2: it refused
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init();
+    lci::comp_t rcq = lci::alloc_cq();
+    const lci::rcomp_t rcomp = lci::register_rcomp(rcq);  // same id on both
+    lci::barrier();
+    if (rank == 1) {
+      struct {
+        lci::detail::msg_header_t header;
+        lci::detail::batch_sub_header_t sub;
+        uint64_t payload = 42;
+      } batch;
+      batch.header.kind = lci::detail::msg_header_t::eager_batch;
+      batch.sub.kind = 9;
+      batch.sub.size = sizeof(batch.payload);
+      batch.sub.tag = 5;
+      batch.sub.rcomp = rcomp;
+      lci::net::device_t& wire =
+          lci::detail::resolve_runtime({})->default_device().net(0);
+      while (stage.load(std::memory_order_acquire) < 1) lci::progress();
+      while (wire.post_send(0, &batch, sizeof(batch), 0, nullptr) !=
+             lci::net::post_result_t::ok)
+        lci::progress();
+      while (stage.load(std::memory_order_acquire) < 2) lci::progress();
+    } else {
+      stage.store(1, std::memory_order_release);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(1);
+      bool threw = false;
+      while (!threw && std::chrono::steady_clock::now() < deadline) {
+        try {
+          lci::progress();
+        } catch (const lci::fatal_error_t&) {
+          threw = true;
+        }
+        const lci::status_t st = lci::cq_pop(rcq);
+        EXPECT_TRUE(st.error.is_retry()) << "delivered with tag " << st.tag;
+        if (st.error.is_done()) std::free(st.buffer.base);
+      }
+      EXPECT_TRUE(threw);
+      stage.store(2, std::memory_order_release);
+    }
+    lci::barrier();
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&rcq);
+    lci::g_runtime_fina();
+  });
+}
+
 }  // namespace

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -578,46 +577,6 @@ TEST(Net, OfiEndpointLockMiss) {
   EXPECT_FALSE(f.dev0->poll_cq(cqes, 4).lock_missed);
   EXPECT_EQ(f.dev0->post_recv(bell.buffer, sizeof(bell.buffer), bell.buffer),
             post_result_t::ok);
-}
-
-// Timing model (optional): a message is deliverable only after
-// latency + size/bandwidth has elapsed.
-TEST(Net, TimingModelDelaysDelivery) {
-  config_t config;
-  config.latency_us = 20000;  // 20 ms: comfortably measurable
-  two_rank_fixture_t f(config);
-  auto buffers = f.prepost(*f.dev1, 2, 64);
-  const int v = 7;
-  const auto t0 = std::chrono::steady_clock::now();
-  ASSERT_EQ(f.dev0->post_send(1, &v, sizeof(v), 0, nullptr),
-            post_result_t::ok);
-  // Immediately: nothing deliverable.
-  cqe_t cqes[4];
-  EXPECT_EQ(f.dev1->poll_cq(cqes, 4).count, 0u);
-  const cqe_t cqe = f.poll_for(*f.dev1, op_t::recv);
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_EQ(*static_cast<const int*>(cqe.buffer), 7);
-  EXPECT_GE(elapsed_ms, 19.0);
-}
-
-TEST(Net, TimingModelChargesBandwidth) {
-  config_t config;
-  config.bandwidth_gbps = 0.001;  // 1 MB/s: 1 ms per KiB
-  two_rank_fixture_t f(config);
-  auto buffers = f.prepost(*f.dev1, 2, 65536);
-  std::vector<char> payload(32 * 1024);  // ~32 ms of wire time
-  const auto t0 = std::chrono::steady_clock::now();
-  ASSERT_EQ(f.dev0->post_send(1, payload.data(), payload.size(), 0, nullptr),
-            post_result_t::ok);
-  f.poll_for(*f.dev1, op_t::recv);
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_GE(elapsed_ms, 30.0);
 }
 
 TEST(Net, SelfSendLoopsBack) {

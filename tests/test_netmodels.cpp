@@ -1,7 +1,8 @@
 // End-to-end protocol correctness under every network model the fabric can
 // assume: both lock models (ibv/ofi), all three thread-domain strategies,
-// and the optional wire timing model. The same traffic must behave
-// identically — only performance may differ.
+// and a wire that holds every message back for some polls (the fault
+// injector's delivery delay). The same traffic must behave identically —
+// only performance may differ.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -46,9 +47,9 @@ std::vector<model_t> models() {
   }
   {
     lci::net::config_t c;
-    c.latency_us = 200;        // visible but test-friendly
-    c.bandwidth_gbps = 1.0;
-    all.push_back({"ibv_timed", c});
+    c.fault.delay_rate = 1.0;  // every message waits out delay_polls polls
+    c.fault.delay_polls = 8;
+    all.push_back({"ibv_delayed", c});
   }
   return all;
 }
@@ -123,11 +124,13 @@ INSTANTIATE_TEST_SUITE_P(AllModels, NetModels,
                            return models()[info.param].name;
                          });
 
-// RMA under the timing model: the put's remote notification is delayed but
-// the data lands; the notification must still pair with the right window.
-TEST(NetModels, RmaWithTimingModel) {
+// RMA on a delaying wire: the put's remote notification is held back while
+// the data lands at once; the notification must still pair with the right
+// window.
+TEST(NetModels, RmaWithDelayedNotification) {
   lci::net::config_t config;
-  config.latency_us = 300;
+  config.fault.delay_rate = 1.0;
+  config.fault.delay_polls = 16;
   lci::sim::spawn(
       2,
       [&](int rank) {
