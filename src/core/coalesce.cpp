@@ -16,10 +16,11 @@
 // the abort path blocks.
 //
 // Receive side: the eager walk in progress.cpp, which reads a plain eager
-// packet as a batch of one entry. Entries that meet a waiting receive
-// complete from the batch packet in place, unexpected sends are re-staged
-// into packets of their own, and in packet-delivery mode active messages
-// are lent out of the batch packet under a reference count.
+// packet as a batch of one entry. An entry that meets a waiting receive
+// completes from the batch packet in place. An unexpected send waits in the
+// matching engine inside the batch packet, as a plain one does in its own,
+// and in packet-delivery mode active messages are lent out of it. Each such
+// entry holds the packet, which goes back when the last hold is dropped.
 //
 // Completion semantics: a buffered sub-op that owes nothing (allow_done and
 // untracked) completes `done` at copy time exactly like a bcopy send. One

@@ -99,7 +99,11 @@ bool device_impl_t::replenish_preposts() {
   return advanced;
 }
 
-void device_impl_t::repost(packet_t* packet, net::device_t& ep) {
+void device_impl_t::repost(packet_t* packet, uint32_t holds,
+                           net::device_t& ep) {
+  if (holds != 0 &&
+      packet->refs.fetch_add(holds, std::memory_order_acq_rel) + holds != 0)
+    return;
   if (ep.preposted_recvs() < prepost_per_shard_ &&
       ep.post_recv(packet->payload(), packet->pool->packet_capacity(),
                    packet) == net::post_result_t::ok)

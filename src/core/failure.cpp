@@ -230,9 +230,9 @@ std::size_t runtime_impl_t::deadline_sweep() {
 std::size_t runtime_impl_t::purge_dead_peer(int peer, bool everything) {
   std::size_t completed = 0;
   // 1. Matching engines: queued receives naming the peer complete with
-  //    fatal_peer_down; retained unexpected-send/RTS packets from the peer
-  //    are recycled. Wildcard receives (rank < 0 under tag_only/none
-  //    policies) are left alone — another peer may still match them.
+  //    fatal_peer_down; messages the peer left drop their packet holds.
+  //    Wildcard receives (rank < 0 under tag_only/none policies) are left
+  //    alone — another peer may still match them.
   using type_t = matching_engine_impl_t::type_t;
   std::vector<std::pair<void*, type_t>> removed;
   const std::size_t nengines = engine_registry_.size();
@@ -247,8 +247,8 @@ std::size_t runtime_impl_t::purge_dead_peer(int peer, bool everything) {
             auto* entry = static_cast<recv_entry_t*>(value);
             return everything || entry->rank == peer;
           }
-          auto* packet = static_cast<packet_t*>(value);
-          return everything || packet->peer_rank == peer;
+          const auto* kept = static_cast<const kept_msg_t*>(value);
+          return everything || kept->packet->peer_rank == peer;
         },
         removed);
     for (auto& [value, type] : removed) {
@@ -272,8 +272,7 @@ std::size_t runtime_impl_t::purge_dead_peer(int peer, bool everything) {
         delete entry;
         ++completed;
       } else {
-        auto* packet = static_cast<packet_t*>(value);
-        packet->pool->put(packet);
+        drop_hold(static_cast<const kept_msg_t*>(value)->packet);
       }
     }
   }

@@ -130,27 +130,6 @@ class matching_engine_impl_t {
     return nullptr;
   }
 
-  // Pops the oldest queued *receive* for `key`, or returns nullptr without
-  // inserting anything. Used by the eager walker: a batch entry that finds
-  // a waiting receive completes it from the batch packet in place; an
-  // unmatched one is re-staged into its own packet and insert()ed like any
-  // other unexpected eager message.
-  void* try_match_recv(key_t key) {
-    bucket_t& bucket = bucket_for(key);
-    std::lock_guard<util::spinlock_t> guard(bucket.lock);
-    for (std::size_t i = 0; i < bucket.nfast; ++i) {
-      if (bucket.fast[i].key == key)
-        return pop_recv(bucket, /*in_fast=*/true, i);
-    }
-    if (bucket.overflow) {
-      for (std::size_t i = 0; i < bucket.overflow->size(); ++i) {
-        if ((*bucket.overflow)[i].key == key)
-          return pop_recv(bucket, /*in_fast=*/false, i);
-      }
-    }
-    return nullptr;
-  }
-
   // Removes one specific queued entry (pointer identity). Returns true when
   // the entry was found and removed — the caller then owns it exclusively.
   // False means a complementary arrival already consumed it (or it was never
@@ -359,15 +338,6 @@ class matching_engine_impl_t {
       slot.push(value);
       return nullptr;
     }
-    void* matched = slot.pop_front();
-    if (slot.count == 0) remove_slot(bucket, in_fast, i);
-    return matched;
-  }
-
-  // Caller holds the bucket lock; the slot at (in_fast, i) has the key.
-  void* pop_recv(bucket_t& bucket, bool in_fast, std::size_t i) {
-    slot_t& slot = in_fast ? bucket.fast[i] : (*bucket.overflow)[i];
-    if (slot.type != type_t::recv || slot.count == 0) return nullptr;
     void* matched = slot.pop_front();
     if (slot.count == 0) remove_slot(bucket, in_fast, i);
     return matched;

@@ -16,6 +16,8 @@
 // slab asks for huge pages (util/reserved_memory.hpp): the preposted
 // receives cycle through a hundred-odd packets, which would otherwise each
 // take a TLB entry of their own.
+// A received packet is also where its unexpected messages wait (Sec. 4.3),
+// alone or batched, until nothing holds it (packet_t::refs).
 #pragma once
 
 #include <algorithm>
@@ -38,26 +40,19 @@ class packet_pool_impl_t;
 // Packet layout: one cache-line header followed by `capacity` payload bytes.
 struct alignas(util::cache_line_size) packet_t {
   packet_pool_impl_t* pool = nullptr;
-  // Stamped by the progress engine when a packet is retained in the matching
-  // engine as an unexpected message, so the posting path that later matches
-  // it can recover the sender and payload length.
+  // Stamped on a received packet for whoever takes a message kept in it:
+  // the sender, the kind kept (eager_send or rts), and the bytes that
+  // landed. Data past `landed` never arrived (the sender's packet_size is
+  // larger): its receive completes with fatal_truncated.
   int peer_rank = -1;
-  uint32_t payload_size = 0;
-  // Stamped with the two above: nonzero when the message arrived longer
-  // than the packet that received it (the sender's packet_size is larger),
-  // so only its header is usable; the receive it matches completes with
-  // fatal_truncated.
-  uint32_t truncated = 0;
-  // References to a received packet whose AM payloads the eager walker
-  // lent out in packet-delivery mode: one per lent payload plus the
-  // walker's own. 0 outside that path. release_am_packet and the walker
-  // each drop theirs; release_am_packet returns the packet to its pool when
-  // it drops the last one, the walker to the receive queue.
+  uint32_t landed = 0;
+  uint8_t kind = 0;
+  // Holds: one per message a matching engine keeps in the packet and one
+  // per AM payload lent out of it. The receive path adds its holds once,
+  // when done with the packet; holders drop theirs through drop_hold, maybe
+  // before that. Whoever brings the count back to zero returns the packet:
+  // a holder to its pool, the receive path to the receive queue.
   std::atomic<uint32_t> refs{0};
-  // Set on packets heap-allocated by the eager walker when the pool ran dry
-  // while re-staging an unexpected batch entry; put() frees them instead of
-  // pushing them into a deque, so the pool never grows.
-  uint32_t heap_orphan = 0;
 
   char* payload() noexcept {
     return reinterpret_cast<char*>(this) + sizeof(packet_t);
@@ -69,17 +64,33 @@ struct alignas(util::cache_line_size) packet_t {
 };
 static_assert(sizeof(packet_t) == util::cache_line_size);
 
-// Written immediately in front of every packet-delivered active-message
-// payload (over the just-parsed msg_header_t / batch sub-header — both are 16
-// bytes, so the record always fits). release_am_packet reads it back to find
-// the owning packet, which may not be header-adjacent when the payload is a
-// slice of an eager_batch.
+// Written over the parsed 16-byte header (msg_header_t or batch sub-header)
+// in front of a packet-delivered active-message payload. release_am_packet
+// reads it back to find the owning packet, which may not be header-adjacent
+// when the payload is a slice of an eager_batch.
 struct am_packet_ref_t {
   packet_t* owner = nullptr;
   uint64_t magic = 0;
 };
 inline constexpr uint64_t am_packet_magic = 0x4c4349414d524546ull;  // LCIAMREF
 static_assert(sizeof(am_packet_ref_t) == 16);
+
+// Written the same way in front of a message a matching engine keeps as a
+// send (a plain or batched eager_send, or an RTS) until a receive or the
+// dead-peer purge takes it; the engine's value is its address.
+struct kept_msg_t {
+  packet_t* packet = nullptr;
+  uint32_t size = 0;  // data bytes as the sender sent them
+  uint32_t tag = 0;
+
+  const char* data() const noexcept {
+    return reinterpret_cast<const char*>(this + 1);
+  }
+  bool landed_whole() const noexcept {
+    return data() - packet->payload() + size <= packet->landed;
+  }
+};
+static_assert(sizeof(kept_msg_t) == 16);
 
 class packet_pool_impl_t {
  public:
@@ -124,5 +135,12 @@ class packet_pool_impl_t {
   std::vector<std::unique_ptr<deque_t>> deque_storage_;  // guarded by reg_lock_
   util::spinlock_t reg_lock_;
 };
+
+// Drops one hold on a received packet (see packet_t::refs); the drop that
+// brings the count back to zero returns the packet to its pool.
+inline void drop_hold(packet_t* packet) {
+  if (packet->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    packet->pool->put(packet);
+}
 
 }  // namespace lci::detail

@@ -87,13 +87,6 @@ packet_t* packet_pool_impl_t::carve() {
 }
 
 void packet_pool_impl_t::put(packet_t* packet) {
-  if (packet->heap_orphan != 0) {
-    // Overflow packet minted by the eager walker when the pool was dry:
-    // free it instead of growing the pool past npackets.
-    packet->~packet_t();
-    ::operator delete(packet, std::align_val_t{util::cache_line_size});
-    return;
-  }
   local_deque()->push_tail(packet);
 }
 

@@ -375,12 +375,11 @@ status_t post_receive(const resolved_t& r, const post_args_t& args,
     return status;
   }
 
-  // (9)/(10): the posting procedure itself found the match, in a packet the
-  // progress engine stamped when it kept the message.
-  auto* packet = static_cast<packet_t*>(matched);
-  const auto* header =
-      reinterpret_cast<const msg_header_t*>(packet->payload());
-  if (record && header->kind == msg_header_t::rts) {
+  // (9)/(10): the posting procedure itself found the match: a message the
+  // progress engine kept in the packet it arrived in.
+  const auto& kept = *static_cast<const kept_msg_t*>(matched);
+  packet_t* packet = kept.packet;
+  if (record && packet->kind == msg_header_t::rts) {
     // The receive continues as a rendezvous: the record stays live (re-homed
     // by match_recv) and cancel/deadline still apply.
     r.runtime->track_op(record);
@@ -388,14 +387,10 @@ status_t post_receive(const resolved_t& r, const post_args_t& args,
   }
   // An eager match returns `done` without signaling the comp, unless the
   // user forbade the done shortcut.
-  const status_t status = match_recv(
-      r.runtime, r.device, entry,
-      {header->kind, packet->peer_rank, header->tag,
-       packet->truncated != 0 ? nullptr
-                              : packet->payload() + sizeof(msg_header_t),
-       packet->payload_size},
-      /*signal=*/!args.allow_done && entry->comp != nullptr);
-  packet->pool->put(packet);
+  const status_t status =
+      match_recv(r.runtime, r.device, entry, kept,
+                 /*signal=*/!args.allow_done && entry->comp != nullptr);
+  drop_hold(packet);
   return status;
 }
 

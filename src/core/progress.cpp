@@ -11,11 +11,13 @@
 // a plain eager_send or eager_am packet is a batch of one entry, a coalesced
 // eager_batch (coalesce.cpp) a batch of many. Wherever a receive meets a
 // message — in the walker, on an RTS here, or in post_receive — match_recv
-// finishes it.
+// finishes it. A message that meets no receive waits in the packet it
+// arrived in, and the packet goes back once nothing holds it (packet.hpp).
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <new>
 
 #include "core/runtime_impl.hpp"
@@ -154,10 +156,15 @@ void start_rendezvous_recv(runtime_impl_t* runtime, device_impl_t* device,
     record->engine = nullptr;
     record->entry = nullptr;
   }
+  // An RTR that cannot reach the peer (either rank is dead) fails the
+  // receive here: the purge, which runs once per death, may have swept the
+  // pending table before the receive entered it (take() arbitrates).
   const status_t status =
       send_rtr(device, peer_rank, rdv_id, pending_id, mr, mr_offset);
   if (status.error.is_done())
     trace::instant(trace::kind_t::rtr, span_id, peer_rank, tag, total_size);
+  if (status.error.is_fatal())
+    fail_pending_recv(runtime, pending_id, status.error.code);
   if (status.error.is_retry()) {
     // (8): the progress engine cannot keep retrying; push onto the backlog.
     LCI_LOG_(debug, "rank %d: RTR to %d backlogged (pending %u)",
@@ -176,6 +183,8 @@ void start_rendezvous_recv(runtime_impl_t* runtime, device_impl_t* device,
       const status_t s =
           send_rtr(device, peer_rank, rdv_id, pending_id, mr, mr_offset);
       if (s.error.is_done()) trace::instant(trace::kind_t::rtr, span_id);
+      if (s.error.is_fatal())
+        fail_pending_recv(runtime, pending_id, s.error.code);
       return s;
     });
     device->ring_doorbell();
@@ -241,32 +250,6 @@ status_t complete_eager_recv(runtime_impl_t* runtime, recv_entry_t* entry,
   return status;
 }
 
-// Moves an unexpected batch entry into a packet of its own, laid out as a
-// plain eager_send (a cut-short entry keeps only its header), so that the
-// matching engine and the dead-peer purge hold it like any other unexpected
-// message. When the pool is dry the packet comes from the heap, marked
-// heap_orphan: put() frees it, so the pool never grows past npackets.
-packet_t* restage(packet_pool_impl_t& pool, const batch_sub_header_t& sub,
-                  const char* data, std::size_t kept) {
-  packet_t* packet = pool.get();
-  if (packet == nullptr) {
-    void* raw = ::operator new(sizeof(packet_t) + sizeof(msg_header_t) + kept,
-                               std::align_val_t{util::cache_line_size});
-    packet = new (raw) packet_t;
-    packet->pool = &pool;
-    packet->heap_orphan = 1;
-  }
-  msg_header_t header;
-  header.kind = msg_header_t::eager_send;
-  header.policy = sub.policy;
-  header.engine_id = sub.engine_id;
-  header.tag = sub.tag;
-  header.rcomp = sub.rcomp;
-  std::memcpy(packet->payload(), &header, sizeof(header));
-  std::memcpy(packet->payload() + sizeof(header), data, kept);
-  return packet;
-}
-
 }  // namespace
 
 status_t make_fatal_status(runtime_impl_t* runtime, errorcode_t code, int rank,
@@ -296,21 +279,22 @@ status_t make_fatal_status(runtime_impl_t* runtime, errorcode_t code, int rank,
 }
 
 status_t match_recv(runtime_impl_t* runtime, device_impl_t* device,
-                    recv_entry_t* entry, const matched_msg_t& msg,
-                    bool signal) {
+                    recv_entry_t* entry, const kept_msg_t& msg, bool signal) {
+  const int peer_rank = msg.packet->peer_rank;
   runtime->counters().add(counter_id_t::recv_matched);
-  trace::instant(trace::kind_t::match, entry->span.id, msg.peer_rank, msg.tag,
+  trace::instant(trace::kind_t::match, entry->span.id, peer_rank, msg.tag,
                  msg.size);
-  if (msg.kind == msg_header_t::eager_send) {
-    status_t status = complete_eager_recv(runtime, entry, msg.peer_rank,
-                                          msg.tag, msg.data, msg.size, signal);
+  if (msg.packet->kind == msg_header_t::eager_send) {
+    status_t status = complete_eager_recv(
+        runtime, entry, peer_rank, msg.tag,
+        msg.landed_whole() ? msg.data() : nullptr, msg.size, signal);
     if (signal) status.error.code = errorcode_t::posted;
     return status;
   }
   // A matching engine holds eager sends and RTS only.
-  assert(msg.kind == msg_header_t::rts);
+  assert(msg.packet->kind == msg_header_t::rts);
   rts_payload_t rts;
-  std::memcpy(&rts, msg.data, sizeof(rts));
+  std::memcpy(&rts, msg.data(), sizeof(rts));
   rdv_recv_t state;
   state.buffer = entry->buffer;
   state.size = entry->size;
@@ -328,7 +312,7 @@ status_t match_recv(runtime_impl_t* runtime, device_impl_t* device,
     state.record->entry = nullptr;
   }
   delete entry;
-  start_rendezvous_recv(runtime, device, msg.peer_rank, msg.tag, rts.rdv_id,
+  start_rendezvous_recv(runtime, device, peer_rank, msg.tag, rts.rdv_id,
                         rts.size, std::move(state));
   status_t status;
   status.error.code = errorcode_t::posted;
@@ -339,34 +323,34 @@ status_t match_recv(runtime_impl_t* runtime, device_impl_t* device,
 // CQE handling
 // ---------------------------------------------------------------------------
 
-void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
+void device_impl_t::handle_recv(const net::cqe_t& cqe, uint32_t& holds) {
   auto* packet = static_cast<packet_t*>(cqe.user_context);
-  if (net().is_peer_down(cqe.peer_rank)) {
-    // The sender died after this message reached our CQ: evaporate it, as if
-    // it had been lost on the wire. Without this, traffic already queued
-    // locally could resurrect a dead peer's messages after the purge ran.
-    repost(packet, ep);
-    return;
-  }
+  // The sender died after this message reached our CQ: evaporate it, as if
+  // it had been lost on the wire. Without this, traffic already queued
+  // locally could resurrect a dead peer's messages after the purge ran.
+  if (net().is_peer_down(cqe.peer_rank)) return;
   // The fabric never writes past the receive packet but reports the length
   // the sender sent (on shm/tcp, input from another process). Shorter than
   // a header is corrupt. Longer than the packet (the sender's packet_size is
   // larger) means only the first bytes landed: the eager walk completes the
   // entry cut short with fatal_truncated, never done, and a rendezvous
   // control message cut short cannot be answered.
-  if (cqe.length < sizeof(msg_header_t)) {
-    repost(packet, ep);
+  if (cqe.length < sizeof(msg_header_t))
     throw fatal_error_t("message shorter than its header");
-  }
-  const bool truncated = cqe.length > packet->pool->packet_capacity();
   const auto* header = static_cast<const msg_header_t*>(cqe.buffer);
+  // Read by whoever takes a message kept in this packet.
+  packet->peer_rank = cqe.peer_rank;
+  packet->kind = header->kind == msg_header_t::rts ? msg_header_t::rts
+                                                   : msg_header_t::eager_send;
+  packet->landed = static_cast<uint32_t>(
+      std::min(cqe.length, packet->pool->packet_capacity()));
+  const bool truncated = cqe.length > packet->landed;
   const char* data =
       static_cast<const char*>(cqe.buffer) + sizeof(msg_header_t);
   const std::size_t data_size = cqe.length - sizeof(msg_header_t);
   const auto control_fits = [&](std::size_t payload_bytes) {
-    if (!truncated && data_size >= payload_bytes) return;
-    repost(packet, ep);
-    throw fatal_error_t("rendezvous control message cut short");
+    if (truncated || data_size < payload_bytes)
+      throw fatal_error_t("rendezvous control message cut short");
   };
 
   switch (header->kind) {
@@ -376,20 +360,21 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
           runtime_->lookup_engine(header->engine_id);
       if (engine == nullptr)
         throw fatal_error_t("RTS names an unknown matching engine");
-      packet->peer_rank = cqe.peer_rank;
-      packet->payload_size = static_cast<uint32_t>(data_size);
-      packet->truncated = 0;
+      const tag_t tag = header->tag;
       const auto key = engine->make_key(
-          cqe.peer_rank, header->tag,
-          static_cast<matching_policy_t>(header->policy));
+          cqe.peer_rank, tag, static_cast<matching_policy_t>(header->policy));
+      // Until a receive takes it, the RTS waits in its packet as a record
+      // written over the header just parsed.
+      auto* kept = new (packet->payload())
+          kept_msg_t{packet, static_cast<uint32_t>(data_size), tag};
       void* matched =
-          engine->insert(key, packet, matching_engine_impl_t::type_t::send);
-      if (matched == nullptr) return;  // no receive yet: packet retained
-      match_recv(runtime_, this, static_cast<recv_entry_t*>(matched),
-                 {msg_header_t::rts, cqe.peer_rank, header->tag, data,
-                  data_size},
+          engine->insert(key, kept, matching_engine_impl_t::type_t::send);
+      if (matched == nullptr) {
+        holds = 1;
+        return;
+      }
+      match_recv(runtime_, this, static_cast<recv_entry_t*>(matched), *kept,
                  /*signal=*/true);
-      repost(packet, ep);
       return;
     }
     case msg_header_t::rts_am: {
@@ -413,7 +398,6 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
                                 header->tag, state.size);
       start_rendezvous_recv(runtime_, this, cqe.peer_rank, header->tag,
                             rts.rdv_id, rts.size, std::move(state));
-      repost(packet, ep);
       return;
     }
     case msg_header_t::rtr: {
@@ -426,7 +410,6 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
         // its peer: the handshake is legitimately orphaned. Drop it. (This
         // used to throw, which turned every canceled rendezvous into a
         // crash when the answer eventually arrived.)
-        repost(packet, ep);
         return;
       }
       // Taking the pending entry is the arbitration point: from here the
@@ -446,7 +429,6 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
                     make_fatal_status(runtime_, errorcode_t::fatal_truncated,
                                       send.peer_rank, send.tag, send.buffer,
                                       send.size, send.user_context));
-        repost(packet, ep);
         return;
       }
       const void* src = send.staged ? send.staged.get() : send.buffer;
@@ -522,41 +504,35 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, net::device_t& ep) {
         backlog_.push(attempt);
         ring_doorbell();
       }
-      repost(packet, ep);
       return;
     }
     default:
       // eager_send, eager_am and eager_batch; the walk refuses other kinds.
-      handle_eager(cqe, ep);
+      handle_eager(cqe, holds);
       return;
   }
 }
 
 // ---------------------------------------------------------------------------
 // The eager walk: one reaction per eager message, whether it arrived alone
-// or inside a batch. Only storage differs. A plain eager_send that finds no
-// receive waits in the matching engine in its own packet; an unexpected
-// batch entry is re-staged into a packet of its own. In packet-delivery
-// mode, active messages are lent out of the received packet in place.
+// or inside a batch. An eager_send that finds no receive waits in the
+// matching engine in the packet it arrived in; in packet-delivery mode,
+// active messages are lent out of the packet in place. Each kept message
+// and each lent payload is one of the walk's holds on the packet.
 // ---------------------------------------------------------------------------
-void device_impl_t::handle_eager(const net::cqe_t& cqe, net::device_t& ep) {
+void device_impl_t::handle_eager(const net::cqe_t& cqe, uint32_t& holds) {
   auto* packet = static_cast<packet_t*>(cqe.user_context);
   char* const buffer = static_cast<char*>(cqe.buffer);
   // Only the bytes that landed in the packet are walked. A message longer
   // than the packet (the sender's packet_size is larger) arrived truncated:
   // the first entry whose data does not fit completes with fatal_truncated,
   // and the walk ends there, since no later entry header arrived.
-  const std::size_t landed =
-      std::min(cqe.length, packet->pool->packet_capacity());
+  const std::size_t landed = packet->landed;
   msg_header_t header;
   std::memcpy(&header, buffer, sizeof(header));
   const bool batch = header.kind == msg_header_t::eager_batch;
   if (batch) runtime_->counters().add(counter_id_t::recv_batches);
   const bool packets_mode = runtime_->attr().am_deliver_packets;
-  // Payloads lent to AM consumers. The first lend also takes the walker's
-  // own reference, dropped at the end: release_am_packet and the walker
-  // each drop theirs, and whoever drops the last returns the packet.
-  uint32_t lent = 0;
   std::size_t off = batch ? sizeof(msg_header_t) : 0;
   while (off + sizeof(batch_sub_header_t) <= landed) {
     // A plain packet is a batch of one entry: its msg_header_t carries the
@@ -585,33 +561,18 @@ void device_impl_t::handle_eager(const net::cqe_t& cqe, net::device_t& ep) {
         const auto key =
             engine->make_key(cqe.peer_rank, sub.tag,
                              static_cast<matching_policy_t>(sub.policy));
-        // A plain packet goes into the engine as it is. A batch entry first
-        // looks for a waiting receive, which takes the payload where it
-        // lies, and otherwise moves into a packet of its own.
-        void* matched = batch ? engine->try_match_recv(key) : nullptr;
+        // Unless a receive is waiting, the entry waits in this packet as a
+        // record written over the header just parsed.
+        auto* kept = new (data - sizeof(kept_msg_t))
+            kept_msg_t{packet, sub.size, sub.tag};
+        void* matched =
+            engine->insert(key, kept, matching_engine_impl_t::type_t::send);
         if (matched == nullptr) {
-          packet_t* stored =
-              batch ? restage(runtime_->default_pool(), sub, data,
-                              cut ? 0 : sub.size)
-                    : packet;
-          stored->peer_rank = cqe.peer_rank;
-          stored->payload_size = sub.size;
-          stored->truncated = cut ? 1 : 0;
-          matched = engine->insert(key, stored,
-                                   matching_engine_impl_t::type_t::send);
-          // Unexpected: the engine keeps the entry, and a plain packet
-          // with it.
-          if (matched == nullptr) {
-            if (!batch) return;
-            continue;
-          }
-          // A receive was posted between the try_match_recv and the insert.
-          if (stored != packet) stored->pool->put(stored);
+          ++holds;
+          continue;
         }
         match_recv(runtime_, this, static_cast<recv_entry_t*>(matched),
-                   {msg_header_t::eager_send, cqe.peer_rank, sub.tag,
-                    cut ? nullptr : data, sub.size},
-                   /*signal=*/true);
+                   *kept, /*signal=*/true);
         continue;
       }
       case msg_header_t::eager_am: {
@@ -633,14 +594,12 @@ void device_impl_t::handle_eager(const net::cqe_t& cqe, net::device_t& ep) {
         if (packets_mode) {
           // Lend the payload in place (Sec. 3.3.1); the ref record written
           // over the entry's parsed header lets release_am_packet find the
-          // packet. Until the walker drops its reference, no release can
-          // return the packet, so the later lends need no ordering.
-          packet->refs.fetch_add(lent++ == 0 ? 2 : 1,
-                                 std::memory_order_relaxed);
+          // packet.
           const am_packet_ref_t ref{packet, am_packet_magic};
           std::memcpy(data - sizeof(ref), &ref, sizeof(ref));
           status.buffer = buffer_t{data, sub.size};
           comp->signal(status);
+          ++holds;
         } else {
           // Deliver in a plain buffer the upper layer frees with std::free.
           comp->signal_am(status, data, sub.size);
@@ -651,8 +610,6 @@ void device_impl_t::handle_eager(const net::cqe_t& cqe, net::device_t& ep) {
         throw fatal_error_t("corrupt message header");
     }
   }
-  if (lent == 0 || packet->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    repost(packet, ep);
 }
 
 bool device_impl_t::handle_cqe(const net::cqe_t& cqe, net::device_t& ep) {
@@ -661,9 +618,21 @@ bool device_impl_t::handle_cqe(const net::cqe_t& cqe, net::device_t& ep) {
       // Eager sends complete at posting time (the buffer was copied); the
       // CQE itself needs no action.
       return false;
-    case net::op_t::recv:
-      handle_recv(cqe, ep);
+    case net::op_t::recv: {
+      // The packet goes back once the dispatch and every hold it left are
+      // done with it, also when the dispatch throws: a refused message
+      // takes no hold, and what a walk kept before it stays kept.
+      auto* packet = static_cast<packet_t*>(cqe.user_context);
+      uint32_t holds = 0;
+      try {
+        handle_recv(cqe, holds);
+      } catch (...) {
+        repost(packet, holds, ep);
+        throw;
+      }
+      repost(packet, holds, ep);
       return true;
+    }
     case net::op_t::write:
     case net::op_t::read: {
       if (cqe.user_context == nullptr) return false;
@@ -778,6 +747,10 @@ bool device_impl_t::progress() {
   // here would put one contended cache line back on every thread's poll
   // path, which is the very sharing the shards exist to remove.
   net::cqe_t cqes[max_cq_poll_burst];
+  // The first exception a completion threw (a protocol error, a throwing
+  // completion handler). The rest of the burst is still handled, so no
+  // later message is lost with it; it is rethrown at the end.
+  std::exception_ptr error;
   const std::size_t n = shards_.size();
   std::size_t start = 0;
   if (n > 1) {
@@ -797,7 +770,7 @@ bool device_impl_t::progress() {
     if (shard.dispatching.load(std::memory_order_relaxed) ||
         shard.dispatching.exchange(true, std::memory_order_acquire))
       continue;
-    // Released on every exit: handle_cqe throws on protocol corruption.
+    // Released on every exit: poll_cq throws when a transport breaks.
     struct release_t {
       std::atomic<bool>& claim;
       ~release_t() { claim.store(false, std::memory_order_release); }
@@ -809,16 +782,21 @@ bool device_impl_t::progress() {
       // only what handle_cqe says (the old `|| cqe.op != send` term claimed
       // progress for no-op completions, defeating callers that spin until
       // quiescence).
-      advanced |= handle_cqe(cqes[i], ep);
+      try {
+        advanced |= handle_cqe(cqes[i], ep);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
     }
   }
   // (7) Keep the receive queue full. Consumed packets were reposted on
   // their own endpoint during dispatch; this refills from the pool what
-  // that could not (packets retained or lent out, reposts that missed).
+  // that could not (packets still held, reposts that missed).
   advanced |= replenish_preposts();
   if (traced)
     trace::hist_record(trace::hist_t::progress_poll,
                        trace::now_ns() - poll_start);
+  if (error) std::rethrow_exception(error);
   return advanced;
 }
 

@@ -291,9 +291,7 @@ void release_am_packet(const status_t& status) {
               sizeof(ref));
   assert(ref.magic == detail::am_packet_magic &&
          "release_am_packet: buffer was not delivered in packet mode");
-  if (ref.owner->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    ref.owner->pool->put(ref.owner);
-  }
+  detail::drop_hold(ref.owner);
 }
 
 rmr_t get_rmr(mr_t mr) {

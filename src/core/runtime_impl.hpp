@@ -518,17 +518,20 @@ class device_impl_t {
                 "descriptor line + dispatch-claim line");
 
   bool replenish_preposts();
-  // Returns a receive packet the dispatch is done with straight to `ep`, the
-  // shard endpoint it arrived on, while that shard is below its prepost
-  // budget; a try-lock miss, a full SRQ or a full budget sends it back to
-  // the pool instead, and replenish_preposts() covers what is missing.
-  void repost(packet_t* packet, net::device_t& ep);
+  // Adds the `holds` a dispatch left on a receive packet. If none remains
+  // (none was taken, or every holder dropped its hold already), returns the
+  // packet straight to `ep`, the shard endpoint it arrived on, while that
+  // shard is below its prepost budget; a try-lock miss, a full SRQ or a full
+  // budget sends it back to the pool instead, and replenish_preposts()
+  // covers what is missing.
+  void repost(packet_t* packet, uint32_t holds, net::device_t& ep);
   // Dispatch of one completion polled from `ep` (the shard endpoint it came
   // from, where consumed receive packets are reposted).
   bool handle_cqe(const net::cqe_t& cqe, net::device_t& ep);
-  void handle_recv(const net::cqe_t& cqe, net::device_t& ep);
+  // Both count in `holds` the holds a message leaves on its packet.
+  void handle_recv(const net::cqe_t& cqe, uint32_t& holds);
   // The one eager walk: every eager_send, eager_am and eager_batch packet.
-  void handle_eager(const net::cqe_t& cqe, net::device_t& ep);
+  void handle_eager(const net::cqe_t& cqe, uint32_t& holds);
   agg_slot_t& agg_slot(std::size_t shard, int rank) noexcept {
     return shards_[shard].agg_slots[static_cast<std::size_t>(rank)];
   }
@@ -798,28 +801,19 @@ void finish_failed_send(runtime_impl_t* runtime, rdv_send_t& send,
 void finish_failed_recv(runtime_impl_t* runtime, rdv_recv_t& recv,
                         errorcode_t code);
 
-// A message that met a posted receive in a matching engine: an eager
-// payload, or a request-to-send (RTS) whose data is its rts_payload_t.
-struct matched_msg_t {
-  uint8_t kind = msg_header_t::eager_send;  // eager_send or rts
-  int peer_rank = -1;
-  tag_t tag = 0;
-  const char* data = nullptr;  // eager: nullptr = arrived truncated
-  std::size_t size = 0;        // payload bytes as the sender sent them
-};
-
-// Finishes a receive entry that met a message; the eager walk, an arriving
-// RTS and post_receive all end here. Counts recv_matched and records the
-// match instant, then either completes the eager receive, signaling its comp
-// when `signal`, or moves the entry into the pending-receive table and sends
-// the RTR (backlogged when the network pushes back). Consumes the entry.
-// Returns what post_receive reports: the unsignaled eager completion, or
-// posted. A message that does not fit the receive, or arrived truncated,
-// completes it with fatal_truncated; a rendezvous refusal RTR
-// (mr == net::invalid_mr) makes the sender fail too.
+// Finishes a receive entry that met a message, in the form a matching
+// engine keeps it: an eager payload, or a request-to-send (RTS) whose data
+// is its rts_payload_t. The eager walk, an arriving RTS and post_receive all
+// end here. Counts recv_matched and records the match instant, then either
+// completes the eager receive, signaling its comp when `signal`, or moves
+// the entry into the pending-receive table and sends the RTR (backlogged
+// when the network pushes back). Consumes the entry. Returns what
+// post_receive reports: the unsignaled eager completion, or posted. A
+// message that does not fit the receive, or arrived truncated, completes it
+// with fatal_truncated; a rendezvous refusal RTR (mr == net::invalid_mr)
+// makes the sender fail too.
 status_t match_recv(runtime_impl_t* runtime, device_impl_t* device,
-                    recv_entry_t* entry, const matched_msg_t& msg,
-                    bool signal);
+                    recv_entry_t* entry, const kept_msg_t& msg, bool signal);
 
 // Builds the status delivered with a fatal completion and bumps comp_fatal
 // plus the per-code failure counter (ops_canceled / ops_timed_out /

@@ -369,15 +369,12 @@ void device_core_t::purge_dead() {
                   stalled.size);
   rnr_stash_.clear();
   rnr_depth_.store(0, std::memory_order_relaxed);
-  cqe_t sink[16];
-  while (pop_cqes(sink, 16) != 0) {
-  }
 }
 
 std::size_t device_core_t::poll_owned(cqe_t* out, std::size_t max) {
   if (fabric_->is_dead(rank_)) {
     purge_dead();
-    return 0;
+    return pop_cqes(out, max);
   }
   // One batch, two sources: local completions popped from the CQ, and
   // inbound messages delivered straight into out[]. The source that went

@@ -465,8 +465,10 @@ class device_core_t : public device_t {
   }
   // Counts an evaporated message and ends its wire span.
   void drop(const wire_msg_t& msg, int rank);
-  // Under the polling lock: a dead rank observes nothing, so everything
-  // queued at it evaporates.
+  // Under the polling lock: a dead rank observes nothing inbound, so
+  // everything queued at it evaporates. Its local completions still come
+  // back: a write or read it posted before it died carries a context only
+  // its completion returns to the owner.
   void purge_dead();
   std::size_t pop_cqes(cqe_t* out, std::size_t max);
 

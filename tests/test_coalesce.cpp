@@ -673,10 +673,9 @@ TEST(Coalesce, TruncatedBatchFailsTheCutSubMessage) {
   });
 }
 
-// An unexpected batch entry is re-staged into a packet of its own. A burst
-// of them several times larger than the receiver's free packets drains its
-// pool, and the rest are re-staged into heap packets, which put() frees when
-// their receives take them. Every payload still arrives intact and in
+// An unexpected batch entry waits in the batch packet it arrived in. A
+// burst of them many times larger than the receiver's free packets holds
+// only the packets of its batches. Every payload still arrives intact and in
 // per-tag order, and the pool ends where it began (ASan: nothing leaks).
 TEST(Coalesce, UnexpectedBurstPastADryPoolArrivesIntact) {
   constexpr int tags = 4;
@@ -745,6 +744,177 @@ TEST(Coalesce, UnexpectedBurstPastADryPoolArrivesIntact) {
     }
     lci::barrier();
     lci::pin_thread_shard(-1);
+    lci::g_runtime_fina();
+  });
+}
+
+// The same burst, counted before any receive is posted: however many of a
+// batch's entries wait, the batch holds one packet, so the receiver's pool
+// falls by at most the number of batches that arrived. Rank 1 counts once
+// every entry waits in its matching engine, then takes them all.
+TEST(Coalesce, UnexpectedBatchHoldsOnePacket) {
+  constexpr int tags = 4;
+  constexpr int per_tag = 24;  // 96 sends against 8 free packets
+  constexpr std::size_t size = 16;
+  const auto fill = [](int tag, int i, char* out) {
+    for (std::size_t k = 0; k < size; ++k)
+      out[k] = static_cast<char>(tag * 61 + i * 7 + static_cast<int>(k));
+  };
+  // 1: the receiver counted its pool; 2: it counted again at the end. The
+  // sender posts nothing before 1 and stays out of the barrier, whose
+  // message would wait in a receive packet, until 2.
+  std::atomic<int> stage{0};
+  lci::sim::spawn(2, [&](int rank) {
+    lci::runtime_attr_t attr = agg_attr();
+    attr.aggregation_flush_us = 1000000;  // full slots and flush() post
+    if (rank == 1) attr.npackets = 16;    // 8 pre-posted, 8 free
+    lci::g_runtime_init(attr);
+    lci::pin_thread_shard(0);  // one slot
+    lci::barrier();
+    if (rank == 0) {
+      while (stage.load(std::memory_order_acquire) < 1) lci::progress();
+      char out[size];
+      for (int i = 0; i < per_tag; ++i) {
+        for (int t = 0; t < tags; ++t) {
+          fill(t, i, out);
+          lci::status_t st;
+          while ((st = lci::post_send_x(1, out, size, t, {})
+                           .allow_aggregation(true)())
+                     .error.is_retry())
+            lci::progress();
+          EXPECT_TRUE(st.error.is_done());
+        }
+      }
+      lci::flush();
+      while (stage.load(std::memory_order_acquire) < 2) lci::progress();
+    } else {
+      lci::detail::runtime_impl_t* rt = lci::detail::resolve_runtime({});
+      lci::packet_pool_t pool;
+      pool.p = &rt->default_pool();
+      lci::matching_engine_t engine;
+      engine.p = &rt->default_engine();
+      // The barrier's last receive packet may still be on its way back to
+      // the receive queue; settle it before counting.
+      for (int i = 0; i < 10; ++i) lci::progress();
+      const std::size_t pooled_before = lci::get_attr(pool).pooled;
+      const uint64_t batches_before = lci::get_counters().recv_batches;
+      stage.store(1, std::memory_order_release);
+      while (lci::get_attr(engine).entries < tags * per_tag) lci::progress();
+      const uint64_t batches =
+          lci::get_counters().recv_batches - batches_before;
+      EXPECT_GE(batches, 2u);
+      EXPECT_LE(pooled_before - lci::get_attr(pool).pooled, batches);
+
+      lci::comp_t cq = lci::alloc_cq();
+      for (int t = 0; t < tags; ++t) {
+        for (int i = 0; i < per_tag; ++i) {
+          char in[size] = {};
+          const lci::status_t st = lci::post_recv(0, in, size, t, cq);
+          EXPECT_TRUE(st.error.is_done()) << t << "/" << i;
+          char expect[size];
+          fill(t, i, expect);
+          EXPECT_EQ(std::memcmp(in, expect, size), 0) << t << "/" << i;
+        }
+      }
+      EXPECT_EQ(lci::get_attr(engine).entries, 0u);
+      for (int i = 0; i < 10; ++i) lci::progress();
+      EXPECT_EQ(lci::get_attr(pool).pooled, pooled_before);
+      lci::free_comp(&cq);
+      stage.store(2, std::memory_order_release);
+    }
+    lci::barrier();
+    lci::pin_thread_shard(-1);
+    lci::g_runtime_fina();
+  });
+}
+
+// Receives posted by one thread race the walk of another over the same
+// batches: an entry is taken either by a waiting receive or, once it waits
+// in its batch packet, by a later one, possibly before the walk is done
+// with the packet. Each receive completes exactly once with its own
+// payload, and every batch packet goes back: the pool ends where it began.
+TEST(Coalesce, ReceivesRacingTheWalkMatchEachEntryOnce) {
+  constexpr int tags = 4;
+  constexpr int per_tag = 1000;
+  constexpr int total = tags * per_tag;
+  constexpr std::size_t size = 16;
+  const auto fill = [](int tag, int i, char* out) {
+    for (std::size_t k = 0; k < size; ++k)
+      out[k] = static_cast<char>(tag * 61 + i * 7 + static_cast<int>(k));
+  };
+  std::atomic<int> stage{0};  // as in UnexpectedBatchHoldsOnePacket
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(agg_attr());
+    lci::barrier();
+    if (rank == 0) {
+      while (stage.load(std::memory_order_acquire) < 1) lci::progress();
+      char out[size];
+      for (int i = 0; i < per_tag; ++i) {
+        for (int t = 0; t < tags; ++t) {
+          fill(t, i, out);
+          lci::status_t st;
+          while ((st = lci::post_send_x(1, out, size, t, {})
+                           .allow_aggregation(true)())
+                     .error.is_retry())
+            lci::progress();
+          EXPECT_TRUE(st.error.is_done());
+        }
+      }
+      flush_until_posted();
+      while (stage.load(std::memory_order_acquire) < 2) lci::progress();
+    } else {
+      lci::detail::runtime_impl_t* rt = lci::detail::resolve_runtime({});
+      lci::packet_pool_t pool;
+      pool.p = &rt->default_pool();
+      for (int i = 0; i < 10; ++i) lci::progress();
+      const std::size_t pooled_before = lci::get_attr(pool).pooled;
+      lci::comp_t cq = lci::alloc_cq();
+      std::vector<std::array<char, size>> in(total);
+      std::vector<int> completions(total, 0);
+      stage.store(1, std::memory_order_release);
+      // Every completion, an inline match included, comes through the queue.
+      std::thread poster([&, binding = lci::sim::current_binding()] {
+        lci::sim::scoped_binding_t bound(binding);
+        for (int i = 0; i < per_tag; ++i) {
+          for (int t = 0; t < tags; ++t) {
+            const int k = i * tags + t;
+            lci::status_t st;
+            while ((st = lci::post_recv_x(0, in[k].data(), size, t, cq)
+                             .allow_done(false)
+                             .user_context(&completions[k])())
+                       .error.is_retry()) {
+            }
+            EXPECT_TRUE(st.error.is_posted()) << t << "/" << i;
+          }
+        }
+      });
+      int completed = 0;
+      while (completed < total) {
+        lci::progress();
+        const lci::status_t st = lci::cq_pop(cq);
+        if (st.error.is_retry()) continue;
+        EXPECT_TRUE(st.error.is_done());
+        ++*static_cast<int*>(st.user_context);
+        ++completed;
+      }
+      poster.join();
+      for (int i = 0; i < per_tag; ++i) {
+        for (int t = 0; t < tags; ++t) {
+          const int k = i * tags + t;
+          EXPECT_EQ(completions[k], 1) << t << "/" << i;
+          char expect[size];
+          fill(t, i, expect);
+          EXPECT_EQ(std::memcmp(in[k].data(), expect, size), 0)
+              << t << "/" << i;
+        }
+      }
+      for (int i = 0; i < 10; ++i) lci::progress();
+      EXPECT_TRUE(lci::cq_pop(cq).error.is_retry());
+      EXPECT_EQ(lci::get_attr(pool).pooled, pooled_before);
+      lci::free_comp(&cq);
+      stage.store(2, std::memory_order_release);
+    }
+    lci::barrier();
     lci::g_runtime_fina();
   });
 }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/lci.hpp"
+#include "core/runtime_impl.hpp"
 
 namespace {
 
@@ -308,6 +309,81 @@ TEST(PeerDeath, FlushToDeadPeerFailsBufferedSubOpsOnce) {
       EXPECT_EQ(c.comp_fatal - base.comp_fatal,
                 static_cast<uint64_t>(buffered));
       lci::free_comp(&cq);
+    }
+    finished.fetch_add(1, std::memory_order_release);
+    while (finished.load(std::memory_order_acquire) < 2) {
+      lci::progress();
+      std::this_thread::yield();
+    }
+    lci::g_runtime_fina();
+  });
+}
+
+// The dead-peer purge lets go of the messages a dead peer left unexpected,
+// and of the packets they wait in. Rank 1 leaves a plain send, a batch of
+// three sends on distinct tags and a rendezvous send in rank 0's matching
+// engine, then dies through kill_peer. The purge empties the engine, and
+// every packet goes back: rank 0's pool ends where it began.
+TEST(PeerDeath, PurgeReturnsThePacketsOfKeptMessages) {
+  constexpr std::size_t kept = 5;          // 1 plain + 3 batched + 1 RTS
+  constexpr std::size_t rdv_size = 16384;  // past the eager threshold
+  std::atomic<int> stage{0};  // 1: rank 0 counted its pool; 2: rank 0 done
+  std::atomic<int> finished{0};
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(small_attr());
+    lci::barrier();
+    if (rank == 1) {
+      // One shard, so the three batched sends share one slot.
+      lci::pin_thread_shard(0);
+      while (stage.load(std::memory_order_acquire) < 1) lci::progress();
+      char word[8] = "kept";
+      while (lci::post_send(0, word, sizeof(word), 1, {}).error.is_retry())
+        lci::progress();
+      for (lci::tag_t tag = 2; tag <= 4; ++tag) {
+        while (lci::post_send_x(0, word, sizeof(word), tag, {})
+                   .allow_aggregation(true)()
+                   .error.is_retry())
+          lci::progress();
+      }
+      EXPECT_EQ(lci::flush(), 1u);
+      std::vector<char> big(rdv_size, 'r');
+      lci::comp_t cq = lci::alloc_cq();
+      lci::status_t ss;
+      while ((ss = lci::post_send(0, big.data(), rdv_size, 5, cq))
+                 .error.is_retry())
+        lci::progress();
+      EXPECT_TRUE(ss.error.is_posted());
+      // Rank 0 kills this rank: the handshake can never finish.
+      lci::status_t st;
+      do {
+        lci::progress();
+        st = lci::cq_pop(cq);
+      } while (st.error.is_retry());
+      EXPECT_EQ(st.error.code, lci::errorcode_t::fatal_peer_down);
+      while (stage.load(std::memory_order_acquire) < 2) {
+        lci::progress();
+        std::this_thread::yield();
+      }
+      lci::free_comp(&cq);
+      lci::pin_thread_shard(-1);
+    } else {
+      lci::detail::runtime_impl_t* rt = lci::detail::resolve_runtime({});
+      lci::packet_pool_t pool;
+      pool.p = &rt->default_pool();
+      lci::matching_engine_t engine;
+      engine.p = &rt->default_engine();
+      // The barrier's last receive packet may still be on its way back to
+      // the receive queue; settle it before counting.
+      for (int i = 0; i < 10; ++i) lci::progress();
+      const std::size_t pooled_before = lci::get_attr(pool).pooled;
+      stage.store(1, std::memory_order_release);
+      while (lci::get_attr(engine).entries < kept) lci::progress();
+      EXPECT_EQ(lci::get_attr(engine).entries, kept);
+      EXPECT_TRUE(lci::kill_peer(1));
+      for (int i = 0; i < 10; ++i) lci::progress();
+      EXPECT_EQ(lci::get_attr(engine).entries, 0u);
+      EXPECT_EQ(lci::get_attr(pool).pooled, pooled_before);
+      stage.store(2, std::memory_order_release);
     }
     finished.fetch_add(1, std::memory_order_release);
     while (finished.load(std::memory_order_acquire) < 2) {

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -519,6 +520,91 @@ TEST(RecvPath, UnknownBatchEntryKindIsRejected) {
       }
       EXPECT_TRUE(threw);
       stage.store(2, std::memory_order_release);
+    }
+    lci::barrier();
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&rcq);
+    lci::g_runtime_fina();
+  });
+}
+
+// A protocol error does not cost the rest of its burst. Rank 1 puts a batch
+// entry of an unknown kind on the wire below the runtime and then posts a
+// valid 8 B active message, while rank 0 does not progress, so one poll
+// returns both. Rank 0's progress() throws once, the active message still
+// arrives, and both receive packets go back: the pool ends where it began.
+TEST(RecvPath, ProtocolErrorKeepsTheRestOfItsBurst) {
+  // 1: rank 0 counted its pool; 2: both are sent; 3: rank 0 counted again.
+  // Until 3, rank 1 stays out of the barrier, whose message would otherwise
+  // wait in a receive packet of rank 0 while it counts.
+  std::atomic<int> stage{0};
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init();
+    lci::comp_t rcq = lci::alloc_cq();
+    const lci::rcomp_t rcomp = lci::register_rcomp(rcq);  // same id on both
+    lci::barrier();
+    if (rank == 1) {
+      // Both messages leave through shard 0 and land on rank 0's shard 0.
+      lci::pin_thread_shard(0);
+      struct {
+        lci::detail::msg_header_t header;
+        lci::detail::batch_sub_header_t sub;
+        uint64_t payload = 42;
+      } batch;
+      batch.header.kind = lci::detail::msg_header_t::eager_batch;
+      batch.sub.kind = 9;
+      batch.sub.size = sizeof(batch.payload);
+      batch.sub.tag = 5;
+      batch.sub.rcomp = rcomp;
+      lci::net::device_t& wire =
+          lci::detail::resolve_runtime({})->default_device().net(0);
+      while (stage.load(std::memory_order_acquire) < 1) lci::progress();
+      while (wire.post_send(0, &batch, sizeof(batch), 0, nullptr) !=
+             lci::net::post_result_t::ok)
+        lci::progress();
+      uint64_t word = 7;
+      while (lci::post_am_x(0, &word, sizeof(word), lci::comp_t{}, rcomp)
+                 .tag(6)()
+                 .error.is_retry())
+        lci::progress();
+      stage.store(2, std::memory_order_release);
+      while (stage.load(std::memory_order_acquire) < 3) lci::progress();
+      lci::pin_thread_shard(-1);
+    } else {
+      // The barrier's last receive packet may still be on its way back to
+      // the receive queue; settle it before counting.
+      for (int i = 0; i < 10; ++i) lci::progress();
+      lci::packet_pool_t pool;
+      pool.p = &lci::detail::resolve_runtime({})->default_pool();
+      const std::size_t pooled_before = lci::get_attr(pool).pooled;
+      stage.store(1, std::memory_order_release);
+      while (stage.load(std::memory_order_acquire) < 2)
+        std::this_thread::yield();
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(1);
+      int throws = 0;
+      int ams = 0;
+      while (ams == 0 && std::chrono::steady_clock::now() < deadline) {
+        try {
+          lci::progress();
+        } catch (const lci::fatal_error_t&) {
+          ++throws;
+        }
+        const lci::status_t st = lci::cq_pop(rcq);
+        if (st.error.is_done()) {
+          ++ams;
+          EXPECT_EQ(st.tag, 6u);
+          uint64_t word = 0;
+          std::memcpy(&word, st.buffer.base, sizeof(word));
+          EXPECT_EQ(word, 7u);
+          std::free(st.buffer.base);
+        }
+      }
+      EXPECT_EQ(throws, 1);
+      EXPECT_EQ(ams, 1);
+      for (int i = 0; i < 10; ++i) lci::progress();
+      EXPECT_EQ(lci::get_attr(pool).pooled, pooled_before);
+      stage.store(3, std::memory_order_release);
     }
     lci::barrier();
     lci::deregister_rcomp(rcomp);
