@@ -12,10 +12,17 @@
 // deques, ~800 Mops at 128 threads), matching engine scales well (per-bucket
 // locks, ~260 Mops), completion queue saturates early (shared fetch-and-add,
 // ~18 Mops) — i.e. one pool/engine per process suffices, while throughput-
-// hungry applications need multiple completion queues.
+// hungry applications need multiple completion queues. Here a completion
+// queue keeps one lane per signaling thread (core/comp_impl.hpp), so a
+// thread that pushes and then pops stays in its own lane; the cross cells
+// keep a queue whose every entry moves to another core.
 //
 // Cells are (resource, variant, threads):
-//   cq          lcrq | array     both completion-queue types (Sec. 4.1.4);
+//   cq          lcrq | array     both completion-queue types (Sec. 4.1.4),
+//                                each worker pushing to and popping from
+//                                one shared queue;
+//               lcrq_cross |     the same types, queue t signaled by worker
+//               array_cross      t and popped by worker (t+1) mod T;
 //   matching    65536 | 64       the paper's table vs a tiny one (buckets);
 //   packet_pool local | stealing get/put on the caller's deque vs a packet
 //                                handed through a shared stash first, so a
@@ -25,6 +32,7 @@
 // passes, in millions of op pairs per second.
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,10 +40,12 @@
 #include "core/comp_impl.hpp"
 #include "core/matching.hpp"
 #include "core/packet.hpp"
+#include "util/backoff.hpp"
 #include "util/mpmc_ring.hpp"
 
 namespace {
 
+using cq_t = lci::detail::cq_impl_t;
 using lci::detail::packet_pool_impl_t;
 using lci::detail::packet_t;
 using matching_t = lci::detail::matching_engine_impl_t;
@@ -68,12 +78,13 @@ int main() {
   const std::vector<int> thread_counts =
       bench::pow2_up_to(bench::max_threads());
   std::printf(
-      "# Fig.5 reproduction: individual resource throughput, one shared\n"
-      "# instance, %ld op pairs per thread per pass, median [q1, q3] of %d\n"
-      "# passes after a warm-up\n",
+      "# Fig.5 reproduction: individual resource throughput, one instance\n"
+      "# shared by the workers (the cq cross cells: one queue per worker),\n"
+      "# %ld op pairs per thread per pass, median [q1, q3] of %d passes\n"
+      "# after a warm-up\n",
       ops, bench::timed_passes);
   bench::print_header("Individual resources",
-                      "resource     variant     threads   Mops/s  [q1, q3]");
+                      "resource     variant      threads   Mops/s  [q1, q3]");
   bench::json_report_t report("fig5_resources");
   bool clock_ok = true;
 
@@ -98,7 +109,7 @@ int main() {
     std::sort(mops.begin(), mops.end());
     const double q1 = quantile(mops, 0.25), median = quantile(mops, 0.5),
                  q3 = quantile(mops, 0.75);
-    std::printf("%-11s  %-10s  %7d  %7.2f  [%.2f, %.2f]\n", resource,
+    std::printf("%-11s  %-11s  %7d  %7.2f  [%.2f, %.2f]\n", resource,
                 variant.c_str(), threads, median, q1, q3);
     std::fflush(stdout);
     report.row()
@@ -111,18 +122,38 @@ int main() {
   };
 
   for (const auto type : {lci::cq_type_t::lcrq, lci::cq_type_t::array}) {
+    const std::string name = type == lci::cq_type_t::lcrq ? "lcrq" : "array";
     for (const int threads : thread_counts) {
-      lci::detail::cq_impl_t cq(type, 65536);
-      cell("cq", type == lci::cq_type_t::lcrq ? "lcrq" : "array", threads,
-           [&](int) {
-             const lci::status_t status;
-             lci::status_t out;
-             for (long i = 0; i < ops; ++i) {
-               cq.signal(status);
-               while (!cq.pop(&out)) {
-               }
-             }
-           });
+      cq_t cq(type, 65536);
+      cell("cq", name, threads, [&](int) {
+        const lci::status_t status;
+        lci::status_t out;
+        for (long i = 0; i < ops; ++i) {
+          cq.signal(status);
+          while (!cq.pop(&out)) {
+          }
+        }
+      });
+    }
+    for (const int threads : thread_counts) {
+      // A worker signals before it waits, so no queue holds more than T
+      // entries and the ring cannot stall. The wait backs off to a yield,
+      // so at more threads than cores a waiting worker gives its core to
+      // the one it waits for.
+      std::vector<std::unique_ptr<cq_t>> cqs;
+      for (int t = 0; t < threads; ++t)
+        cqs.push_back(std::make_unique<cq_t>(type, 65536));
+      cell("cq", name + "_cross", threads, [&](int t) {
+        cq_t& mine = *cqs[t];
+        cq_t& from = *cqs[(t + threads - 1) % threads];
+        const lci::status_t status;
+        lci::status_t out;
+        for (long i = 0; i < ops; ++i) {
+          mine.signal(status);
+          lci::util::backoff_t backoff;
+          while (!from.pop(&out)) backoff.spin();
+        }
+      });
     }
   }
 

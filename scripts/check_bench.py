@@ -205,43 +205,65 @@ def check_single_thread_agg_invariant(results, tolerance=0.15):
 
 
 def check_recv_path_invariant(results, floor):
-    """fig3 absolute-floor invariant from the lock-free receive-path work:
-    the best non-aggregated lci rate at 8 threads, across all mode/lock-model
-    configurations, must clear `floor` Mmsg/s (default 1.0527 = the 0.915
-    pre-sharding baseline + the 15% the shard-steered matching engine,
-    MPSC completion queues, and sharded packet pools bought), and that best
-    row must report retry_lock == 0 — the receive path took every completion
-    and packet without once spinning on a device lock. Best-of-any-config
-    (like the aggregation invariant) because which configuration peaks on an
-    oversubscribed CI host varies run to run, but *some* config clearing the
-    floor is stable; the CI job merges two passes best-per-row first."""
-    best = None
+    """fig3 invariant from the lock-free receive-path work, over the
+    8-thread non-aggregated lci rows:
+
+    * floor: the best rate across every mode/lock-model configuration must
+      clear `floor` Mmsg/s (default 1.0527 = the 0.915 pre-sharding baseline
+      + the 15% the shard-steered matching engine, MPSC completion queues,
+      and sharded packet pools bought). Best-of-any-config (like the
+      aggregation invariant) because which configuration peaks on an
+      oversubscribed CI host varies run to run, but *some* config clearing
+      the floor is stable.
+    * lock: the best *dedicated*-mode row must report retry_lock == 0.
+      There each thread owns its device, so a device-lock retry means the
+      design broke. Shared-mode rows are not checked: retry_lock counts
+      post-side try-lock misses, and threads sharing one device always
+      take some.
+
+    The CI job merges two passes best-per-row first (retry_lock
+    worst-case)."""
+    best, best_dedicated = None, None
     for row in results.get("rows", []):
         if row.get("backend") != "lci" or row.get("aggregation", 0) != 0 or \
            row.get("threads", 0) != 8:
             continue
-        if best is None or \
-           row.get("mmsg_per_sec", 0.0) > best.get("mmsg_per_sec", 0.0):
+        rate = row.get("mmsg_per_sec", 0.0)
+        if best is None or rate > best.get("mmsg_per_sec", 0.0):
             best = row
+        if row.get("mode") == "dedicated" and (
+                best_dedicated is None or
+                rate > best_dedicated.get("mmsg_per_sec", 0.0)):
+            best_dedicated = row
     if best is None:
         return [], ("recv-path invariant: no 8-thread non-aggregated lci "
                     "rows (nothing to check)")
+
+    def describe(row):
+        return (f"{row.get('mode')}/{row.get('lock_model')} @ 8 threads: "
+                f"{row.get('mmsg_per_sec', 0.0):.4f} Mmsg/s, "
+                f"retry_lock={row.get('retry_lock', 0)}")
+
     rate = best.get("mmsg_per_sec", 0.0)
-    desc = (f"{best.get('mode')}/{best.get('lock_model')} @ 8 threads: "
-            f"{rate:.4f} Mmsg/s, retry_lock={best.get('retry_lock', 0)}")
     failures = []
     if rate < floor:
         failures.append(
             f"fig3 recv-path floor violated: best 8-thread non-aggregated "
-            f"lci rate {rate:.4f} < {floor:.4f} Mmsg/s ({desc})")
-    if best.get("retry_lock", 0) != 0:
+            f"lci rate {rate:.4f} < {floor:.4f} Mmsg/s ({describe(best)})")
+    if best_dedicated is not None and best_dedicated.get("retry_lock", 0):
         failures.append(
             f"fig3 recv-path lock invariant violated: best 8-thread "
-            f"non-aggregated lci row took {best.get('retry_lock')} device-"
-            f"lock retries; the receive path must be lock-free ({desc})")
+            f"non-aggregated dedicated lci row took "
+            f"{best_dedicated.get('retry_lock')} device-lock retries; a "
+            f"thread's own device must never spin on its lock "
+            f"({describe(best_dedicated)})")
     if failures:
         return failures, None
-    return [], f"recv-path invariant holds: {desc} >= {floor:.4f}"
+    lock_note = (f"; lock-free on {describe(best_dedicated)}"
+                 if best_dedicated is not None else
+                 "; no dedicated rows (lock check skipped)")
+    return [], (f"recv-path invariant holds: {describe(best)} >= "
+                f"{floor:.4f}{lock_note}")
 
 
 def check_reg_cache_invariant(results_dirs, min_rate):
@@ -450,8 +472,9 @@ def self_test():
     """Exercises the gate logic on synthetic reports: a clean pass, a 50%
     regression (must fail), a broken aggregation invariant (must fail), a
     4->8 thread cliff (must fail), a 1-thread aggregation penalty (must
-    fail), the recv-path floor (sub-floor 8-thread rate fails, nonzero
-    retry_lock fails), and the registration-cache hit-rate invariant
+    fail), the recv-path floor (sub-floor 8-thread rate fails; nonzero
+    retry_lock fails on the best dedicated row and passes on a faster
+    shared row), and the registration-cache hit-rate invariant
     (healthy 15/16 passes, cold-every-time 5/16 fails; eager rows with zero
     registrations are exempt)."""
     import tempfile
@@ -462,14 +485,20 @@ def self_test():
                        "rows": rows}, f)
 
     # lci non-aggregated at 1.2 Mmsg/s clears the recv-path floor (1.0527)
-    # and keeps the lci+agg/lci ratio at 2.5/1.2 ~ 2.08 >= the 2.0 gate;
-    # rows deliberately omit retry_lock to prove absence reads as zero.
+    # and keeps the lci+agg/lci ratio at 2.5/1.2 ~ 2.08 >= the 2.0 gate, in
+    # both modes; rows deliberately omit retry_lock to prove absence reads
+    # as zero.
     fig3_rows = [
-        {"mode": "shared", "lock_model": "ibv", "threads": t,
+        {"mode": m, "lock_model": "ibv", "threads": t,
          "backend": b, "aggregation": a, "msg_size": 8, "mmsg_per_sec": r}
+        for m in ("shared", "dedicated")
         for t in (1, 4, 8)
         for b, a, r in (("lci", 0, 1.2), ("lci", 1, 2.5), ("mpi", 0, 0.4))
     ]
+
+    def is_lci_8(r, mode):
+        return r["mode"] == mode and r["backend"] == "lci" and \
+            r["aggregation"] == 0 and r["threads"] == 8
     fig2_rows = [{"procs_per_node": p, "backend": "lci", "aggregation": 0,
                   "msg_size": 8, "mmsg_per_sec": 0.5} for p in (1, 2)]
     lat_rows = [{"backend": "lci", "median_us": 3.0, "p99_us": 10.0}]
@@ -482,6 +511,7 @@ def self_test():
          tempfile.TemporaryDirectory() as agg1, \
          tempfile.TemporaryDirectory() as slowrecv, \
          tempfile.TemporaryDirectory() as locked, \
+         tempfile.TemporaryDirectory() as shared_retries, \
          tempfile.TemporaryDirectory() as retired:
         for d in (base, good):
             write(d, "fig2_msgrate_process", fig2_rows)
@@ -537,15 +567,22 @@ def self_test():
                for r in fig3_rows])
         write(slowrecv, "latency", lat_rows)
 
-        # Rates are healthy but the best 8-thread row took device-lock
-        # retries: the lock-free invariant alone must fail the gate.
+        # Rates are healthy but the best 8-thread dedicated row took
+        # device-lock retries: the lock invariant alone must fail the gate.
         write(locked, "fig2_msgrate_process", fig2_rows)
         write(locked, "fig3_msgrate_thread",
-              [dict(r, retry_lock=7)
-               if r["backend"] == "lci" and r["aggregation"] == 0
-               and r["threads"] == 8 else r
+              [dict(r, retry_lock=7) if is_lci_8(r, "dedicated") else r
                for r in fig3_rows])
         write(locked, "latency", lat_rows)
+
+        # The fastest 8-thread row is a shared one with try-lock retries,
+        # which shared threads always take; the dedicated rows have none.
+        write(shared_retries, "fig2_msgrate_process", fig2_rows)
+        write(shared_retries, "fig3_msgrate_thread",
+              [dict(r, mmsg_per_sec=1.3, retry_lock=7)
+               if is_lci_8(r, "shared") else r
+               for r in fig3_rows])
+        write(shared_retries, "latency", lat_rows)
 
         # A baseline whose fig3 rows carry route_cache_hits, a measurement
         # the bench no longer writes, at twice the results' rates: the rows
@@ -579,8 +616,12 @@ def self_test():
         print("== self-test: sub-floor recv-path rate must fail")
         assert run_check(base, [slowrecv], 0.10, 0.35, 2.0) == 1
 
-        print("== self-test: nonzero retry_lock on the best row must fail")
+        print("== self-test: nonzero retry_lock on the best dedicated row "
+              "must fail")
         assert run_check(base, [locked], 0.10, 0.35, 2.0) == 1
+
+        print("== self-test: a fastest shared row with retries must pass")
+        assert run_check(base, [shared_retries], 0.10, 0.35, 2.0) == 0
 
         print("== self-test: one good run among the merged set must pass")
         assert run_check(base, [bad, good], 0.10, 0.35, 2.0) == 0

@@ -6,13 +6,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/lci.hpp"
+#include "util/cacheline.hpp"
 #include "util/lcrq.hpp"
 #include "util/mpmc_ring.hpp"
+#include "util/thread.hpp"
 
 namespace lci::detail {
 
@@ -71,32 +73,61 @@ class handler_impl_t final : public comp_impl_t {
 };
 
 // Completion queue: two implementations selectable per paper Sec. 4.1.4 —
-// the LCRQ-based unbounded queue (default) and a fixed-size array ring. The
-// array variant blocks (spin+yield) when full: a signal must never be lost.
+// the LCRQ-style unbounded queue (default; util/lcrq.hpp, a chain of rings
+// that doubles when full) and a fixed-size array ring (util/mpmc_ring.hpp).
+// Both claim cells with compare-exchange.
+//
+// Lanes. The queue is split into up to `lane_count` lanes, each a queue of
+// the CQ's type. A signal goes into lane `util::thread_id() % lane_count`,
+// so a thread that runs progress() and then pops, as an AMT worker does,
+// pops what it pushed without a cache line leaving its core. pop() tries the
+// caller's own lane first, then every other built lane from a per-thread
+// rotating start, so no lane starves; it reports empty only after every
+// built lane read empty, and an empty check is loads only. A lane is built
+// the first time a thread maps to it and is published with a CAS. The first
+// lane built lives inside the CQ, and while it is the only one pop() reads
+// it directly, so a CQ that one thread signals pays what a single queue did.
+// An array CQ's `capacity` bounds each lane: a signal into a full lane spins
+// until a pop makes room, so a signal is never lost.
+//
+// Ordering: one thread's signals reach any single consumer in signal order
+// (an lcrq lane that two signaling threads share, their ids equal modulo
+// lane_count, can reorder them across a segment it grows; util/lcrq.hpp).
+// Nothing is promised across signaling threads (Sec. 3.3.2).
 //
 // An eager AM of at most `inline_am_max` bytes travels inside its queue
 // entry, and pop() allocates the std::free buffer on the popping thread: a
 // consumer that frees right after popping hands the chunk back to its own
 // thread's malloc cache, where the next pop finds it. A larger AM's buffer
 // (allocated by signal_am, or handed over by signal_owned_am) is owned by
-// the queue until it is popped, so freeing a queue with unpopped AMs leaks
-// nothing.
+// the queue until it is popped, so freeing a queue with unpopped AMs, in any
+// lane, leaks nothing.
 class cq_impl_t final : public comp_impl_t {
  public:
   static constexpr std::size_t inline_am_max = 16;
+  // Eight lane pointers fill one cache line, which a scan reads; eight also
+  // gives every signaling thread of the shapes measured here its own lane
+  // (fig3 and fig5 sweep to 8 threads, perfbench runs 2 per rank), while a
+  // CQ holds at most eight queues. A power of two, so the index is a mask.
+  static constexpr std::size_t lane_count = 8;
 
   explicit cq_impl_t(cq_type_t type, std::size_t capacity)
-      : comp_impl_t(kind_t::cq), type_(type) {
-    if (type_ == cq_type_t::lcrq) {
-      lcrq_ = std::make_unique<util::lcrq_t<entry_t>>(1024);
-    } else {
-      ring_ = std::make_unique<util::mpmc_ring_t<entry_t>>(capacity);
-    }
-  }
+      : comp_impl_t(kind_t::cq),
+        type_(type),
+        capacity_(capacity),
+        first_(type, capacity) {}
+  // lanes_ points into this object (first_).
+  cq_impl_t(const cq_impl_t&) = delete;
+  cq_impl_t& operator=(const cq_impl_t&) = delete;
 
   ~cq_impl_t() override {
-    while (auto entry = try_pop())
-      if (entry->holds == holds_t::owned_am) std::free(entry->ref.base);
+    for (std::atomic<lane_t*>& slot : lanes_) {
+      lane_t* lane = slot.load(std::memory_order_acquire);
+      if (lane == nullptr) continue;
+      while (auto entry = lane->try_pop())
+        if (entry->holds == holds_t::owned_am) std::free(entry->ref.base);
+      if (lane != &first_) delete lane;
+    }
   }
 
   void signal(const status_t& status) override {
@@ -179,22 +210,98 @@ class cq_impl_t final : public comp_impl_t {
   };
   static_assert(sizeof(entry_t) == sizeof(status_t));
 
-  void push(const entry_t& entry) {
-    if (type_ == cq_type_t::lcrq) {
-      lcrq_->push(entry);
-    } else {
+  // One lane: a queue of the CQ's type.
+  class lane_t {
+   public:
+    lane_t(cq_type_t type, std::size_t capacity) {
+      if (type == cq_type_t::lcrq) {
+        lcrq_.emplace(1024);
+      } else {
+        ring_.emplace(capacity);
+      }
+    }
+
+    void push(const entry_t& entry) {
+      if (lcrq_) {
+        lcrq_->push(entry);
+        return;
+      }
       util::backoff_t backoff;
       while (!ring_->try_push(entry)) backoff.spin();
     }
+
+    std::optional<entry_t> try_pop() {
+      return lcrq_ ? lcrq_->try_pop() : ring_->try_pop();
+    }
+
+   private:
+    std::optional<util::lcrq_t<entry_t>> lcrq_;
+    std::optional<util::mpmc_ring_t<entry_t>> ring_;
+  };
+
+  static std::size_t own_lane() noexcept {
+    return util::thread_id() & (lane_count - 1);
+  }
+
+  // Inlined into each signal: a call here cost a one-thread CQ about 8% of
+  // its push/pop rate (fig5's 1-thread array cell).
+  [[gnu::always_inline]] void push(const entry_t& entry) {
+    const std::size_t index = own_lane();
+    lane_t* lane = lanes_[index].load(std::memory_order_acquire);
+    if (lane == nullptr) [[unlikely]]
+      lane = build_lane(index);
+    lane->push(entry);
   }
 
   std::optional<entry_t> try_pop() {
-    return type_ == cq_type_t::lcrq ? lcrq_->try_pop() : ring_->try_pop();
+    // While the inline lane is the only one, every entry is in it.
+    if (!many_lanes_.load(std::memory_order_acquire)) return first_.try_pop();
+    const std::size_t own = own_lane();
+    if (lane_t* lane = lanes_[own].load(std::memory_order_acquire)) {
+      if (auto entry = lane->try_pop()) return entry;
+    }
+    static thread_local std::size_t rotor = 0;
+    const std::size_t start = rotor++;
+    for (std::size_t k = 0; k < lane_count; ++k) {
+      const std::size_t index = (start + k) & (lane_count - 1);
+      if (index == own) continue;
+      if (lane_t* lane = lanes_[index].load(std::memory_order_acquire)) {
+        if (auto entry = lane->try_pop()) return entry;
+      }
+    }
+    return std::nullopt;
+  }
+
+  // Publishes a lane at `index` and returns the lane there. The first lane
+  // built is the inline one; a thread that loses the race for `index`
+  // hands it back, or frees the lane it built.
+  [[gnu::noinline]] lane_t* build_lane(std::size_t index) {
+    const bool take_first =
+        !first_taken_.exchange(true, std::memory_order_acq_rel);
+    lane_t* fresh = take_first ? &first_ : new lane_t(type_, capacity_);
+    lane_t* built = nullptr;
+    if (!lanes_[index].compare_exchange_strong(built, fresh,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire)) {
+      if (take_first) {
+        first_taken_.store(false, std::memory_order_release);
+      } else {
+        delete fresh;
+      }
+      return built;
+    }
+    if (!take_first) many_lanes_.store(true, std::memory_order_release);
+    return fresh;
   }
 
   const cq_type_t type_;
-  std::unique_ptr<util::lcrq_t<entry_t>> lcrq_;
-  std::unique_ptr<util::mpmc_ring_t<entry_t>> ring_;
+  const std::size_t capacity_;
+  // The lane of each index, or null until a thread maps to it; read by
+  // every push and by a pop once many_lanes_ is set.
+  alignas(util::cache_line_size) std::atomic<lane_t*> lanes_[lane_count] = {};
+  std::atomic<bool> first_taken_{false};
+  std::atomic<bool> many_lanes_{false};  // a lane other than first_ exists
+  lane_t first_;
 };
 
 // Synchronizer: similar to an MPI request but accepts `threshold` signals

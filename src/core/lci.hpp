@@ -571,8 +571,9 @@ class alloc_device_x {
   bool auto_progress_ = false;
 };
 
-// Picks the queue implementation (Sec. 4.1.4: LCRQ or FAA array) and its
-// capacity (0 = 65536).
+// Picks the queue implementation of each of the CQ's lanes, one per
+// signaling thread (Sec. 4.1.4: an LCRQ-style chain of rings or one bounded
+// array ring), and the array's capacity per lane (0 = 65536).
 class alloc_cq_x {
  public:
   alloc_cq_x() = default;

@@ -14,9 +14,13 @@
 //    segment: consumers scan the chain from the first segment, so no element
 //    is ever stranded.
 //
-// FIFO order is maintained per segment but not across segments under
-// contention; LCI's completion queues do not promise inter-thread ordering
-// (out-of-order delivery is part of the interface contract, Sec. 3.3.2).
+// FIFO order is maintained per segment. With one producer (a
+// completion-queue lane) it holds across segments too, since that producer
+// fills a segment before it links the next. With several, a producer that
+// read a stale tail can land a value in a segment that already has a
+// successor, so values may be reordered across the boundary; LCI's
+// completion queues do not promise inter-thread ordering (out-of-order
+// delivery is part of the interface contract, Sec. 3.3.2).
 #pragma once
 
 #include <atomic>
@@ -72,11 +76,16 @@ class lcrq_t {
   }
 
   // Non-blocking pop; scans the segment chain from the head so a value pushed
-  // into an earlier (stale-tail) segment is still found.
+  // into an earlier (stale-tail) segment is still found. A segment's
+  // successor is read before the segment is tried: a lone producer links it
+  // only after its pushes into the segment landed, so a segment found empty
+  // after that read holds none of its earlier values, and its values come
+  // out in push order.
   std::optional<T> try_pop() {
-    for (node_t* node = head_; node != nullptr;
-         node = node->next.load(std::memory_order_acquire)) {
+    for (node_t* node = head_; node != nullptr;) {
+      node_t* const next = node->next.load(std::memory_order_acquire);
       if (auto value = node->ring.try_pop()) return value;
+      node = next;
     }
     return std::nullopt;
   }

@@ -1,20 +1,26 @@
 // Completion-object tests (paper Sec. 3.2.5 / 4.1.4): handler, completion
-// queue (both implementations), synchronizer, completion graph, the
-// remote-completion registry, and active-message delivery into each kind.
+// queue (both implementations and their lanes), synchronizer, completion
+// graph, the remote-completion registry, and active-message delivery into
+// each kind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <iterator>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "core/comp_impl.hpp"
 #include "core/lci.hpp"
 #include "core/packet.hpp"
+#include "util/thread.hpp"
 
 namespace {
 
@@ -51,6 +57,52 @@ TEST(Handler, RunsInline) {
     lci::free_comp(&handler);
     EXPECT_FALSE(handler.is_valid());
   });
+}
+
+// A completion queue puts a signal into the lane of its thread,
+// util::thread_id() % lane_count. Thread ids are handed out in creation
+// order, so a few threads started in a row draw different lanes.
+std::size_t lane_of_this_thread() {
+  return lci::util::thread_id() % lci::detail::cq_impl_t::lane_count;
+}
+
+// Starts a thread that runs fn once `go` is ready, on a lane that no entry
+// of `taken` names, and adds that lane to `taken`. A thread that draws a
+// taken lane returns at once and another one is started.
+std::thread start_on_own_lane(std::vector<std::size_t>& taken,
+                              std::shared_future<void> go,
+                              std::function<void()> fn) {
+  while (true) {
+    std::promise<std::size_t> lane;
+    std::future<std::size_t> drawn = lane.get_future();
+    std::promise<bool> keep;
+    std::thread thread([lane = std::move(lane), kept = keep.get_future(), go,
+                        fn]() mutable {
+      lane.set_value(lane_of_this_thread());
+      if (!kept.get()) return;
+      go.wait();
+      fn();
+    });
+    const std::size_t got = drawn.get();
+    const bool fresh =
+        std::find(taken.begin(), taken.end(), got) == taken.end();
+    keep.set_value(fresh);
+    if (fresh) {
+      taken.push_back(got);
+      return thread;
+    }
+    thread.join();
+  }
+}
+
+// Runs fn to its end on a thread whose lane no entry of `taken` names.
+void run_on_own_lane(std::vector<std::size_t>& taken,
+                     std::function<void()> fn) {
+  std::promise<void> go;
+  std::thread thread =
+      start_on_own_lane(taken, go.get_future().share(), std::move(fn));
+  go.set_value();
+  thread.join();
 }
 
 class CqType : public ::testing::TestWithParam<lci::cq_type_t> {};
@@ -114,6 +166,102 @@ TEST_P(CqType, ConcurrentProducersConsumers) {
     for (auto& th : threads) th.join();
     EXPECT_EQ(rank_sum.load(),
               static_cast<long>(producers) * per * (per + 1) / 2);
+    lci::free_comp(&cq);
+  });
+}
+
+// An entry whose thread never pops is popped by a thread whose own lane ran
+// dry first.
+TEST_P(CqType, AnotherThreadPopsWhatItsSignalerNeverPops) {
+  with_runtime([&] {
+    lci::comp_t cq = lci::alloc_cq_x().type(GetParam()).capacity(1024)();
+    std::vector<std::size_t> taken{lane_of_this_thread()};
+    run_on_own_lane(taken, [&] { lci::comp_signal(cq, make_status(1, 11)); });
+    lci::comp_signal(cq, make_status(0, 10));  // into this thread's lane
+    const lci::status_t own = lci::cq_pop(cq);
+    ASSERT_TRUE(own.error.is_done());
+    EXPECT_EQ(own.rank, 0);
+    const lci::status_t other = lci::cq_pop(cq);
+    ASSERT_TRUE(other.error.is_done());
+    EXPECT_EQ(other.rank, 1);
+    EXPECT_EQ(other.tag, 11u);
+    EXPECT_TRUE(lci::cq_pop(cq).error.is_retry());
+    lci::free_comp(&cq);
+  });
+}
+
+// A thread that never signaled finds other lanes' entries on its first
+// pops, whether one lane or several hold them: retry means every lane is
+// empty.
+TEST_P(CqType, ThreadThatNeverSignaledSeesEveryLane) {
+  with_runtime([&] {
+    lci::comp_t cq = lci::alloc_cq_x().type(GetParam()).capacity(1024)();
+    std::vector<std::size_t> taken{lane_of_this_thread()};
+    run_on_own_lane(taken, [&] { lci::comp_signal(cq, make_status(1, 1)); });
+    const lci::status_t only = lci::cq_pop(cq);
+    ASSERT_TRUE(only.error.is_done());
+    EXPECT_EQ(only.rank, 1);
+    EXPECT_TRUE(lci::cq_pop(cq).error.is_retry());
+    // The first lane is empty now; two more hold an entry each.
+    for (const int rank : {2, 3}) {
+      run_on_own_lane(taken, [&] {
+        lci::comp_signal(cq, make_status(rank, static_cast<lci::tag_t>(rank)));
+      });
+    }
+    int rank_sum = 0;
+    for (int k = 0; k < 2; ++k) {
+      const lci::status_t s = lci::cq_pop(cq);
+      ASSERT_TRUE(s.error.is_done()) << "pop " << k;
+      rank_sum += s.rank;
+    }
+    EXPECT_EQ(rank_sum, 5);
+    EXPECT_TRUE(lci::cq_pop(cq).error.is_retry());
+    lci::free_comp(&cq);
+  });
+}
+
+// Four threads signal into lanes of their own while one thread pops: it
+// gets every entry exactly once, and each thread's entries in signal order.
+TEST_P(CqType, OneConsumerGetsEachSignalersEntriesOnceInOrder) {
+  constexpr int signalers = 4;
+  constexpr lci::tag_t per = 5000;
+  with_runtime([&] {
+    // An array lane holds all of its thread's entries: no signal waits.
+    lci::comp_t cq = lci::alloc_cq_x().type(GetParam()).capacity(per)();
+    std::vector<std::size_t> taken{lane_of_this_thread()};
+    std::promise<void> go;
+    const std::shared_future<void> started = go.get_future().share();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < signalers; ++t) {
+      threads.push_back(start_on_own_lane(taken, started, [&, t] {
+        for (lci::tag_t seq = 0; seq < per; ++seq)
+          lci::comp_signal(cq, make_status(t, seq));
+      }));
+    }
+    go.set_value();
+    std::vector<long> last(signalers, -1);
+    long popped = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (popped < signalers * long{per} &&
+           std::chrono::steady_clock::now() < deadline) {
+      const lci::status_t s = lci::cq_pop(cq);
+      if (!s.error.is_done()) continue;
+      ++popped;
+      if (s.rank < 0 || s.rank >= signalers) {
+        ADD_FAILURE() << "unexpected rank " << s.rank;
+        continue;
+      }
+      EXPECT_LT(last[s.rank], static_cast<long>(s.tag))
+          << "thread " << s.rank << ": " << s.tag << " after "
+          << last[s.rank];
+      last[s.rank] = s.tag;
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(popped, signalers * long{per});
+    for (int t = 0; t < signalers; ++t)
+      EXPECT_EQ(last[t], long{per} - 1) << "thread " << t;
+    EXPECT_TRUE(lci::cq_pop(cq).error.is_retry());
     lci::free_comp(&cq);
   });
 }
@@ -502,6 +650,50 @@ TEST(AmDelivery, FreeingCqReleasesUnpoppedAms) {
     lci::barrier();
     lci::deregister_rcomp(rcomp);
     lci::free_comp(&rcq);  // rank 0's queue still holds all three AMs
+    lci::g_runtime_fina();
+  });
+}
+
+// The same with one unpopped AM in each of two lanes: two rank-0 threads
+// with lanes of their own each progress until they took one 1 KiB AM, whose
+// buffer the queue owns. Freeing the queue releases the buffers of every
+// lane, which LeakSanitizer checks.
+TEST(AmDelivery, FreeingCqReleasesUnpoppedAmsInEveryLane) {
+  constexpr int lanes = 2;
+  std::atomic<int> taken_by_rank0{0};  // AMs rank 0 took, one per thread
+  lci::sim::spawn(2, [&](int rank) {
+    lci::runtime_attr_t attr;
+    attr.matching_engine_buckets = 256;
+    lci::g_runtime_init(attr);
+    lci::comp_t rcq = lci::alloc_cq();
+    const lci::rcomp_t rcomp = lci::register_rcomp(rcq);
+    const uint64_t delivered = lci::get_counters().am_delivered;
+    lci::barrier();
+    if (rank == 1) {
+      std::vector<char> payload(1024, 'x');
+      for (int k = 1; k <= lanes; ++k) {
+        while (lci::post_am(0, payload.data(), payload.size(), {}, rcomp)
+                   .error.is_retry())
+          lci::progress();
+        // The next AM goes out once a rank-0 thread took this one.
+        while (taken_by_rank0.load() < k) lci::progress();
+      }
+    } else {
+      const auto binding = lci::sim::current_binding();
+      std::vector<std::size_t> taken;
+      for (int k = 1; k <= lanes; ++k) {
+        run_on_own_lane(taken, [&] {
+          lci::sim::scoped_binding_t bound(binding);
+          while (lci::get_counters().am_delivered - delivered <
+                 static_cast<uint64_t>(k))
+            lci::progress();
+        });
+        taken_by_rank0.store(k);
+      }
+    }
+    lci::barrier();
+    lci::deregister_rcomp(rcomp);
+    lci::free_comp(&rcq);  // rank 0's queue holds one AM in each lane
     lci::g_runtime_fina();
   });
 }
