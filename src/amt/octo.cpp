@@ -132,6 +132,12 @@ class subgrid_t {
   // a face for step s+1 may overtake a face for step s (its sender only
   // depended on its own neighborhood), so a cumulative count could claim an
   // update while one of the current step's ghosts is still stale.
+  //
+  // All three are sequentially consistent. A face arrival bumps `arrived`
+  // and then reads `completed_steps`; finishing a step stores
+  // `completed_steps` and then reads `arrived`. With acquire/release only,
+  // each side may read the other's old value (a store-load reordering),
+  // neither claims the update, and the run hangs.
   std::atomic<long> arrived[2] = {0, 0};
   std::atomic<int> claimed_step{0};
   // The step whose faces this subgrid has shipped; the update for that step
@@ -197,20 +203,19 @@ struct rank_app_t {
   // A face for `step` arrived at owned subgrid `sg` (from handler or local
   // copy). Checks whether the subgrid can run its next update.
   void on_face(subgrid_t& sg, int step) {
-    sg.arrived[step & 1].fetch_add(1, std::memory_order_acq_rel);
+    sg.arrived[step & 1].fetch_add(1);
     maybe_spawn_update(sg);
   }
 
   void maybe_spawn_update(subgrid_t& sg) {
     while (true) {
-      const int s = sg.claimed_step.load(std::memory_order_acquire);
+      const int s = sg.claimed_step.load();
       if (s >= config.steps) return;
-      if (sg.completed_steps.load(std::memory_order_acquire) != s) return;
+      if (sg.completed_steps.load() != s) return;
       const long needed = neighbor_count(sg.id());
-      if (sg.arrived[s & 1].load(std::memory_order_acquire) < needed) return;
+      if (sg.arrived[s & 1].load() < needed) return;
       int expected = s;
-      if (sg.claimed_step.compare_exchange_strong(expected, s + 1,
-                                                  std::memory_order_acq_rel)) {
+      if (sg.claimed_step.compare_exchange_strong(expected, s + 1)) {
         scheduler->spawn([this, &sg, s] { run_update(sg, s); });
         return;
       }
@@ -226,16 +231,16 @@ struct rank_app_t {
     report_mass(step, sg.sum());  // upward-pass contribution for this step
     // This parity slot now counts step+2 arrivals; reset it before sending
     // our step+1 faces (a neighbor cannot ship step+2 until it has them).
-    sg.arrived[step & 1].store(0, std::memory_order_release);
+    sg.arrived[step & 1].store(0);
     if (step + 1 < config.steps) {
       // Ship the new state BEFORE publishing completion: once
       // completed_steps reads step+1, the step+1 update may claim the
       // subgrid and swap the buffers this extraction reads from.
       send_faces(sg, step + 1);
-      sg.completed_steps.store(step + 1, std::memory_order_release);
+      sg.completed_steps.store(step + 1);
       maybe_spawn_update(sg);  // next step's faces may already be here
     } else {
-      sg.completed_steps.store(step + 1, std::memory_order_release);
+      sg.completed_steps.store(step + 1);
       subgrids_finished.fetch_add(1, std::memory_order_release);
     }
   }
@@ -405,7 +410,7 @@ result_t run(const config_t& config) {
     // Workers are already receiving, so all its neighbours' faces may be here.
     for (auto& sg : app.owned) {
       app.send_faces(*sg, 0);
-      sg->completed_steps.store(0, std::memory_order_release);
+      sg->completed_steps.store(0);
       app.maybe_spawn_update(*sg);
     }
     const int target = static_cast<int>(app.owned.size());

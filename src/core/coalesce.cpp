@@ -25,7 +25,7 @@
 // Completion semantics: a buffered sub-op that owes nothing (allow_done and
 // untracked) completes `done` at copy time exactly like a bcopy send. One
 // that owes a signal (allow_done=false) or is tracked (.deadline/.op_handle)
-// parks an agg_pending_t; the flush resolves it — done on a successful post,
+// parks its descriptor; the flush resolves it — done on a successful post,
 // fatal_peer_down on a dead peer, fatal_canceled on a drain abort — and for
 // tracked entries the record-state CAS arbitrates against cancel()/the
 // deadline sweep, so every sub-op completes exactly once.
@@ -51,39 +51,24 @@ status_t agg_status(errorcode_t code) {
 // how many completions were actually delivered here (entries whose record CAS
 // lost were already completed by cancel()/timeout — their data may still
 // travel, but the completion belongs to the winner).
-std::size_t resolve_agg_pending(runtime_impl_t* runtime, int rank,
-                                std::vector<agg_pending_t>& entries,
+std::size_t resolve_agg_pending(runtime_impl_t* runtime,
+                                std::vector<op_state_t>& entries,
                                 errorcode_t code) {
   std::size_t delivered = 0;
-  for (agg_pending_t& p : entries) {
-    if (p.record) {
+  for (op_state_t& op : entries) {
+    if (op.record) {
       uint8_t expected = op_record_t::st_live;
-      if (!p.record->state.compare_exchange_strong(
+      if (!op.record->state.compare_exchange_strong(
               expected, op_record_t::st_terminal, std::memory_order_acq_rel)) {
         // Cancel/timeout won the completion; the span handle still lives
         // here, so end it with the code the winner published.
-        trace::end_op(p.span, trace::kind_t::op_batch, trace::hist_t::post_batch,
-                      p.record->terminal_code.load(std::memory_order_relaxed),
-                      rank, p.tag, p.size);
+        trace::end_op(op.span, trace::kind_t::op_batch,
+                      op.record->terminal_code.load(std::memory_order_relaxed),
+                      op.rank, op.tag, op.size);
         continue;
       }
     }
-    const uint8_t err =
-        code == errorcode_t::done ? 0 : static_cast<uint8_t>(code);
-    trace::end_op(p.span, trace::kind_t::op_batch, trace::hist_t::post_batch,
-                  err, rank, p.tag, p.size);
-    if (code == errorcode_t::done) {
-      status_t status;
-      status.error.code = errorcode_t::done;
-      status.rank = rank;
-      status.tag = p.tag;
-      status.buffer = buffer_t{p.buffer, p.size};
-      status.user_context = p.user_context;
-      signal_comp(p.comp, status);
-    } else {
-      signal_comp(p.comp, make_fatal_status(runtime, code, rank, p.tag,
-                                            p.buffer, p.size, p.user_context));
-    }
+    finish_op(runtime, op, trace::kind_t::op_batch, code);
     ++delivered;
   }
   entries.clear();
@@ -93,12 +78,12 @@ std::size_t resolve_agg_pending(runtime_impl_t* runtime, int rank,
 }  // namespace
 
 void device_impl_t::detach_slot_locked(agg_slot_t& slot,
-                                       std::vector<agg_pending_t>& out,
+                                       std::vector<op_state_t>& out,
                                        errorcode_t code) {
   if (slot.packet == nullptr) return;
   slot.packet->pool->put(slot.packet);
   slot.packet = nullptr;
-  for (agg_pending_t& p : slot.pending) out.push_back(std::move(p));
+  for (op_state_t& op : slot.pending) out.push_back(std::move(op));
   slot.pending.clear();
   trace::end(slot.span, trace::kind_t::batch_slot,
              code == errorcode_t::done ? 0 : static_cast<uint8_t>(code),
@@ -112,7 +97,7 @@ void device_impl_t::detach_slot_locked(agg_slot_t& slot,
 
 errorcode_t device_impl_t::post_batch_locked(
     agg_slot_t& slot, net::device_t& net, int rank,
-    std::vector<agg_pending_t>& resolved) {
+    std::vector<op_state_t>& resolved) {
   if (slot.packet == nullptr) return errorcode_t::done;
   msg_header_t header;
   header.kind = msg_header_t::eager_batch;
@@ -136,7 +121,7 @@ status_t device_impl_t::agg_append(const post_args_t& args, uint8_t kind,
   const int rank = args.rank;
   const std::size_t size = args.size;
   const std::size_t entry_bytes = batch_entry_bytes(size);
-  std::vector<agg_pending_t> resolved;
+  std::vector<op_state_t> resolved;
   errorcode_t resolved_code = errorcode_t::done;
   std::shared_ptr<op_record_t> record;
   status_t status = agg_status(errorcode_t::posted);
@@ -156,9 +141,8 @@ status_t device_impl_t::agg_append(const post_args_t& args, uint8_t kind,
     if (wire.is_peer_down(rank)) {
       detach_slot_locked(slot, resolved, errorcode_t::fatal_peer_down);
       resolved_code = errorcode_t::fatal_peer_down;
-      status = make_fatal_status(runtime_, errorcode_t::fatal_peer_down, rank,
-                                 args.tag, args.local_buffer, size,
-                                 args.user_context);
+      status = make_fatal_status(runtime_, errorcode_t::fatal_peer_down,
+                                 report_of(args));
     } else {
       // Flush first if this sub-message would not fit the armed batch.
       if (slot.packet != nullptr &&
@@ -171,9 +155,7 @@ status_t device_impl_t::agg_append(const post_args_t& args, uint8_t kind,
           status = agg_status(code);
         } else if (code == errorcode_t::fatal_peer_down) {
           resolved_code = code;
-          status = make_fatal_status(runtime_, code, rank, args.tag,
-                                     args.local_buffer, size,
-                                     args.user_context);
+          status = make_fatal_status(runtime_, code, report_of(args));
         }
       }
       if (status.error.code == errorcode_t::posted) {
@@ -213,44 +195,21 @@ status_t device_impl_t::agg_append(const post_args_t& args, uint8_t kind,
           trace::instant(trace::kind_t::coalesce, op_span.id, rank, args.tag,
                          size);
 
-          const bool tracked = args.deadline_us != 0 || args.out_op != nullptr;
-          const bool park =
-              tracked || (!args.allow_done && args.local_comp.p != nullptr);
-          if (park) {
-            agg_pending_t p;
-            p.comp = args.local_comp.p;
-            p.buffer = args.local_buffer;
-            p.size = size;
-            p.tag = args.tag;
-            p.user_context = args.user_context;
+          const bool tracked = wants_record(args);
+          if (tracked || (!args.allow_done && args.local_comp.p != nullptr)) {
+            op_state_t op(report_of(args));
+            op.span = op_span;
             if (tracked) {
-              record = std::make_shared<op_record_t>();
-              record->kind = op_kind_t::coalesced;
-              record->runtime = runtime_;
-              record->device = this;
-              record->comp = args.local_comp.p;
-              record->user_context = args.user_context;
-              record->buffer = args.local_buffer;
-              record->size = size;
-              record->rank = rank;
-              record->tag = args.tag;
-              if (args.deadline_us != 0)
-                record->deadline_ns = now_ns() + args.deadline_us * 1000;
-              p.record = record;
+              record = make_record(runtime_, this, args, op_kind_t::coalesced);
+              op.record = record;
             }
-            p.span = op_span;
-            slot.pending.push_back(std::move(p));
-            status = agg_status(errorcode_t::posted);
+            slot.pending.push_back(std::move(op));
           } else {
             // Copy made, nothing owed: complete `done` exactly like a bcopy
             // send (the user's buffer is reusable).
-            trace::end_op(op_span, trace::kind_t::op_batch,
-                          trace::hist_t::post_batch, 0, rank, args.tag, size);
-            status.error.code = errorcode_t::done;
-            status.rank = rank;
-            status.tag = args.tag;
-            status.buffer = buffer_t{args.local_buffer, size};
-            status.user_context = args.user_context;
+            trace::end_op(op_span, trace::kind_t::op_batch, 0, rank, args.tag,
+                          size);
+            status = status_of(errorcode_t::done, report_of(args));
           }
           // Post immediately when this append filled the batch.
           if (slot.bytes + sizeof(batch_sub_header_t) > agg_max_bytes_ ||
@@ -272,16 +231,13 @@ status_t device_impl_t::agg_append(const post_args_t& args, uint8_t kind,
     // span pair so fatal posts still show up (errored) in a trace.
     const trace::span_t op = trace::begin_at(
         post_span, trace::kind_t::op_batch, rank, args.tag, size);
-    trace::end_op(op, trace::kind_t::op_batch, trace::hist_t::post_batch,
+    trace::end_op(op, trace::kind_t::op_batch,
                   static_cast<uint8_t>(status.error.code), rank, args.tag,
                   size);
   }
-  if (record) {
-    runtime_->track_op(record);
-    if (args.out_op != nullptr) args.out_op->p = record;
-  }
+  runtime_->track_op(std::move(record), args.out_op);
   if (!resolved.empty())
-    resolve_agg_pending(runtime_, rank, resolved, resolved_code);
+    resolve_agg_pending(runtime_, resolved, resolved_code);
   return status;
 }
 
@@ -291,7 +247,7 @@ std::size_t device_impl_t::flush_aggregation(int rank, uint64_t older_than_ns) {
   const int begin = rank >= 0 ? rank : 0;
   const int end = rank >= 0 ? rank + 1 : nranks;
   std::size_t posted = 0;
-  std::vector<agg_pending_t> resolved;
+  std::vector<op_state_t> resolved;
   for (std::size_t shard = 0; shard < nshards(); ++shard) {
     for (int peer = begin; peer < end; ++peer) {
       agg_slot_t& slot = agg_slot(shard, peer);
@@ -310,7 +266,7 @@ std::size_t device_impl_t::flush_aggregation(int rank, uint64_t older_than_ns) {
       }
       if (had && code == errorcode_t::done) ++posted;
       if (!resolved.empty())
-        resolve_agg_pending(runtime_, peer, resolved, code);
+        resolve_agg_pending(runtime_, resolved, code);
     }
   }
   return posted;
@@ -324,7 +280,7 @@ errorcode_t device_impl_t::flush_peer_for_ordering(int rank, int shard) {
   for (std::size_t s = begin; s < end; ++s) {
     agg_slot_t& slot = agg_slot(s, rank);
     if (slot.armed_ns.load(std::memory_order_acquire) == 0) continue;
-    std::vector<agg_pending_t> resolved;
+    std::vector<op_state_t> resolved;
     errorcode_t code = errorcode_t::retry_lock;
     bool had = true;
     {
@@ -339,7 +295,7 @@ errorcode_t device_impl_t::flush_peer_for_ordering(int rank, int shard) {
     if (!had) continue;
     if (code == errorcode_t::done)
       runtime_->counters().add(counter_id_t::batch_flush_ordering);
-    if (!resolved.empty()) resolve_agg_pending(runtime_, rank, resolved, code);
+    if (!resolved.empty()) resolve_agg_pending(runtime_, resolved, code);
     // A retry anywhere must bounce the caller's message (it would overtake
     // the stuck batch); a dead peer dominates everything else.
     if (error_t{code}.is_retry() && worst != errorcode_t::fatal_peer_down)
@@ -355,7 +311,7 @@ std::size_t device_impl_t::abort_aggregation(int rank, errorcode_t code) {
   const int begin = rank >= 0 ? rank : 0;
   const int end = rank >= 0 ? rank + 1 : nranks;
   std::size_t completed = 0;
-  std::vector<agg_pending_t> detached;
+  std::vector<op_state_t> detached;
   for (std::size_t shard = 0; shard < nshards(); ++shard) {
     for (int peer = begin; peer < end; ++peer) {
       agg_slot_t& slot = agg_slot(shard, peer);
@@ -366,7 +322,7 @@ std::size_t device_impl_t::abort_aggregation(int rank, errorcode_t code) {
         std::lock_guard<util::spinlock_t> guard(slot.lock);
         detach_slot_locked(slot, detached, code);
       }
-      completed += resolve_agg_pending(runtime_, peer, detached, code);
+      completed += resolve_agg_pending(runtime_, detached, code);
     }
   }
   return completed;

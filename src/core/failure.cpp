@@ -26,37 +26,20 @@ using counter_id_t = detail::counter_id_t;
 
 void finish_failed_send(runtime_impl_t* runtime, rdv_send_t& send,
                         errorcode_t code) {
-  if (send.record)
-    send.record->state.store(op_record_t::st_terminal,
-                             std::memory_order_release);
-  trace::end_op(send.span, trace::kind_t::op_rdv, trace::hist_t::post_rdv,
-                static_cast<uint8_t>(code), send.peer_rank, send.tag,
-                send.size);
-  signal_comp(send.comp,
-              make_fatal_status(runtime, code, send.peer_rank, send.tag,
-                                send.buffer, send.size, send.user_context));
+  finish_op(runtime, send.op, trace::kind_t::op_rdv, code);
   // send.staged (the buffer-list gather, if any) dies with `send`.
 }
 
 void finish_failed_recv(runtime_impl_t* runtime, rdv_recv_t& recv,
                         errorcode_t code) {
-  if (recv.record)
-    recv.record->state.store(op_record_t::st_terminal,
-                             std::memory_order_release);
   if (recv.mr != net::invalid_mr) runtime->reg_release(recv.mr);
-  void* user_buffer = recv.buffer;
   if (!recv.list.empty() || recv.runtime_owned_buffer) {
     // Runtime staging (buffer-list landing area or large-AM malloc): the
     // user never saw this pointer.
-    std::free(recv.buffer);
-    user_buffer = nullptr;
+    std::free(recv.op.buffer);
+    recv.op.buffer = nullptr;
   }
-  trace::end_op(recv.span, trace::kind_t::op_recv, trace::hist_t::post_recv,
-                static_cast<uint8_t>(code), recv.peer_rank, recv.tag,
-                recv.size);
-  signal_comp(recv.comp,
-              make_fatal_status(runtime, code, recv.peer_rank, recv.tag,
-                                user_buffer, recv.size, recv.user_context));
+  finish_op(runtime, recv.op, trace::kind_t::op_recv, code);
 }
 
 bool fail_pending_send(runtime_impl_t* runtime, uint32_t rdv_id,
@@ -79,8 +62,10 @@ bool fail_pending_recv(runtime_impl_t* runtime, uint32_t pending_id,
 // Tracked-op registry
 // ---------------------------------------------------------------------------
 
-void runtime_impl_t::track_op(std::shared_ptr<op_record_t> record) {
+void runtime_impl_t::track_op(std::shared_ptr<op_record_t> record,
+                              op_t* handle) {
   if (!record) return;
+  if (handle != nullptr) handle->p = record;
   if (record->deadline_ns != 0) {
     // Keep the sweep gate at min(next deadline).
     uint64_t seen = next_deadline_ns_.load(std::memory_order_relaxed);
@@ -136,17 +121,9 @@ bool runtime_impl_t::finish_tracked_op(
         recv_entry_t* entry = record->entry;
         if (!record->engine->remove(record->key, entry))
           return false;  // a complementary arrival matched it first
-        record->state.store(op_record_t::st_terminal,
-                            std::memory_order_release);
         record->engine = nullptr;
         record->entry = nullptr;
-        trace::end_op(entry->span, trace::kind_t::op_recv,
-                      trace::hist_t::post_recv, static_cast<uint8_t>(code),
-                      record->rank, record->tag, entry->size);
-        signal_comp(entry->comp,
-                    make_fatal_status(this, code, record->rank, record->tag,
-                                      entry->buffer, entry->size,
-                                      entry->user_context));
+        finish_op(this, entry->op, trace::kind_t::op_recv, code);
         delete entry;
         won = true;
         break;
@@ -170,10 +147,7 @@ bool runtime_impl_t::finish_tracked_op(
                 expected, op_record_t::st_terminal,
                 std::memory_order_acq_rel))
           return false;  // mid-execution or already terminal
-        signal_comp(record->comp,
-                    make_fatal_status(this, code, record->rank, record->tag,
-                                      record->buffer, record->size,
-                                      record->user_context));
+        signal_comp(record->op.comp, make_fatal_status(this, code, record->op));
         won = true;
         break;
       }
@@ -245,7 +219,7 @@ std::size_t runtime_impl_t::purge_dead_peer(int peer, bool everything) {
         [&](void* value, type_t type) {
           if (type == type_t::recv) {
             auto* entry = static_cast<recv_entry_t*>(value);
-            return everything || entry->rank == peer;
+            return everything || entry->op.rank == peer;
           }
           const auto* kept = static_cast<const kept_msg_t*>(value);
           return everything || kept->packet->peer_rank == peer;
@@ -254,21 +228,9 @@ std::size_t runtime_impl_t::purge_dead_peer(int peer, bool everything) {
     for (auto& [value, type] : removed) {
       if (type == type_t::recv) {
         auto* entry = static_cast<recv_entry_t*>(value);
-        if (entry->record) {
-          std::lock_guard<util::spinlock_t> guard(entry->record->lock);
-          entry->record->engine = nullptr;
-          entry->record->entry = nullptr;
-          entry->record->state.store(op_record_t::st_terminal,
-                                     std::memory_order_release);
-        }
-        trace::end_op(entry->span, trace::kind_t::op_recv,
-                      trace::hist_t::post_recv,
-                      static_cast<uint8_t>(errorcode_t::fatal_peer_down),
-                      entry->rank, entry->tag, entry->size);
-        signal_comp(entry->comp,
-                    make_fatal_status(this, errorcode_t::fatal_peer_down,
-                                      entry->rank, entry->tag, entry->buffer,
-                                      entry->size, entry->user_context));
+        if (entry->op.record) entry->op.record->leave_engine();
+        finish_op(this, entry->op, trace::kind_t::op_recv,
+                  errorcode_t::fatal_peer_down);
         delete entry;
         ++completed;
       } else {
@@ -280,7 +242,7 @@ std::size_t runtime_impl_t::purge_dead_peer(int peer, bool everything) {
   //    resolve them will never arrive.
   std::vector<rdv_send_t> sends;
   pending_sends_.take_if(
-      [&](const rdv_send_t& s) { return everything || s.peer_rank == peer; },
+      [&](const rdv_send_t& s) { return everything || s.op.rank == peer; },
       sends);
   for (rdv_send_t& send : sends) {
     finish_failed_send(this, send, errorcode_t::fatal_peer_down);
@@ -288,7 +250,7 @@ std::size_t runtime_impl_t::purge_dead_peer(int peer, bool everything) {
   }
   std::vector<rdv_recv_t> recvs;
   pending_recvs_.take_if(
-      [&](const rdv_recv_t& r) { return everything || r.peer_rank == peer; },
+      [&](const rdv_recv_t& r) { return everything || r.op.rank == peer; },
       recvs);
   for (rdv_recv_t& recv : recvs) {
     finish_failed_recv(this, recv, errorcode_t::fatal_peer_down);
@@ -317,7 +279,7 @@ std::size_t runtime_impl_t::purge_dead_peer(int peer, bool everything) {
     snapshot = tracked_ops_;
   }
   for (const auto& rec : snapshot) {
-    if (!everything && rec->rank != peer) continue;
+    if (!everything && rec->op.rank != peer) continue;
     if (finish_tracked_op(rec, errorcode_t::fatal_peer_down)) ++completed;
   }
   if (completed > 0)

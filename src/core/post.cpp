@@ -36,10 +36,6 @@ resolved_t resolve(const post_args_t& args) {
   };
 }
 
-std::size_t payload_size(const post_args_t& args) {
-  return args.buffers != nullptr ? args.buffers->total_size() : args.size;
-}
-
 // Gathers the user payload (single buffer or buffer list) into `dst`.
 void gather(const post_args_t& args, char* dst) {
   if (args.buffers == nullptr) {
@@ -67,51 +63,15 @@ status_t failed_post_status(const resolved_t& r, const post_args_t& args,
                             net::post_result_t result) {
   const error_t err = map_net_result(result);
   if (err.is_fatal())
-    return make_fatal_status(r.runtime, err.code, args.rank, args.tag,
-                             args.local_buffer, payload_size(args),
-                             args.user_context);
+    return make_fatal_status(r.runtime, err.code, report_of(args));
   return retry_status(err.code);
-}
-
-// Builds the op record for a tracked post (.deadline(us) / .op_handle(&op)).
-std::shared_ptr<op_record_t> make_record(const resolved_t& r,
-                                         const post_args_t& args,
-                                         op_kind_t kind) {
-  auto record = std::make_shared<op_record_t>();
-  record->kind = kind;
-  record->runtime = r.runtime;
-  record->device = r.device;
-  record->comp = args.local_comp.p;
-  record->user_context = args.user_context;
-  record->buffer = args.local_buffer;
-  record->size = payload_size(args);
-  record->rank = args.rank;
-  record->tag = args.tag;
-  if (args.deadline_us != 0)
-    record->deadline_ns = now_ns() + args.deadline_us * 1000;
-  return record;
-}
-
-bool wants_record(const post_args_t& args) {
-  return args.deadline_us != 0 || args.out_op != nullptr;
-}
-
-status_t done_status(const post_args_t& args, std::size_t size) {
-  status_t status;
-  status.error.code = errorcode_t::done;
-  status.rank = args.rank;
-  status.tag = args.tag;
-  status.buffer = buffer_t{args.local_buffer, size};
-  status.user_context = args.user_context;
-  return status;
 }
 
 // Applies the done/posted/backlog conventions to a successfully submitted
 // immediate-completion operation: if the user forbade `done`, signal the comp
 // instead and report `posted`.
-status_t finish_immediate(const post_args_t& args, std::size_t size,
-                          bool via_backlog) {
-  status_t status = done_status(args, size);
+status_t finish_immediate(const post_args_t& args, bool via_backlog) {
+  status_t status = status_of(errorcode_t::done, report_of(args));
   if (!args.allow_done && args.local_comp.p != nullptr) {
     args.local_comp.p->signal(status);
     status.error.code =
@@ -127,12 +87,12 @@ status_t finish_immediate(const post_args_t& args, std::size_t size,
 // begin+end emitted as a pair so fatal posts still show up as (zero-length,
 // errored) ops in a trace. Retries emit nothing — the op was never accepted.
 void trace_fatal_post(const trace::span_t& post_span, trace::kind_t kind,
-                      trace::hist_t hist, const status_t& failed,
-                      const post_args_t& args, std::size_t size) {
+                      const status_t& failed, const post_args_t& args,
+                      std::size_t size) {
   const trace::span_t op = trace::begin_at(post_span, kind, args.rank,
                                            args.tag, size);
-  trace::end_op(op, kind, hist, static_cast<uint8_t>(failed.error.code),
-                args.rank, args.tag, size);
+  trace::end_op(op, kind, static_cast<uint8_t>(failed.error.code), args.rank,
+                args.tag, size);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,16 +122,15 @@ status_t post_eager_out(const resolved_t& r, const post_args_t& args,
     if (result != net::post_result_t::ok) {
       const status_t failed = failed_post_status(r, args, result);
       if (failed.error.is_fatal())
-        trace_fatal_post(post_span, trace::kind_t::op_eager,
-                         trace::hist_t::post_eager, failed, args, size);
+        trace_fatal_post(post_span, trace::kind_t::op_eager, failed, args,
+                         size);
       return failed;
     }
     r.runtime->counters().add(counter_id_t::send_inject);
     const trace::span_t op = trace::begin_at(post_span, trace::kind_t::op_eager,
                                              args.rank, args.tag, size);
-    trace::end_op(op, trace::kind_t::op_eager, trace::hist_t::post_eager, 0,
-                  args.rank, args.tag, size);
-    return finish_immediate(args, size, via_backlog);
+    trace::end_op(op, trace::kind_t::op_eager, 0, args.rank, args.tag, size);
+    return finish_immediate(args, via_backlog);
   }
 
   // Buffer-copy: stage in a packet. With from_packet the caller already
@@ -197,8 +156,7 @@ status_t post_eager_out(const resolved_t& r, const post_args_t& args,
     if (!args.from_packet || failed.error.is_fatal())
       packet->pool->put(packet);
     if (failed.error.is_fatal())
-      trace_fatal_post(post_span, trace::kind_t::op_eager,
-                       trace::hist_t::post_eager, failed, args, size);
+      trace_fatal_post(post_span, trace::kind_t::op_eager, failed, args, size);
     return failed;
   }
   // The simulated wire copies synchronously, so the packet is reusable as
@@ -208,9 +166,8 @@ status_t post_eager_out(const resolved_t& r, const post_args_t& args,
   r.runtime->counters().add(counter_id_t::send_bcopy);
   const trace::span_t op = trace::begin_at(post_span, trace::kind_t::op_eager,
                                            args.rank, args.tag, size);
-  trace::end_op(op, trace::kind_t::op_eager, trace::hist_t::post_eager, 0,
-                args.rank, args.tag, size);
-  return finish_immediate(args, size, via_backlog);
+  trace::end_op(op, trace::kind_t::op_eager, 0, args.rank, args.tag, size);
+  return finish_immediate(args, via_backlog);
 }
 
 // ---------------------------------------------------------------------------
@@ -218,29 +175,22 @@ status_t post_eager_out(const resolved_t& r, const post_args_t& args,
 // ---------------------------------------------------------------------------
 status_t post_rendezvous_out(const resolved_t& r, const post_args_t& args,
                              uint8_t kind, const trace::span_t& post_span) {
-  const std::size_t size = payload_size(args);
   rdv_send_t state;
-  state.span = trace::begin_at(post_span, trace::kind_t::op_rdv, args.rank,
-                               args.tag, size);
-  const trace::span_t op_span = state.span;
-  state.size = size;
-  state.comp = args.local_comp.p;
-  state.user_context = args.user_context;
-  state.peer_rank = args.rank;
-  state.tag = args.tag;
+  state.op = report_of(args);
+  const std::size_t size = state.op.size;
+  state.op.span = trace::begin_at(post_span, trace::kind_t::op_rdv, args.rank,
+                                  args.tag, size);
+  const trace::span_t op_span = state.op.span;
   if (args.buffers != nullptr) {
     // Buffer-list rendezvous: gather into a staging copy the runtime owns
     // until the RDMA write completes.
     state.staged = std::make_unique<char[]>(size);
     gather(args, state.staged.get());
-    state.buffer = args.local_buffer;  // reported back in the status
-  } else {
-    state.buffer = args.local_buffer;
   }
   std::shared_ptr<op_record_t> record;
   if (wants_record(args)) {
-    record = make_record(r, args, op_kind_t::rdv_send);
-    state.record = record;
+    record = make_record(r.runtime, r.device, args, op_kind_t::rdv_send);
+    state.op.record = record;
   }
   const uint32_t rdv_id = r.runtime->pending_sends().add(std::move(state));
   if (record) {
@@ -272,24 +222,21 @@ status_t post_rendezvous_out(const resolved_t& r, const post_args_t& args,
       status.error.code = errorcode_t::posted;
       return status;
     }
-    if (rollback.record)
-      rollback.record->state.store(op_record_t::st_terminal,
-                                   std::memory_order_release);
+    if (rollback.op.record)
+      rollback.op.record->state.store(op_record_t::st_terminal,
+                                      std::memory_order_release);
     const status_t failed = failed_post_status(r, args, result);
     // The op span opened above must close: fatal ends with the code, a
     // transient retry ends with the retry code (the op never started; a
     // resubmission opens a fresh span).
-    trace::end_op(rollback.span, trace::kind_t::op_rdv, trace::hist_t::post_rdv,
+    trace::end_op(rollback.op.span, trace::kind_t::op_rdv,
                   static_cast<uint8_t>(failed.error.code), args.rank, args.tag,
                   size);
     return failed;
   }
   r.runtime->counters().add(counter_id_t::send_rdv);
   trace::instant(trace::kind_t::rts, op_span.id, args.rank, args.tag, size);
-  if (record) {
-    r.runtime->track_op(record);
-    if (args.out_op != nullptr) args.out_op->p = record;
-  }
+  r.runtime->track_op(std::move(record), args.out_op);
   status_t status;
   status.error.code = errorcode_t::posted;
   return status;
@@ -314,29 +261,23 @@ status_t post_receive(const resolved_t& r, const post_args_t& args,
   };
   if (unreachable())
     return make_fatal_status(r.runtime, errorcode_t::fatal_peer_down,
-                             args.rank, args.tag, args.local_buffer,
-                             payload_size(args), args.user_context);
+                             report_of(args));
 
   auto* entry = new recv_entry_t;
-  entry->buffer = args.local_buffer;
-  entry->size = payload_size(args);
-  entry->comp = args.local_comp.p;
-  entry->user_context = args.user_context;
-  entry->rank = args.rank;
-  entry->tag = args.tag;
+  entry->op = report_of(args);
   if (args.buffers != nullptr) entry->list = args.buffers->list;
-  entry->span = trace::begin_at(post_span, trace::kind_t::op_recv, args.rank,
-                                args.tag, entry->size);
+  entry->op.span = trace::begin_at(post_span, trace::kind_t::op_recv,
+                                   args.rank, args.tag, entry->op.size);
 
   const auto key =
       r.engine->make_key(args.rank, args.tag, args.matching_policy);
   std::shared_ptr<op_record_t> record;
   if (wants_record(args)) {
-    record = make_record(r, args, op_kind_t::recv);
+    record = make_record(r.runtime, r.device, args, op_kind_t::recv);
     record->engine = r.engine;
     record->key = key;
     record->entry = entry;
-    entry->record = record;
+    entry->op.record = record;
   }
   r.runtime->counters().add(counter_id_t::recv_posted);
   void* matched =
@@ -348,28 +289,15 @@ status_t post_receive(const resolved_t& r, const post_args_t& args,
       // Losing the remove race means the purge (or a real match racing the
       // kill) now owns the entry and will deliver its completion.
       if (r.engine->remove(key, entry)) {
-        if (record) {
-          std::lock_guard<util::spinlock_t> guard(record->lock);
-          record->engine = nullptr;
-          record->entry = nullptr;
-          record->state.store(op_record_t::st_terminal,
-                              std::memory_order_release);
-        }
-        const status_t status = make_fatal_status(
-            r.runtime, errorcode_t::fatal_peer_down, args.rank, args.tag,
-            entry->buffer, entry->size, args.user_context);
-        trace::end_op(entry->span, trace::kind_t::op_recv,
-                      trace::hist_t::post_recv,
-                      static_cast<uint8_t>(errorcode_t::fatal_peer_down),
-                      args.rank, args.tag, entry->size);
+        if (record) record->leave_engine();
+        const status_t status =
+            finish_op(r.runtime, entry->op, trace::kind_t::op_recv,
+                      errorcode_t::fatal_peer_down, /*signal=*/false);
         delete entry;
         return status;
       }
     }
-    if (record) {
-      r.runtime->track_op(record);
-      if (args.out_op != nullptr) args.out_op->p = record;
-    }
+    r.runtime->track_op(std::move(record), args.out_op);
     status_t status;
     status.error.code = errorcode_t::posted;
     return status;
@@ -379,17 +307,15 @@ status_t post_receive(const resolved_t& r, const post_args_t& args,
   // progress engine kept in the packet it arrived in.
   const auto& kept = *static_cast<const kept_msg_t*>(matched);
   packet_t* packet = kept.packet;
-  if (record && packet->kind == msg_header_t::rts) {
-    // The receive continues as a rendezvous: the record stays live (re-homed
-    // by match_recv) and cancel/deadline still apply.
-    r.runtime->track_op(record);
-    if (args.out_op != nullptr) args.out_op->p = record;
-  }
+  // A receive that continues as a rendezvous stays tracked: the record
+  // stays live (re-homed by match_recv) and cancel/deadline still apply.
+  if (packet->kind == msg_header_t::rts)
+    r.runtime->track_op(std::move(record), args.out_op);
   // An eager match returns `done` without signaling the comp, unless the
   // user forbade the done shortcut.
   const status_t status =
       match_recv(r.runtime, r.device, entry, kept,
-                 /*signal=*/!args.allow_done && entry->comp != nullptr);
+                 /*signal=*/!args.allow_done && entry->op.comp != nullptr);
   drop_hold(packet);
   return status;
 }
@@ -410,13 +336,7 @@ status_t post_rma(const resolved_t& r, const post_args_t& args) {
         r.device->flush_peer_for_ordering(args.rank, -1);
     if (error_t{flushed}.is_retry()) return retry_status(flushed);
   }
-  auto* ctx = new op_ctx_t;
-  ctx->comp = args.local_comp.p;
-  ctx->user_context = args.user_context;
-  ctx->buffer = args.local_buffer;
-  ctx->size = args.size;
-  ctx->rank = args.rank;
-  ctx->tag = args.tag;
+  auto* ctx = new op_state_t(report_of(args));
   const bool put = args.direction == direction_t::out;
   const uint32_t imm =
       has_remote_comp ? encode_signal_imm(args.remote_comp, args.tag) : 0;
@@ -573,7 +493,8 @@ status_t post_comm_dispatch(const post_args_t& args,
     // between the retry loop and cancel/timeout/purge. The resubmission must
     // not create a second record for the same logical op.
     std::shared_ptr<op_record_t> record;
-    if (wants_record(args)) record = make_record(r, args, op_kind_t::backlog);
+    if (wants_record(args))
+      record = make_record(r.runtime, r.device, args, op_kind_t::backlog);
     capture->args.deadline_us = 0;
     capture->args.out_op = nullptr;
     r.runtime->counters().add(counter_id_t::backlog_pushed);
@@ -600,9 +521,7 @@ status_t post_comm_dispatch(const post_args_t& args,
           record->state.store(op_record_t::st_terminal,
                               std::memory_order_release);
         const status_t failed = make_fatal_status(
-            runtime, errorcode_t::fatal_canceled, capture->args.rank,
-            capture->args.tag, capture->args.local_buffer,
-            payload_size(capture->args), capture->args.user_context);
+            runtime, errorcode_t::fatal_canceled, report_of(capture->args));
         signal_comp(capture->args.local_comp.p, failed);
         return failed;
       }
@@ -611,10 +530,7 @@ status_t post_comm_dispatch(const post_args_t& args,
         st = post_comm_impl(capture->args);
       } catch (const std::exception&) {
         st = make_fatal_status(runtime, errorcode_t::fatal,
-                               capture->args.rank, capture->args.tag,
-                               capture->args.local_buffer,
-                               payload_size(capture->args),
-                               capture->args.user_context);
+                               report_of(capture->args));
       }
       if (record)
         record->state.store(st.error.is_retry() ? op_record_t::st_live
@@ -625,10 +541,7 @@ status_t post_comm_dispatch(const post_args_t& args,
       if (st.error.is_fatal()) signal_comp(capture->args.local_comp.p, st);
       return st;
     });
-    if (record) {
-      r.runtime->track_op(record);
-      if (args.out_op != nullptr) args.out_op->p = record;
-    }
+    r.runtime->track_op(std::move(record), args.out_op);
     // Wake a sleeping progress thread: the backlog retry is the only way
     // this operation ever completes.
     r.device->ring_doorbell();

@@ -92,26 +92,23 @@ status_t send_rtr(device_impl_t* device, int peer_rank, uint32_t rdv_id,
 void start_rendezvous_recv(runtime_impl_t* runtime, device_impl_t* device,
                            int peer_rank, tag_t tag, uint32_t rdv_id,
                            uint64_t total_size, rdv_recv_t state) {
-  if (total_size > state.size) {
+  const bool fits = total_size <= state.op.size;
+  state.op.size = static_cast<std::size_t>(total_size);
+  state.op.rank = peer_rank;
+  state.op.tag = tag;
+  if (!fits) {
     // Refusal: the incoming message does not fit the posted buffer. Complete
     // the receive with fatal_truncated (exactly once, via its comp) and NACK
     // the sender — an RTR carrying net::invalid_mr — so the sender fails too
     // instead of waiting forever for a handshake that will never come. This
     // path used to throw out of the progress engine, leaking the pending
     // rendezvous on both sides.
-    void* user_buffer = state.runtime_owned_buffer ? nullptr : state.buffer;
-    if (state.runtime_owned_buffer) std::free(state.buffer);
-    if (state.record)
-      state.record->state.store(op_record_t::st_terminal,
-                                std::memory_order_release);
-    trace::end_op(state.span, trace::kind_t::op_recv, trace::hist_t::post_recv,
-                  static_cast<uint8_t>(errorcode_t::fatal_truncated), peer_rank,
-                  tag, total_size);
-    signal_comp(state.comp,
-                make_fatal_status(runtime, errorcode_t::fatal_truncated,
-                                  peer_rank, tag, user_buffer,
-                                  static_cast<std::size_t>(total_size),
-                                  state.user_context));
+    if (state.runtime_owned_buffer) {
+      std::free(state.op.buffer);
+      state.op.buffer = nullptr;
+    }
+    finish_op(runtime, state.op, trace::kind_t::op_recv,
+              errorcode_t::fatal_truncated);
     const status_t nack =
         send_rtr(device, peer_rank, rdv_id, 0, net::invalid_mr, 0);
     if (nack.error.is_retry()) {
@@ -130,20 +127,18 @@ void start_rendezvous_recv(runtime_impl_t* runtime, device_impl_t* device,
     }
     return;
   }
-  state.size = static_cast<std::size_t>(total_size);
-  state.peer_rank = peer_rank;
-  state.tag = tag;
   if (!state.list.empty()) {
     // Buffer-list receive: the RDMA write needs one contiguous registered
     // region; land in runtime staging and scatter at FIN.
-    state.buffer = std::malloc(state.size ? state.size : 1);
+    state.op.buffer = std::malloc(state.op.size ? state.op.size : 1);
   }
-  const net::reg_handle_t reg = runtime->reg_acquire(state.buffer, state.size);
+  const net::reg_handle_t reg =
+      runtime->reg_acquire(state.op.buffer, state.op.size);
   state.mr = reg.mr;
   const net::mr_id_t mr = reg.mr;
   const uint64_t mr_offset = reg.offset;
-  std::shared_ptr<op_record_t> record = state.record;
-  const uint64_t span_id = state.span.id;
+  std::shared_ptr<op_record_t> record = state.op.record;
+  const uint64_t span_id = state.op.span.id;
   const uint32_t pending_id =
       runtime->pending_recvs().add(std::move(state));
   if (record) {
@@ -153,8 +148,6 @@ void start_rendezvous_recv(runtime_impl_t* runtime, device_impl_t* device,
     std::lock_guard<util::spinlock_t> guard(record->lock);
     record->kind = op_kind_t::rdv_recv;
     record->rdv_id = pending_id;
-    record->engine = nullptr;
-    record->entry = nullptr;
   }
   // An RTR that cannot reach the peer (either rank is dead) fails the
   // receive here: the purge, which runs once per death, may have swept the
@@ -200,61 +193,36 @@ void start_rendezvous_recv(runtime_impl_t* runtime, device_impl_t* device,
 status_t complete_eager_recv(runtime_impl_t* runtime, recv_entry_t* entry,
                              int peer_rank, tag_t tag, const char* data,
                              std::size_t size, bool signal) {
-  status_t status;
-  status.error.code = errorcode_t::done;
-  status.rank = peer_rank;
-  status.tag = tag;
-  status.user_context = entry->user_context;
-  if (data == nullptr) {
-    // Arrived truncated: the bytes past the receiving packet never landed.
-    status = make_fatal_status(runtime, errorcode_t::fatal_truncated,
-                               peer_rank, tag,
-                               entry->list.empty() ? entry->buffer : nullptr,
-                               size, entry->user_context);
-  } else if (!entry->list.empty()) {
-    if (scatter(data, size, entry->list)) {
-      status.buffer = buffer_t{nullptr, size};
-    } else {
-      status = make_fatal_status(runtime, errorcode_t::fatal_truncated,
-                                 peer_rank, tag, nullptr, size,
-                                 entry->user_context);
+  op_state_t& op = entry->op;
+  // Arrived truncated (the bytes past the receiving packet never landed) or
+  // too large for the buffer: the receive completes with an error instead
+  // of throwing out of the progress engine (which stranded the sender's
+  // matched packet).
+  errorcode_t code = errorcode_t::fatal_truncated;
+  if (data != nullptr) {
+    if (!entry->list.empty()) {
+      if (scatter(data, size, entry->list)) code = errorcode_t::done;
+    } else if (size <= op.size) {
+      std::memcpy(op.buffer, data, size);
+      code = errorcode_t::done;
     }
-  } else if (size <= entry->size) {
-    std::memcpy(entry->buffer, data, size);
-    status.buffer = buffer_t{entry->buffer, size};
-  } else {
-    // Truncation completes the receive with an error instead of throwing out
-    // of the progress engine (which stranded the sender's matched packet).
-    status = make_fatal_status(runtime, errorcode_t::fatal_truncated,
-                               peer_rank, tag, entry->buffer, size,
-                               entry->user_context);
   }
-  if (entry->record) {
-    // Clear the record's location before freeing the entry so a concurrent
-    // sweep can never act on (or collide with a reused allocation of) the
-    // entry pointer; the bucket removal that matched us already won the
-    // arbitration, so this is bookkeeping, not a race.
-    std::lock_guard<util::spinlock_t> guard(entry->record->lock);
-    entry->record->engine = nullptr;
-    entry->record->entry = nullptr;
-    entry->record->state.store(op_record_t::st_terminal,
-                               std::memory_order_release);
-  }
-  trace::end_op(entry->span, trace::kind_t::op_recv, trace::hist_t::post_recv,
-                status.error.is_done()
-                    ? 0
-                    : static_cast<uint8_t>(status.error.code),
-                peer_rank, tag, size);
-  if (signal) signal_comp(entry->comp, status);
+  if (!entry->list.empty()) op.buffer = nullptr;
+  op.size = size;
+  op.rank = peer_rank;
+  op.tag = tag;
+  // The bucket removal that matched us already won the arbitration.
+  if (op.record) op.record->leave_engine();
+  const status_t status =
+      finish_op(runtime, op, trace::kind_t::op_recv, code, signal);
   delete entry;
   return status;
 }
 
 }  // namespace
 
-status_t make_fatal_status(runtime_impl_t* runtime, errorcode_t code, int rank,
-                           tag_t tag, void* buffer, std::size_t size,
-                           void* user_context) {
+status_t make_fatal_status(runtime_impl_t* runtime, errorcode_t code,
+                           const op_report_t& op) {
   runtime->counters().add(counter_id_t::comp_fatal);
   switch (code) {
     case errorcode_t::fatal_canceled:
@@ -269,12 +237,19 @@ status_t make_fatal_status(runtime_impl_t* runtime, errorcode_t code, int rank,
     default:
       break;
   }
-  status_t status;
-  status.error.code = code;
-  status.rank = rank;
-  status.tag = tag;
-  status.buffer = buffer_t{buffer, size};
-  status.user_context = user_context;
+  return status_of(code, op);
+}
+
+status_t finish_op(runtime_impl_t* runtime, op_state_t& op,
+                   trace::kind_t kind, errorcode_t code, bool signal) {
+  if (op.record)
+    op.record->state.store(op_record_t::st_terminal, std::memory_order_release);
+  const bool done = code == errorcode_t::done;
+  trace::end_op(op.span, kind, done ? 0 : static_cast<uint8_t>(code), op.rank,
+                op.tag, op.size);
+  const status_t status =
+      done ? status_of(code, op) : make_fatal_status(runtime, code, op);
+  if (signal) signal_comp(op.comp, status);
   return status;
 }
 
@@ -282,7 +257,7 @@ status_t match_recv(runtime_impl_t* runtime, device_impl_t* device,
                     recv_entry_t* entry, const kept_msg_t& msg, bool signal) {
   const int peer_rank = msg.packet->peer_rank;
   runtime->counters().add(counter_id_t::recv_matched);
-  trace::instant(trace::kind_t::match, entry->span.id, peer_rank, msg.tag,
+  trace::instant(trace::kind_t::match, entry->op.span.id, peer_rank, msg.tag,
                  msg.size);
   if (msg.packet->kind == msg_header_t::eager_send) {
     status_t status = complete_eager_recv(
@@ -295,22 +270,11 @@ status_t match_recv(runtime_impl_t* runtime, device_impl_t* device,
   assert(msg.packet->kind == msg_header_t::rts);
   rts_payload_t rts;
   std::memcpy(&rts, msg.data(), sizeof(rts));
+  // The receive leaves the matching engine for the pending-recv table.
   rdv_recv_t state;
-  state.buffer = entry->buffer;
-  state.size = entry->size;
-  state.comp = entry->comp;
-  state.user_context = entry->user_context;
+  state.op = std::move(entry->op);
   state.list = std::move(entry->list);
-  state.record = std::move(entry->record);
-  state.span = entry->span;
-  if (state.record) {
-    // The receive is leaving the matching engine for the pending-recv
-    // table; blank its old location before the entry is freed (see
-    // complete_eager_recv for why this must precede the delete).
-    std::lock_guard<util::spinlock_t> guard(state.record->lock);
-    state.record->engine = nullptr;
-    state.record->entry = nullptr;
-  }
+  if (state.op.record) state.op.record->leave_engine();
   delete entry;
   start_rendezvous_recv(runtime, device, peer_rank, msg.tag, rts.rdv_id,
                         rts.size, std::move(state));
@@ -385,17 +349,17 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, uint32_t& holds) {
       rts_payload_t rts;
       std::memcpy(&rts, data, sizeof(rts));
       rdv_recv_t state;
-      state.size = static_cast<std::size_t>(rts.size);
-      state.buffer = std::malloc(state.size ? state.size : 1);
-      state.comp = comp;
+      state.op.size = static_cast<std::size_t>(rts.size);
+      state.op.buffer = std::malloc(state.op.size ? state.op.size : 1);
+      state.op.comp = comp;
       // The runtime owns the malloc until the payload is delivered at FIN
       // (where ownership passes to the AM consumer); a fatal handshake frees
       // it here instead of leaking.
       state.runtime_owned_buffer = true;
       // No posted receive exists for a rendezvous AM; open a fresh op span
       // covering RTS arrival -> FIN delivery.
-      state.span = trace::begin(trace::kind_t::op_recv, cqe.peer_rank,
-                                header->tag, state.size);
+      state.op.span = trace::begin(trace::kind_t::op_recv, cqe.peer_rank,
+                                   header->tag, state.op.size);
       start_rendezvous_recv(runtime_, this, cqe.peer_rank, header->tag,
                             rts.rdv_id, rts.size, std::move(state));
       return;
@@ -415,33 +379,21 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, uint32_t& holds) {
       // Taking the pending entry is the arbitration point: from here the
       // write phase owns the completion and the handshake deadline is
       // disarmed (deadlines cover the handshake, not the bulk transfer).
-      if (send.record)
-        send.record->state.store(op_record_t::st_terminal,
-                                 std::memory_order_release);
+      if (send.op.record)
+        send.op.record->state.store(op_record_t::st_terminal,
+                                    std::memory_order_release);
       if (rtr.mr_id == net::invalid_mr) {
         // Receiver refused the rendezvous (posted buffer too small). Fail
         // this send exactly once; the staged gather (if any) dies with
         // `send` when it goes out of scope.
-        trace::end_op(send.span, trace::kind_t::op_rdv, trace::hist_t::post_rdv,
-                      static_cast<uint8_t>(errorcode_t::fatal_truncated),
-                      send.peer_rank, send.tag, send.size);
-        signal_comp(send.comp,
-                    make_fatal_status(runtime_, errorcode_t::fatal_truncated,
-                                      send.peer_rank, send.tag, send.buffer,
-                                      send.size, send.user_context));
+        finish_op(runtime_, send.op, trace::kind_t::op_rdv,
+                  errorcode_t::fatal_truncated);
         return;
       }
-      const void* src = send.staged ? send.staged.get() : send.buffer;
-      auto* ctx = new op_ctx_t;
-      ctx->comp = send.comp;
-      ctx->user_context = send.user_context;
-      ctx->buffer = send.buffer;
-      ctx->size = send.size;
-      ctx->rank = send.peer_rank;
-      ctx->tag = send.tag;
-      // Hand the op span to the write phase; it ends at the write CQE (or in
-      // the attempt lambda's fatal/cancel arms).
-      ctx->span = send.span;
+      const void* src = send.staged ? send.staged.get() : send.op.buffer;
+      // The op moves to the write phase; it ends at the write CQE (or in the
+      // attempt lambda's fatal/cancel arms).
+      auto* ctx = new op_state_t(std::move(send.op));
       // Keep the staged gather alive until the write completes.
       char* staged = send.staged.release();
       const int peer = cqe.peer_rank;
@@ -451,7 +403,7 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, uint32_t& holds) {
       // Pick the write's shard once (by the send's key) and capture the
       // endpoint: a backlogged retry may run on a progress-engine thread
       // whose TLS pin would route differently.
-      net::device_t* wire = &net_for(peer, send.tag);
+      net::device_t* wire = &net_for(peer, ctx->tag);
       // Single owner of `staged` and `ctx` on every exit: retry keeps both
       // for the next attempt, done hands ctx to the write CQE and frees the
       // gather, fatal (including peer death mid-handshake) and cancel free
@@ -462,36 +414,20 @@ void device_impl_t::handle_recv(const net::cqe_t& cqe, uint32_t& holds) {
                       wire](backlog_action_t action) {
         status_t status;
         if (action == backlog_action_t::cancel) {
-          delete[] staged;
-          trace::end_op(ctx->span, trace::kind_t::op_rdv,
-                        trace::hist_t::post_rdv,
-                        static_cast<uint8_t>(errorcode_t::fatal_canceled),
-                        ctx->rank, ctx->tag, ctx->size);
-          signal_comp(ctx->comp,
-                      make_fatal_status(runtime_, errorcode_t::fatal_canceled,
-                                        ctx->rank, ctx->tag, ctx->buffer,
-                                        ctx->size, ctx->user_context));
-          delete ctx;
           status.error.code = errorcode_t::fatal_canceled;
-          return status;
+        } else {
+          try {
+            status.error = map_net_result(wire->post_write(
+                peer, src, ctx->size, mr, mr_offset, /*notify=*/true, imm,
+                ctx));
+          } catch (const std::exception&) {
+            status.error.code = errorcode_t::fatal;
+          }
+          if (status.error.is_retry()) return status;
         }
-        try {
-          status.error = map_net_result(wire->post_write(
-              peer, src, ctx->size, mr, mr_offset, /*notify=*/true, imm, ctx));
-        } catch (const std::exception&) {
-          status.error.code = errorcode_t::fatal;
-        }
-        if (status.error.is_retry()) return status;
         delete[] staged;
         if (!status.error.is_done()) {
-          trace::end_op(ctx->span, trace::kind_t::op_rdv,
-                        trace::hist_t::post_rdv,
-                        static_cast<uint8_t>(status.error.code), ctx->rank,
-                        ctx->tag, ctx->size);
-          signal_comp(ctx->comp,
-                      make_fatal_status(runtime_, status.error.code,
-                                        ctx->rank, ctx->tag, ctx->buffer,
-                                        ctx->size, ctx->user_context));
+          finish_op(runtime_, *ctx, trace::kind_t::op_rdv, status.error.code);
           delete ctx;
         }
         return status;
@@ -580,10 +516,10 @@ void device_impl_t::handle_eager(const net::cqe_t& cqe, uint32_t& holds) {
         if (comp == nullptr)
           throw fatal_error_t("active message names an unknown rcomp");
         if (cut) {
-          comp->signal(make_fatal_status(runtime_,
-                                         errorcode_t::fatal_truncated,
-                                         cqe.peer_rank, sub.tag, nullptr,
-                                         sub.size, nullptr));
+          comp->signal(make_fatal_status(
+              runtime_, errorcode_t::fatal_truncated,
+              op_report_t{comp, nullptr, nullptr, sub.size, cqe.peer_rank,
+                          sub.tag}));
           continue;
         }
         runtime_->counters().add(counter_id_t::am_delivered);
@@ -636,19 +572,11 @@ bool device_impl_t::handle_cqe(const net::cqe_t& cqe, net::device_t& ep) {
     case net::op_t::write:
     case net::op_t::read: {
       if (cqe.user_context == nullptr) return false;
-      auto* ctx = static_cast<op_ctx_t*>(cqe.user_context);
-      status_t status;
-      status.error.code = errorcode_t::done;
-      status.rank = ctx->rank;
-      status.tag = ctx->tag;
-      status.buffer = buffer_t{ctx->buffer, ctx->size};
-      status.user_context = ctx->user_context;
+      auto* op = static_cast<op_state_t*>(cqe.user_context);
       // Only rendezvous writes carry a span (RMA ops have none); its end
       // here is the send-side post -> completion measurement.
-      trace::end_op(ctx->span, trace::kind_t::op_rdv, trace::hist_t::post_rdv,
-                    0, ctx->rank, ctx->tag, ctx->size);
-      signal_comp(ctx->comp, status);
-      delete ctx;
+      finish_op(runtime_, *op, trace::kind_t::op_rdv, errorcode_t::done);
+      delete op;
       return true;
     }
     case net::op_t::remote_write:
@@ -658,44 +586,26 @@ bool device_impl_t::handle_cqe(const net::cqe_t& cqe, net::device_t& ep) {
         if (!runtime_->pending_recvs().take(imm_fin_pending_id(cqe.imm),
                                             &state))
           return true;  // receive canceled/timed out/purged: orphaned FIN
-        // Taking the pending entry wins the completion; disarm the record.
-        if (state.record)
-          state.record->state.store(op_record_t::st_terminal,
-                                    std::memory_order_release);
-        trace::instant(trace::kind_t::fin, state.span.id, state.peer_rank,
-                       state.tag, state.size);
+        // Taking the pending entry wins the completion.
+        op_state_t& op = state.op;
+        trace::instant(trace::kind_t::fin, op.span.id, op.rank, op.tag,
+                       op.size);
         runtime_->reg_release(state.mr);
-        status_t status;
-        status.error.code = errorcode_t::done;
-        status.rank = state.peer_rank;
-        status.tag = state.tag;
-        status.user_context = state.user_context;
+        errorcode_t code = errorcode_t::done;
         if (!state.list.empty()) {
           // Buffer-list receive: scatter out of the runtime staging buffer.
-          if (scatter(static_cast<const char*>(state.buffer), state.size,
-                      state.list)) {
-            status.buffer = buffer_t{nullptr, state.size};
-          } else {
-            status = make_fatal_status(runtime_, errorcode_t::fatal_truncated,
-                                       state.peer_rank, state.tag, nullptr,
-                                       state.size, state.user_context);
-          }
-          std::free(state.buffer);
-        } else {
-          status.buffer = buffer_t{state.buffer, state.size};
+          if (!scatter(static_cast<const char*>(op.buffer), op.size,
+                       state.list))
+            code = errorcode_t::fatal_truncated;
+          std::free(op.buffer);
+          op.buffer = nullptr;
         }
-        trace::end_op(state.span, trace::kind_t::op_recv,
-                      trace::hist_t::post_recv,
-                      status.error.is_done()
-                          ? 0
-                          : static_cast<uint8_t>(status.error.code),
-                      state.peer_rank, state.tag, state.size);
         // A rendezvous AM hands its buffer to the consumer; a CQ that is
         // freed before the AM is popped then frees it.
-        if (state.runtime_owned_buffer)
-          state.comp->signal_owned_am(status);
-        else
-          signal_comp(state.comp, status);
+        const status_t status =
+            finish_op(runtime_, op, trace::kind_t::op_recv, code,
+                      /*signal=*/!state.runtime_owned_buffer);
+        if (state.runtime_owned_buffer) op.comp->signal_owned_am(status);
         return true;
       }
       // RMA-with-signal notification at the target.

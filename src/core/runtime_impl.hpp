@@ -154,42 +154,68 @@ class backlog_queue_t {
 };
 
 // ---------------------------------------------------------------------------
-// Rendezvous bookkeeping (runtime-wide: the RTR and FIN for one message can
-// arrive on different devices than the RTS left from).
+// The accepted-operation descriptor (paper Sec. 3.2.5: an accepted op ends
+// by signaling its completion object once, with one status). It is built
+// once, when the post accepts the op, and moved from home to home — a
+// posted receive, a rendezvous handshake, an RDMA write, an aggregation
+// slot — until finish_op ends it.
 // ---------------------------------------------------------------------------
-struct rdv_send_t {
-  void* buffer = nullptr;
-  std::size_t size = 0;
+
+// What the op's completion reports.
+struct op_report_t {
   comp_impl_t* comp = nullptr;
   void* user_context = nullptr;
-  int peer_rank = -1;
+  void* buffer = nullptr;
+  std::size_t size = 0;
+  int rank = -1;
   tag_t tag = 0;
+};
+
+inline std::size_t payload_size(const post_args_t& args) {
+  return args.buffers != nullptr ? args.buffers->total_size() : args.size;
+}
+
+// The reported fields of a post.
+inline op_report_t report_of(const post_args_t& args) {
+  return op_report_t{args.local_comp.p, args.user_context, args.local_buffer,
+                     payload_size(args), args.rank, args.tag};
+}
+
+// The status an op's completion reports.
+inline status_t status_of(errorcode_t code, const op_report_t& op) {
+  return status_t{error_t{code}, op.rank, op.tag,
+                  buffer_t{op.buffer, op.size}, op.user_context};
+}
+
+struct op_state_t : op_report_t {
+  op_state_t() = default;
+  op_state_t(const op_report_t& report) : op_report_t(report) {}
+  // Set when the op carries a deadline or a user handle (see op_record_t).
+  std::shared_ptr<op_record_t> record;
+  trace::span_t span;  // op span: post -> completion
+};
+
+// ---------------------------------------------------------------------------
+// Rendezvous bookkeeping (runtime-wide: the RTR and FIN for one message can
+// arrive on different devices than the RTS left from). `op.rank` names the
+// peer.
+// ---------------------------------------------------------------------------
+struct rdv_send_t {
+  op_state_t op;
   // Buffer-list sends stage a gathered copy here (see DESIGN.md: the
   // simulated fabric transfers one contiguous region per RDMA write).
   std::unique_ptr<char[]> staged;
-  // Set when the op carries a deadline or a user handle (see op_record_t).
-  std::shared_ptr<op_record_t> record;
-  trace::span_t span;  // op span: rendezvous post -> completion
 };
 
 struct rdv_recv_t {
-  void* buffer = nullptr;
-  std::size_t size = 0;       // actual transfer size
-  comp_impl_t* comp = nullptr;
-  void* user_context = nullptr;
-  int peer_rank = -1;
-  tag_t tag = 0;
+  // Moved from the posted receive when the RTS matches, or built for a
+  // large active message; op.size is the transfer size.
+  op_state_t op;
   net::mr_id_t mr = net::invalid_mr;
   bool runtime_owned_buffer = false;  // true for large active messages
-  // Buffer-list receives land in `buffer` (runtime staging) and scatter into
-  // `list` at FIN.
+  // Buffer-list receives land in `op.buffer` (runtime staging) and scatter
+  // into `list` at FIN.
   std::vector<buffer_t> list;
-  // Carried over from the posted receive's record (if any) when the RTS
-  // matches, so cancel/timeout can still find the op in its new home.
-  std::shared_ptr<op_record_t> record;
-  // Carried over from the posted receive's entry (recv span) — or from a
-  // fresh span for runtime-owned buffers (large active messages).
-  trace::span_t span;
 };
 
 template <typename T>
@@ -240,16 +266,8 @@ class pending_table_t {
 
 // Receive descriptor stored in the matching engine for posted receives.
 struct recv_entry_t {
-  void* buffer = nullptr;
-  std::size_t size = 0;
-  comp_impl_t* comp = nullptr;
-  void* user_context = nullptr;
-  int rank = -1;  // as posted (may be wildcarded by policy)
-  tag_t tag = 0;
+  op_state_t op;  // op.rank as posted (may be wildcarded by policy)
   std::vector<buffer_t> list;  // buffer-list receive (empty: single buffer)
-  // Set when the op carries a deadline or a user handle (see op_record_t).
-  std::shared_ptr<op_record_t> record;
-  trace::span_t span;  // op span: recv post -> completion
 };
 
 // ---------------------------------------------------------------------------
@@ -295,36 +313,52 @@ struct op_record_t {
   // rdv kinds: pending-table id (0 = not assigned yet).
   uint32_t rdv_id = 0;
 
-  // Completion identity, so cancel/timeout can build the fatal status.
-  comp_impl_t* comp = nullptr;
-  void* user_context = nullptr;
-  void* buffer = nullptr;
-  std::size_t size = 0;
-  int rank = -1;
-  tag_t tag = 0;
+  // So cancel/timeout can build the fatal status of an op whose descriptor
+  // it cannot reach (backlog and coalesced kinds).
+  op_report_t op;
   uint64_t deadline_ns = 0;  // 0 = no deadline (tracked for cancel only)
+
+  // The receive left the matching engine (matched, purged or removed):
+  // blank its location before the entry is freed, so a sweep never acts on
+  // (or collides with a reused allocation of) the entry pointer. Whoever
+  // calls this already won the entry.
+  void leave_engine() {
+    std::lock_guard<util::spinlock_t> guard(lock);
+    engine = nullptr;
+    entry = nullptr;
+  }
 };
+
+inline bool wants_record(const post_args_t& args) {
+  return args.deadline_us != 0 || args.out_op != nullptr;
+}
+
+// The record of a tracked post (.deadline(us) / .op_handle(&op)).
+inline std::shared_ptr<op_record_t> make_record(runtime_impl_t* runtime,
+                                                device_impl_t* device,
+                                                const post_args_t& args,
+                                                op_kind_t kind) {
+  auto record = std::make_shared<op_record_t>();
+  record->kind = kind;
+  record->runtime = runtime;
+  record->device = device;
+  record->op = report_of(args);
+  if (args.deadline_us != 0)
+    record->deadline_ns = now_ns() + args.deadline_us * 1000;
+  return record;
+}
 
 // ---------------------------------------------------------------------------
 // Eager-message coalescing (docs/INTERNALS.md "Message coalescing"): one
 // aggregation slot per (device, peer). Buffered sub-operations that owe a
-// completion (allow_done=false, or tracked with a deadline/handle) park an
-// agg_pending_t in the slot; the flush that posts the batch resolves them —
-// done on a successful post, fatal_peer_down on a dead peer, fatal_canceled
-// on a drain abort. Sub-ops posted with allow_done=true complete `done` at
-// copy time and owe nothing. For tracked entries the record-state CAS is the
-// arbitration point against cancel()/deadline-sweep, so each sub-op
-// completes exactly once no matter who gets there first.
+// completion (allow_done=false, or tracked with a deadline/handle) park
+// their descriptor in the slot; the flush that posts the batch resolves
+// them — done on a successful post, fatal_peer_down on a dead peer,
+// fatal_canceled on a drain abort. Sub-ops posted with allow_done=true
+// complete `done` at copy time and owe nothing. For tracked entries the
+// record-state CAS is the arbitration point against cancel()/deadline-sweep,
+// so each sub-op completes exactly once no matter who gets there first.
 // ---------------------------------------------------------------------------
-struct agg_pending_t {
-  comp_impl_t* comp = nullptr;
-  void* buffer = nullptr;
-  std::size_t size = 0;
-  tag_t tag = 0;
-  void* user_context = nullptr;
-  std::shared_ptr<op_record_t> record;  // set only for tracked sub-ops
-  trace::span_t span;  // op span: coalesced sub-op post -> flush resolution
-};
 
 // Cache-line aligned: slots are indexed by (shard, peer) from concurrently
 // posting threads; without the padding two peers' slots (or two shards'
@@ -337,21 +371,8 @@ struct alignas(util::cache_line_size) agg_slot_t {
   // now_ns() of the first buffered sub-message; 0 = slot empty. Atomic so
   // the flush paths can peek for armed/aged slots without the lock.
   std::atomic<uint64_t> armed_ns{0};
-  std::vector<agg_pending_t> pending;
+  std::vector<op_state_t> pending;  // sub-ops that owe a completion
   trace::span_t span;  // batch_slot span: first append -> flush/abort (lock)
-};
-
-// Context attached to network operations so completions can be dispatched.
-struct op_ctx_t {
-  comp_impl_t* comp = nullptr;
-  void* user_context = nullptr;
-  void* buffer = nullptr;
-  std::size_t size = 0;
-  int rank = -1;
-  tag_t tag = 0;
-  // Op span carried through the network operation: the rendezvous send span
-  // (handed over at RTR time) or the RMA op span; ended at the CQE.
-  trace::span_t span;
 };
 
 // ---------------------------------------------------------------------------
@@ -542,11 +563,11 @@ class device_impl_t {
   // may re-enter the posting path — and the slot is cleared. On a retry code
   // the slot is left intact.
   errorcode_t post_batch_locked(agg_slot_t& slot, net::device_t& net, int rank,
-                                std::vector<agg_pending_t>& resolved);
+                                std::vector<op_state_t>& resolved);
   // Discards the slot's contents (caller holds slot.lock), detaching the
   // pending entries into `out` for the caller to fail after unlock. `code`
   // labels the end of the slot's batch_slot trace span (done = flushed).
-  void detach_slot_locked(agg_slot_t& slot, std::vector<agg_pending_t>& out,
+  void detach_slot_locked(agg_slot_t& slot, std::vector<op_state_t>& out,
                           errorcode_t code);
 
   runtime_impl_t* const runtime_;
@@ -679,8 +700,10 @@ class runtime_impl_t {
 
   // --- Failure lifecycle (defined in failure.cpp) ---------------------------
   net::fabric_t& fabric() noexcept { return *fabric_; }
-  // Registers a record so the deadline sweep / drain can find it.
-  void track_op(std::shared_ptr<op_record_t> record);
+  // Registers a record (null: an untracked op, nothing to do) so the
+  // deadline sweep / drain can find it, and hands it to the user's cancel
+  // handle, if any.
+  void track_op(std::shared_ptr<op_record_t> record, op_t* handle);
   // Completes a live tracked op with `code` if this caller wins the op's
   // arbitration point; returns true iff the completion was delivered here.
   bool finish_tracked_op(const std::shared_ptr<op_record_t>& record,
@@ -819,8 +842,16 @@ status_t match_recv(runtime_impl_t* runtime, device_impl_t* device,
 // plus the per-code failure counter (ops_canceled / ops_timed_out /
 // peer_down_completions). Every fatal completion and every fatal status
 // returned by a posting path goes through here, so those counters are exact.
-status_t make_fatal_status(runtime_impl_t* runtime, errorcode_t code, int rank,
-                           tag_t tag, void* buffer, std::size_t size,
-                           void* user_context);
+status_t make_fatal_status(runtime_impl_t* runtime, errorcode_t code,
+                           const op_report_t& op);
+
+// Ends an accepted op with `code` (done or fatal): marks its record
+// terminal, ends its span of `kind`, and builds the status from what the
+// descriptor reports, signaling the comp when `signal`. Called only by the
+// winner of the op's arbitration point, after it set what the status must
+// report (the matched peer and tag, the transfer size, a null buffer for
+// runtime staging). Returns the status.
+status_t finish_op(runtime_impl_t* runtime, op_state_t& op,
+                   trace::kind_t kind, errorcode_t code, bool signal = true);
 
 }  // namespace lci::detail

@@ -373,17 +373,31 @@ inline void end(const span_t& span, kind_t kind, uint8_t err = 0,
   detail::emit(now_ns(), span.id, kind, phase_t::end, err, rank, tag, size);
 }
 
-// End an op span and record its latency. Fatal completions (err != 0) emit
-// the end event but stay out of the latency histogram: a deadline or peer
-// death measures the failure policy, not the path under study.
-inline void end_op(const span_t& span, kind_t kind, hist_t hist,
-                   uint8_t err = 0, int rank = -1, uint32_t tag = 0,
-                   uint64_t size = 0) {
+// The latency histogram an op kind feeds: each op kind feeds exactly one.
+constexpr hist_t hist_of(kind_t op_kind) noexcept {
+  switch (op_kind) {
+    case kind_t::op_eager:
+      return hist_t::post_eager;
+    case kind_t::op_batch:
+      return hist_t::post_batch;
+    case kind_t::op_rdv:
+      return hist_t::post_rdv;
+    default:  // op_recv
+      return hist_t::post_recv;
+  }
+}
+
+// End an op span and record its latency in its kind's histogram. Fatal
+// completions (err != 0) emit the end event but stay out of the latency
+// histogram: a deadline or peer death measures the failure policy, not the
+// path under study.
+inline void end_op(const span_t& span, kind_t kind, uint8_t err = 0,
+                   int rank = -1, uint32_t tag = 0, uint64_t size = 0) {
   if (span.id == 0 || !on()) return;
   const uint64_t now = now_ns();
   detail::emit(now, span.id, kind, phase_t::end, err, rank, tag, size);
   if (err == 0 && now >= span.begin_ns)
-    detail::local_state()->record_hist(hist, now - span.begin_ns);
+    detail::local_state()->record_hist(hist_of(kind), now - span.begin_ns);
 }
 
 // Instants annotate an op's track, so an untraced (sampled-out) op skips

@@ -362,19 +362,28 @@ std::size_t device_core_t::pop_cqes(cqe_t* out, std::size_t max) {
   return count;
 }
 
-void device_core_t::purge_dead() {
-  while (auto msg = wire_.try_pop()) drop(*msg, msg->src_rank);
+std::size_t device_core_t::purge_dead(cqe_t* out, std::size_t max) {
   for (const wire_msg_t& stalled : rnr_stash_)
     end_wire_span(stalled.trace_id, wire_err_dropped, stalled.src_rank,
                   stalled.size);
   rnr_stash_.clear();
   rnr_depth_.store(0, std::memory_order_relaxed);
+  std::size_t count = 0;
+  while (count < max) {
+    auto msg = wire_.try_pop();
+    if (!msg) break;
+    if (msg->is_cqe)
+      deliver_one(*msg, out[count++]);  // always deliverable
+    else
+      drop(*msg, msg->src_rank);
+  }
+  return count;
 }
 
 std::size_t device_core_t::poll_owned(cqe_t* out, std::size_t max) {
   if (fabric_->is_dead(rank_)) {
-    purge_dead();
-    return pop_cqes(out, max);
+    const std::size_t count = purge_dead(out, max);
+    return count + pop_cqes(out + count, max - count);
   }
   // One batch, two sources: local completions popped from the CQ, and
   // inbound messages delivered straight into out[]. The source that went

@@ -467,9 +467,11 @@ class device_core_t : public device_t {
   void drop(const wire_msg_t& msg, int rank);
   // Under the polling lock: a dead rank observes nothing inbound, so
   // everything queued at it evaporates. Its local completions still come
-  // back: a write or read it posted before it died carries a context only
-  // its completion returns to the owner.
-  void purge_dead();
+  // back, late ones (shm/tcp) included: a write or read it posted before it
+  // died carries a context only its completion returns to the owner. Writes
+  // up to `max` late completions into out[] and returns how many; the rest
+  // wait for the next poll.
+  std::size_t purge_dead(cqe_t* out, std::size_t max);
   std::size_t pop_cqes(cqe_t* out, std::size_t max);
 
   const bool inbound_is_wire_;

@@ -52,13 +52,19 @@ TEST(Scheduler, WorkStealingBalancesUnevenSpawns) {
   minihpx::scheduler_t scheduler(4);
   std::atomic<int> done{0};
   std::atomic<int> distinct_runners{0};
-  thread_local bool counted = false;
+  // A thread counts itself once per run of this test: a thread_local
+  // outlives the run (the calling thread runs tasks too, and
+  // --gtest_repeat runs the test again on it), so it records the run it
+  // last counted in.
+  static std::atomic<int> runs{0};
+  const int run = runs.fetch_add(1) + 1;
+  thread_local int counted_in = 0;
   scheduler.start([](int) { return false; });
   scheduler.spawn([&] {
     for (int i = 0; i < 400; ++i) {
       scheduler.spawn([&] {
-        if (!counted) {
-          counted = true;
+        if (counted_in != run) {
+          counted_in = run;
           distinct_runners.fetch_add(1);
         }
         // A little work so stealing has time to engage.

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -631,6 +632,350 @@ TEST(PeerDeathCollective, BarrierThrowsAtEveryLiveRank) {
         lci::g_runtime_fina();
       },
       config);
+}
+
+// ---------------------------------------------------------------------------
+// Completion paths that ordinary traffic does not reach. Each test drives
+// one way an accepted op (or a post) ends, deterministically, and checks
+// that it ends exactly once, with the right code, bumping that code's
+// failure counter.
+// ---------------------------------------------------------------------------
+
+void expect_no_completion(lci::comp_t cq) {
+  for (int i = 0; i < 50; ++i) {
+    lci::progress();
+    EXPECT_TRUE(lci::cq_pop(cq).error.is_retry()) << "an extra completion";
+  }
+}
+
+// Progresses until `cq` yields a completion; no second one may follow.
+lci::status_t pop_only_completion(lci::comp_t cq) {
+  lci::status_t st;
+  while ((st = lci::cq_pop(cq)).error.is_retry()) lci::progress();
+  expect_no_completion(cq);
+  return st;
+}
+
+// Waits for `stage` to reach `value`, progressing meanwhile or not.
+void await_stage(const std::atomic<int>& stage, int value, bool progress) {
+  while (stage.load(std::memory_order_acquire) < value) {
+    if (progress) lci::progress();
+    std::this_thread::yield();
+  }
+}
+
+// Both ranks keep progressing until both arrive, then may finalize.
+void leave_together(std::atomic<int>& finished) {
+  finished.fetch_add(1, std::memory_order_release);
+  await_stage(finished, 2, /*progress=*/true);
+}
+
+uint64_t counted(const lci::counters_t& now, const lci::counters_t& base,
+                 uint64_t lci::counters_t::*field) {
+  return now.*field - base.*field;
+}
+
+lci::status_t post_until_accepted(const std::function<lci::status_t()>& post) {
+  lci::status_t st;
+  while ((st = post()).error.is_retry()) lci::progress();
+  return st;
+}
+
+// An aggregated send finds its peer dead at the slot: the post fails with
+// fatal_peer_down, returned, and signals nothing.
+TEST(CompletionPath, AppendToDeadPeerFailsAtPost) {
+  std::atomic<int> finished{0};
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(small_attr());
+    if (rank == 0) {
+      lci::comp_t cq = lci::alloc_cq();
+      const lci::counters_t base = lci::get_counters();
+      EXPECT_TRUE(lci::kill_peer(1));
+      char buf[16] = "never sent";
+      const lci::status_t ss = post_until_accepted([&] {
+        return lci::post_send_x(1, buf, sizeof(buf), 4, cq)
+            .allow_done(false)
+            .allow_aggregation(true)();
+      });
+      EXPECT_EQ(ss.error.code, lci::errorcode_t::fatal_peer_down);
+      EXPECT_EQ(ss.rank, 1);
+      EXPECT_EQ(ss.tag, 4u);
+      expect_no_completion(cq);
+      const lci::counters_t c = lci::get_counters();
+      EXPECT_EQ(counted(c, base, &lci::counters_t::peer_down_completions), 1u);
+      EXPECT_EQ(counted(c, base, &lci::counters_t::comp_fatal), 1u);
+      lci::free_comp(&cq);
+    }
+    leave_together(finished);
+    lci::g_runtime_fina();
+  });
+}
+
+// An aggregated send that would overflow the armed batch posts the batch
+// first. This rank died, so that post returns peer_down although the peer
+// looks alive, and the new send fails with fatal_peer_down, returned.
+TEST(CompletionPath, FlushBeforeAppendOnDeadRankFailsAtPost) {
+  std::atomic<int> finished{0};
+  lci::sim::spawn(2, [&](int rank) {
+    lci::runtime_attr_t attr = small_attr();
+    attr.packet_size = 4096;  // a batch holds 4080 bytes of entries
+    attr.aggregation_flush_us = 1000000;  // no age flush
+    lci::g_runtime_init(attr);
+    if (rank == 0) {
+      lci::pin_thread_shard(0);  // one slot takes every entry
+      lci::comp_t cq = lci::alloc_cq();
+      char small[8] = {}, big[256] = {};
+      const auto append = [&](char* buf, std::size_t size, lci::comp_t comp) {
+        return post_until_accepted([&] {
+          return lci::post_send_x(1, buf, size, 5, comp)
+              .allow_done(comp.p == nullptr)
+              .allow_aggregation(true)();
+        });
+      };
+      // An entry is a 16-byte header plus its payload padded to 8 bytes:
+      // 24 + 14 * 272 = 3832 bytes stay armed, and one more 272-byte entry
+      // would pass 4080.
+      const lci::counters_t armed = lci::get_counters();
+      EXPECT_TRUE(append(small, sizeof(small), {}).error.is_done());
+      for (int i = 0; i < 14; ++i)
+        EXPECT_TRUE(append(big, sizeof(big), {}).error.is_done());
+      const lci::counters_t base = lci::get_counters();
+      EXPECT_EQ(counted(base, armed, &lci::counters_t::batches_flushed), 0u);
+      EXPECT_TRUE(lci::kill_peer(0));
+      const lci::status_t ss = append(big, sizeof(big), cq);
+      EXPECT_EQ(ss.error.code, lci::errorcode_t::fatal_peer_down);
+      EXPECT_EQ(ss.rank, 1);
+      EXPECT_EQ(ss.tag, 5u);
+      expect_no_completion(cq);
+      const lci::counters_t c = lci::get_counters();
+      EXPECT_EQ(counted(c, base, &lci::counters_t::peer_down_completions), 1u);
+      EXPECT_EQ(counted(c, base, &lci::counters_t::comp_fatal), 1u);
+      lci::free_comp(&cq);
+      lci::pin_thread_shard(-1);
+    }
+    leave_together(finished);
+    lci::g_runtime_fina();
+  });
+}
+
+// A post that cannot retry waits in the backlog (here: another thread holds
+// its aggregation slot); drain() aborts it, and its comp gets
+// fatal_canceled.
+TEST(CompletionPath, DrainCancelsBackloggedPost) {
+  std::atomic<int> finished{0};
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(small_attr());
+    if (rank == 0) {
+      lci::pin_thread_shard(0);
+      lci::detail::device_impl_t& device =
+          lci::detail::resolve_runtime({})->default_device();
+      lci::comp_t cq = lci::alloc_cq();
+      const lci::counters_t base = lci::get_counters();
+      char buf[16] = "backlogged";
+      lci::status_t ss;
+      {
+        std::lock_guard<lci::util::spinlock_t> busy(device.agg_slot_lock(0, 1));
+        ss = lci::post_send_x(1, buf, sizeof(buf), 6, cq)
+                 .allow_retry(false)
+                 .allow_aggregation(true)();
+        EXPECT_EQ(ss.error.code, lci::errorcode_t::posted_backlog);
+        EXPECT_EQ(lci::drain(lci::device_t{}, 0), 1u);
+      }
+      const lci::status_t st = pop_only_completion(cq);
+      EXPECT_EQ(st.error.code, lci::errorcode_t::fatal_canceled);
+      EXPECT_EQ(st.rank, 1);
+      EXPECT_EQ(st.tag, 6u);
+      const lci::counters_t c = lci::get_counters();
+      EXPECT_EQ(counted(c, base, &lci::counters_t::ops_canceled), 1u);
+      EXPECT_EQ(counted(c, base, &lci::counters_t::comp_fatal), 1u);
+      lci::free_comp(&cq);
+      lci::pin_thread_shard(-1);
+    }
+    leave_together(finished);
+    lci::g_runtime_fina();
+  });
+}
+
+// Rank 1's rendezvous write to rank 0 waits in its backlog: rank 0 answered
+// the RTS, then stopped polling with its 2-deep inbound wire full. `end`
+// ends the backlogged write on rank 1 and returns the code its send must
+// complete with; each rank then checks its own op's one completion.
+void backlogged_write(const std::function<lci::errorcode_t()>& end,
+                      lci::errorcode_t recv_code) {
+  constexpr std::size_t size = 16384;  // past the eager threshold
+  lci::net::config_t config;
+  config.wire_depth = 2;
+  std::atomic<int> stage{0};
+  std::atomic<int> finished{0};
+  lci::sim::spawn(
+      2,
+      [&](int rank) {
+        lci::g_runtime_init(small_attr());
+        lci::barrier();
+        lci::detail::runtime_impl_t* rt = lci::detail::resolve_runtime({});
+        std::vector<char> buf(size, static_cast<char>('a' + rank));
+        lci::comp_t cq = lci::alloc_cq();
+        if (rank == 0) {
+          ASSERT_TRUE(lci::post_recv(1, buf.data(), size, 7, cq)
+                          .error.is_posted());
+          stage.store(1, std::memory_order_release);
+          // The RTS matches and the RTR goes out.
+          while (rt->pending_recvs().size() == 0 ||
+                 rt->default_device().backlog().size_approx() != 0)
+            lci::progress();
+          stage.store(2, std::memory_order_release);
+          await_stage(stage, 3, /*progress=*/false);
+          const lci::counters_t base = lci::get_counters();
+          // Live: drain() cancels the receive, whose write never comes.
+          // Dead: its own purge fails it.
+          if (recv_code == lci::errorcode_t::fatal_canceled) {
+            EXPECT_EQ(lci::drain(lci::device_t{}, 0), 1u);
+          }
+          const lci::status_t st = pop_only_completion(cq);
+          EXPECT_EQ(st.error.code, recv_code);
+          EXPECT_EQ(st.rank, 1);
+          EXPECT_EQ(lci::get_counters().comp_fatal - base.comp_fatal, 1u);
+        } else {
+          await_stage(stage, 1, /*progress=*/true);
+          const lci::status_t ss = post_until_accepted(
+              [&] { return lci::post_send(0, buf.data(), size, 7, cq); });
+          ASSERT_TRUE(ss.error.is_posted());
+          // Not polling until rank 0's wire is full: the RTR waits. The
+          // fillers carry the write's tag, so on a sharded device they fill
+          // the wire of the write's shard.
+          await_stage(stage, 2, /*progress=*/false);
+          char filler = 'f';
+          while (lci::post_send(0, &filler, 1, 7, {}).error.is_done()) {
+          }
+          lci::detail::backlog_queue_t& backlog =
+              rt->default_device().backlog();
+          while (backlog.size_approx() == 0) lci::progress();
+          const lci::counters_t base = lci::get_counters();
+          const lci::errorcode_t code = end();
+          const lci::status_t st = pop_only_completion(cq);
+          EXPECT_EQ(st.error.code, code);
+          EXPECT_EQ(st.rank, 0);
+          EXPECT_EQ(st.tag, 7u);
+          const lci::counters_t c = lci::get_counters();
+          EXPECT_EQ(counted(c, base, &lci::counters_t::comp_fatal), 1u);
+          EXPECT_EQ(counted(c, base,
+                            code == lci::errorcode_t::fatal_canceled
+                                ? &lci::counters_t::ops_canceled
+                                : &lci::counters_t::peer_down_completions),
+                    1u);
+          stage.store(3, std::memory_order_release);
+        }
+        lci::free_comp(&cq);
+        leave_together(finished);
+        lci::g_runtime_fina();
+      },
+      config);
+}
+
+// drain() aborts the backlogged write: the send gets fatal_canceled.
+TEST(CompletionPath, DrainCancelsBackloggedRendezvousWrite) {
+  backlogged_write(
+      [] {
+        EXPECT_EQ(lci::drain(lci::device_t{}, 0), 1u);
+        return lci::errorcode_t::fatal_canceled;
+      },
+      lci::errorcode_t::fatal_canceled);
+}
+
+// The backlogged write retries after its peer died: the send gets
+// fatal_peer_down from the write's post.
+TEST(CompletionPath, BackloggedWriteToDeadPeerFails) {
+  backlogged_write(
+      [] {
+        EXPECT_TRUE(lci::kill_peer(0));
+        return lci::errorcode_t::fatal_peer_down;
+      },
+      lci::errorcode_t::fatal_peer_down);
+}
+
+// A receive whose RTR went out waits in the pending-receive table for the
+// write; its peer dies first, and the purge fails it with fatal_peer_down.
+TEST(CompletionPath, PendingRendezvousRecvFailsWhenPeerDies) {
+  constexpr std::size_t size = 16384;
+  std::atomic<int> stage{0};
+  std::atomic<int> finished{0};
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(small_attr());
+    lci::barrier();
+    lci::detail::runtime_impl_t* rt = lci::detail::resolve_runtime({});
+    std::vector<char> buf(size, 'p');
+    lci::comp_t cq = lci::alloc_cq();
+    if (rank == 0) {
+      ASSERT_TRUE(
+          lci::post_recv(1, buf.data(), size, 9, cq).error.is_posted());
+      stage.store(1, std::memory_order_release);
+      while (rt->pending_recvs().size() == 0 ||
+             rt->default_device().backlog().size_approx() != 0)
+        lci::progress();
+      const lci::counters_t base = lci::get_counters();
+      EXPECT_TRUE(lci::kill_peer(1));
+      const lci::status_t st = pop_only_completion(cq);
+      EXPECT_EQ(st.error.code, lci::errorcode_t::fatal_peer_down);
+      EXPECT_EQ(st.rank, 1);
+      EXPECT_EQ(st.tag, 9u);
+      const lci::counters_t c = lci::get_counters();
+      EXPECT_EQ(counted(c, base, &lci::counters_t::peer_down_completions), 1u);
+      EXPECT_EQ(counted(c, base, &lci::counters_t::comp_fatal), 1u);
+      stage.store(2, std::memory_order_release);
+    } else {
+      await_stage(stage, 1, /*progress=*/true);
+      ASSERT_TRUE(post_until_accepted([&] {
+                    return lci::post_send(0, buf.data(), size, 9, cq);
+                  }).error.is_posted());
+      // Never answers the RTR: it dies first.
+      await_stage(stage, 2, /*progress=*/false);
+      EXPECT_EQ(pop_only_completion(cq).error.code,
+                lci::errorcode_t::fatal_peer_down);
+    }
+    lci::free_comp(&cq);
+    leave_together(finished);
+    lci::g_runtime_fina();
+  });
+}
+
+// The peer dies while a receive naming it is being posted, between the
+// post's liveness check and its insert (a custom make_key runs there):
+// the post takes the entry back out and fails with fatal_peer_down,
+// returned, and signals nothing.
+TEST(CompletionPath, RecvPostedAsPeerDiesFailsAtPost) {
+  std::atomic<int> finished{0};
+  lci::sim::spawn(2, [&](int rank) {
+    lci::g_runtime_init(small_attr());
+    std::atomic<bool> kill_in_make_key{false};
+    lci::matching_engine_t engine =
+        lci::alloc_matching_engine_x()
+            .num_buckets(64)
+            .make_key([&](int peer, lci::tag_t tag, lci::matching_policy_t) {
+              if (kill_in_make_key.exchange(false)) lci::kill_peer(peer);
+              return (static_cast<uint64_t>(peer) << 32) | tag;
+            })();
+    if (rank == 0) {
+      lci::comp_t cq = lci::alloc_cq();
+      const lci::counters_t base = lci::get_counters();
+      char buf[16];
+      kill_in_make_key.store(true);
+      const lci::status_t rs = lci::post_recv_x(1, buf, sizeof(buf), 11, cq)
+                                   .matching_engine(engine)
+                                   .allow_done(false)();
+      EXPECT_FALSE(kill_in_make_key.load());
+      EXPECT_EQ(rs.error.code, lci::errorcode_t::fatal_peer_down);
+      EXPECT_EQ(rs.rank, 1);
+      EXPECT_EQ(rs.tag, 11u);
+      expect_no_completion(cq);
+      const lci::counters_t c = lci::get_counters();
+      EXPECT_EQ(counted(c, base, &lci::counters_t::peer_down_completions), 1u);
+      EXPECT_EQ(counted(c, base, &lci::counters_t::comp_fatal), 1u);
+      lci::free_comp(&cq);
+    }
+    leave_together(finished);
+    lci::free_matching_engine(&engine);
+    lci::g_runtime_fina();
+  });
 }
 
 }  // namespace

@@ -125,6 +125,7 @@ TEST(Future, WhenAllEmpty) {
 // a future for the response parcel.
 TEST(Future, RemoteRequestResponse) {
   std::atomic<int> ready{0};
+  std::atomic<int> finished{0};
   lci::sim::spawn(2, [&](int rank) {
     (void)rank;
     minihpx::scheduler_t scheduler(2);
@@ -184,10 +185,11 @@ TEST(Future, RemoteRequestResponse) {
     const auto squares = all.get();
     for (int v = 1; v <= 8; ++v)
       EXPECT_EQ(squares[static_cast<std::size_t>(v - 1)], v * v);
-    // Serve the peer until it is done too.
-    std::atomic<bool> stop{false};
-    (void)stop;
-    for (int i = 0; i < 2000; ++i) port.progress(0);
+    // Serve the peer until it is done too: its last requests may not have
+    // arrived yet. The scheduler keeps running, so its workers keep
+    // progressing every device meanwhile.
+    finished.fetch_add(1, std::memory_order_acq_rel);
+    while (finished.load(std::memory_order_acquire) < 2) port.progress(0);
     scheduler.stop();
   });
 }

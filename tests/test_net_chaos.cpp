@@ -20,6 +20,8 @@
 //                    tail a short write left staged still delivers it
 //   * notimeout    — an explicit peer_timeout_us = 0 overrides
 //                    LCI_PEER_TIMEOUT_MS: no heartbeats are sent
+//   * latecomp     — a rank that dies at the post of its rendezvous write
+//                    still gets the write's late local completion, once
 //
 // Runs are reproducible per seed: the parent forwards LCI_FAULT_SEED from
 // its own environment (default 1), so CI can sweep seeds.
@@ -34,6 +36,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +45,10 @@
 #include <vector>
 
 #include "core/lci.hpp"
+
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/lsan_interface.h>
+#endif
 
 namespace {
 
@@ -522,6 +529,60 @@ int child_notimeout() {
   return 0;
 }
 
+// LCI_FAULT_KILL_RANK=1 / KILL_AFTER_OPS=2: rank 1's rendezvous send is
+// its only traffic, so its RTS is its first post and its RDMA write the
+// second, at which it dies. The write is large enough that most of its
+// frames are still queued then; they evaporate, but the write's local
+// completion, raised late through the inbound queue, must still reach the
+// send's comp exactly once and free the write's context.
+int child_latecomp() {
+  lci::g_runtime_init();
+  const int me = lci::get_rank_me();
+  constexpr std::size_t size = 4u << 20;  // many chunks on shm and tcp
+  std::vector<char> buf(size, 'L');
+  if (me == 1) {
+    lci::comp_t cq = lci::alloc_cq();
+    lci::status_t s;
+    do {
+      s = lci::post_send(0, buf.data(), size, /*tag=*/3, cq);
+      lci::progress();
+    } while (s.error.is_retry());
+    CHILD_CHECK(s.error.is_posted());
+    // Wait for the completion, then keep progressing a while: a second one
+    // must not follow.
+    int completions = 0;
+    uint64_t until = wall_us() + 20u * 1000 * 1000;
+    while (wall_us() < until) {
+      lci::progress();
+      const lci::status_t c = lci::cq_pop(cq);
+      if (c.error.is_retry()) continue;
+      ++completions;
+      until = std::min(until, wall_us() + 200u * 1000);
+    }
+    if (completions != 1)
+      std::fprintf(stderr, "[child rank 1] %d send completions\n",
+                   completions);
+    CHILD_CHECK(completions == 1);
+    lci::free_comp(&cq);
+    lci::g_runtime_fina();
+#ifdef __SANITIZE_ADDRESS__
+    // Children leave through _Exit, which skips the exit-time leak check.
+    CHILD_CHECK(__lsan_do_recoverable_leak_check() == 0);
+#endif
+    return 0;
+  }
+  // The receive completes once: done if the write landed before the death
+  // was seen, else fatal_peer_down (at the post, if rank 1 died first).
+  lci::comp_t sync = lci::alloc_sync(1);
+  lci::status_t rs = lci::post_recv(1, buf.data(), size, /*tag=*/3, sync);
+  if (rs.error.is_posted()) lci::sync_wait(sync, &rs);
+  CHILD_CHECK(rs.error.is_done() ||
+              rs.error.code == lci::errorcode_t::fatal_peer_down);
+  lci::free_comp(&sync);
+  lci::g_runtime_fina();
+  return 0;
+}
+
 int run_child(const std::string& role) {
   if (role == "delay") return child_delay();
   if (role == "loss") return child_loss();
@@ -532,6 +593,7 @@ int run_child(const std::string& role) {
   if (role == "tcpshort") return child_tcpshort();
   if (role == "exitflush") return child_exitflush();
   if (role == "notimeout") return child_notimeout();
+  if (role == "latecomp") return child_latecomp();
   std::fprintf(stderr, "unknown chaos child role: %s\n", role.c_str());
   return 2;
 }
@@ -677,6 +739,13 @@ TEST_P(NetChaos, KillSchedule) {
   const launch_result_t r = launch(GetParam(), 2, "killsched", opt);
   EXPECT_EQ(r.exit_codes[0], 0);
   EXPECT_EQ(r.exit_codes[1], 0);
+}
+
+TEST_P(NetChaos, DeadRankKeepsLateWriteCompletion) {
+  launch_opt_t opt;
+  opt.env = {{"LCI_FAULT_KILL_RANK", "1"}, {"LCI_FAULT_KILL_AFTER_OPS", "2"}};
+  const launch_result_t r = launch(GetParam(), 2, "latecomp", opt);
+  EXPECT_EQ(r.exit_codes, zeros(2));
 }
 
 // 2000 ms rather than a snappier value: liveness timeouts cannot tell a
